@@ -5,7 +5,7 @@ coordination. The wire either replaces public basis sifting (Protocol I),
 additionally turns the hidden common basis into key material (Protocol II),
 or alternates subsystems for one bit every interval (Protocol III). This
 package provides the closed-form link budget and rate models, sample-level
-wire simulation, round-level protocol engines, Monte Carlo sessions in
+wire simulation, a table-driven round engine, Monte Carlo sessions in
 gated and buffered timing modes, and a deterministic CLI.
 """
 
@@ -45,10 +45,6 @@ from .protocol import (
     map_basis_to_resistor_same,
     measure_photon,
     run_round,
-    run_round_bb84,
-    run_round_protocol1,
-    run_round_protocol2,
-    run_round_protocol3,
 )
 from .rates import (
     RatePoint,

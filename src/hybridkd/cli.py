@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="round-by-round protocol trace")
     common(p_trace)
     p_trace.add_argument("--protocol", choices=[p.value for p in Protocol],
-                         help="protocol engine to trace")
+                         help="protocol to trace")
     p_trace.add_argument("--fixture",
                          help="fixture path with 'a_basis a_bit b_basis b_bit' lines; "
                               "'bundled' selects the packaged 14-round example")
@@ -203,8 +203,6 @@ def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
-    mode = cfg.timing_mode()
-    mode.check_protocol(cfg.protocol)  # reject buffered + p3 before simulating
     point = rates.throughputs(cfg.optical, cfg.kljn, cfg.distance_km)
 
     if cfg.timing is Timing.GATED:
@@ -229,8 +227,6 @@ def cmd_simulate(cfg: RunConfig) -> str:
             "throughput_bps": _analytic_throughput(cfg.protocol, point),
         }
     else:
-        if cfg.protocol not in (Protocol.P1, Protocol.P2):
-            raise ConfigError(f"buffered mode supports p1/p2 only, got {cfg.protocol.value}")
         stats = session.run_buffered_session(
             cfg.protocol,
             cfg.optical,
@@ -238,7 +234,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
             cfg.distance_km,
             cfg.duration_s,
             cfg.seed,
-            mode=mode,
+            mode=cfg.timing_mode(),
             ideal_classification=cfg.ideal_classification,
             temperature_scale=cfg.temperature_scale,
         )

@@ -11,6 +11,7 @@ unit-suffixed, internal fields are plain.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,6 +173,38 @@ def _reject_unknown(section: dict, allowed: Any, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where!r}: {sorted(unknown)}")
 
 
+_KIND_TEXT = {bool: "true or false", int: "a whole number", float: "a finite number"}
+
+
+def _coerce(value: Any, kind: type, name: str) -> Any:
+    """`value` as a `kind` (bool, int or float), or a ConfigError naming `name`.
+
+    Bools must be YAML bools. Ints must be integral and floats finite, and
+    neither may be a bool. Numeric strings count as numbers, because YAML
+    1.1 reads exponents without a dot, such as 1e-5, as strings.
+    """
+    if kind is bool or isinstance(value, bool):
+        if kind is bool and isinstance(value, bool):
+            return value
+    elif kind is int and isinstance(value, int):
+        return value
+    else:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if math.isfinite(number) and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ConfigError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
+
+
+def _scalar(section: dict, key: str, default: Any, where: str) -> Any:
+    """`section[key]` coerced to the type of its built-in `default`, else `default`."""
+    if key not in section:
+        return default
+    return _coerce(section[key], type(default), f"{where}.{key}")
+
+
 def config_from_mapping(data: dict) -> RunConfig:
     """Build a RunConfig from a parsed YAML mapping over the defaults."""
     base = default_config()
@@ -179,10 +212,10 @@ def config_from_mapping(data: dict) -> RunConfig:
 
     opt_sec = _require_mapping(data.get("optical"), "optical")
     _reject_unknown(opt_sec, _OPTICAL_KEYS, "optical")
-    opt_fields = {f: getattr(base.optical, f) for f in _OPTICAL_KEYS.values()}
-    for key, field_name in _OPTICAL_KEYS.items():
-        if key in opt_sec:
-            opt_fields[field_name] = float(opt_sec[key])
+    opt_fields = {
+        f: _scalar(opt_sec, key, getattr(base.optical, f), "optical")
+        for key, f in _OPTICAL_KEYS.items()
+    }
     try:
         optical = OpticalParams(**opt_fields)
     except DomainError as exc:
@@ -190,11 +223,9 @@ def config_from_mapping(data: dict) -> RunConfig:
 
     kljn_sec = _require_mapping(data.get("kljn"), "kljn")
     _reject_unknown(kljn_sec, _KLJN_KEYS, "kljn")
-    kljn_fields = {f: getattr(base.kljn, f) for f in _KLJN_KEYS.values()}
-    for key, field_name in _KLJN_KEYS.items():
-        if key in kljn_sec:
-            cast = int if field_name in ("n_pairs", "n_samples") else float
-            kljn_fields[field_name] = cast(kljn_sec[key])
+    kljn_fields = {
+        f: _scalar(kljn_sec, key, getattr(base.kljn, f), "kljn") for key, f in _KLJN_KEYS.items()
+    }
     try:
         kljn = KljnLineParams(**kljn_fields)
     except DomainError as exc:
@@ -203,9 +234,9 @@ def config_from_mapping(data: dict) -> RunConfig:
     sweep_sec = _require_mapping(data.get("sweep"), "sweep")
     _reject_unknown(sweep_sec, _SWEEP_KEYS, "sweep")
     sweep = SweepSpec(
-        distance_min_km=float(sweep_sec.get("distance_min_km", base.sweep.distance_min_km)),
-        distance_max_km=float(sweep_sec.get("distance_max_km", base.sweep.distance_max_km)),
-        points=int(sweep_sec.get("points", base.sweep.points)),
+        distance_min_km=_scalar(sweep_sec, "distance_min_km", base.sweep.distance_min_km, "sweep"),
+        distance_max_km=_scalar(sweep_sec, "distance_max_km", base.sweep.distance_max_km, "sweep"),
+        points=_scalar(sweep_sec, "points", base.sweep.points, "sweep"),
         spacing=str(sweep_sec.get("spacing", base.sweep.spacing)),
     )
     if sweep.spacing not in ("linear", "log"):
@@ -218,6 +249,7 @@ def config_from_mapping(data: dict) -> RunConfig:
     bracket = run_sec.get("bracket", list(base.bracket))
     if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
         raise ConfigError(f"run.bracket must be a pair of distances, got {bracket!r}")
+    bracket = tuple(_coerce(d, float, "run.bracket") for d in bracket)
 
     out_sec = _require_mapping(data.get("output"), "output")
     _reject_unknown(out_sec, _OUTPUT_KEYS, "output")
@@ -226,22 +258,25 @@ def config_from_mapping(data: dict) -> RunConfig:
         raise ConfigError(f"output.format must be one of {FORMATS}, got {fmt!r}")
     out = out_sec.get("path", base.out)
 
+    def run(key: str) -> Any:
+        return _scalar(run_sec, key, getattr(base, key), "run")
+
     return RunConfig(
         optical=optical,
         kljn=kljn,
-        temperature_scale=float(run_sec.get("temperature_scale", base.temperature_scale)),
+        temperature_scale=run("temperature_scale"),
         sweep=sweep,
         protocol=protocol,
         timing=timing,
-        burst_block=int(run_sec.get("burst_block", base.burst_block)),
-        buffer_capacity=int(run_sec.get("buffer_capacity", base.buffer_capacity)),
-        distance_km=float(run_sec.get("distance_km", base.distance_km)),
-        rounds=int(run_sec.get("rounds", base.rounds)),
-        duration_s=float(run_sec.get("duration_s", base.duration_s)),
-        ideal_classification=bool(run_sec.get("ideal_classification", base.ideal_classification)),
-        seed=int(run_sec.get("seed", base.seed)),
-        bracket=(float(bracket[0]), float(bracket[1])),
-        factor=float(run_sec.get("factor", base.factor)),
+        burst_block=run("burst_block"),
+        buffer_capacity=run("buffer_capacity"),
+        distance_km=run("distance_km"),
+        rounds=run("rounds"),
+        duration_s=run("duration_s"),
+        ideal_classification=run("ideal_classification"),
+        seed=run("seed"),
+        bracket=bracket,
+        factor=run("factor"),
         out=None if out is None else str(out),
         format=fmt,
     )

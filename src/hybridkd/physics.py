@@ -118,8 +118,8 @@ class LinkBudget:
 
 def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     """Overall system transmittance eta_sys = eta_D * 10^(-alpha*L/10)."""
-    if distance_km < 0:
-        raise DomainError(f"distance must be >= 0 km, got {distance_km}")
+    if not (math.isfinite(distance_km) and distance_km >= 0):
+        raise DomainError(f"distance must be finite and >= 0 km, got {distance_km}")
     return p.eta_d * 10.0 ** (-p.alpha * distance_km / 10.0)
 
 
@@ -167,8 +167,8 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     standing-wave frequency f_1 = v / (2 * L), so the cable stays a lumped
     circuit. Diverges as L -> 0, hence zero distance is rejected.
     """
-    if distance_km <= 0:
-        raise DomainError(f"distance must be > 0 km, got {distance_km}")
+    if not (math.isfinite(distance_km) and distance_km > 0):
+        raise DomainError(f"distance must be finite and > 0 km, got {distance_km}")
     return line.v / (20.0 * distance_km)
 
 

@@ -1,8 +1,10 @@
-"""Round-level engines for baseline BB84 and the three wire-assisted protocols.
+"""One round engine for baseline BB84 and the three wire-assisted protocols.
 
 One round is one optical transmission interval paired with one decision
-interval on the wire. The engines differ only in the basis-to-resistor
-mapping and in which noise levels yield key bits:
+interval on the wire. `run_round(protocol, inputs, channel, rng)` plays a
+round of any protocol. BB84 has no wire and sifts by public basis
+comparison. The wire protocols differ from one another only in the three
+entries of their rule in `_RULES`:
 
   Protocol I   cross mapping (Alice +/x -> RL/RH, Bob +/x -> RH/RL).
                Matching bases put mixed resistors on the wire, so the
@@ -18,7 +20,7 @@ mapping and in which noise levels yield key bits:
                the lossless limit, at the price of disclosing the common
                basis to the wire.
 
-Engines are pure given an explicit random generator; golden-trace inputs
+Rounds are pure given an explicit random generator; golden-trace inputs
 can force detection and Bob's recorded outcome so that reference example
 rounds replay exactly.
 """
@@ -53,10 +55,6 @@ __all__ = [
     "map_basis_to_resistor_cross",
     "map_basis_to_resistor_same",
     "measure_photon",
-    "run_round_bb84",
-    "run_round_protocol1",
-    "run_round_protocol2",
-    "run_round_protocol3",
     "run_round",
     "extract_key",
     "random_inputs",
@@ -110,21 +108,25 @@ class Protocol(enum.Enum):
     P3 = "p3"
 
 
+def _resistor(basis: Basis, for_rect: ResistorChoice) -> ResistorChoice:
+    if basis is Basis.RECTILINEAR:
+        return for_rect
+    return ResistorChoice.HIGH if for_rect is ResistorChoice.LOW else ResistorChoice.LOW
+
+
 def map_basis_to_resistor_cross(party: Party, basis: Basis) -> ResistorChoice:
-    """Cross mapping: Alice +/x -> RL/RH, Bob +/x -> RH/RL.
+    """Cross mapping (Protocols I/II): Alice +/x -> RL/RH, Bob +/x -> RH/RL.
 
     Equal bases therefore always produce a mixed resistor pair, i.e. the
     intermediate noise level, which is the only level the wire keeps secret.
     """
-    low_for_rect = party is Party.ALICE
-    if basis is Basis.RECTILINEAR:
-        return ResistorChoice.LOW if low_for_rect else ResistorChoice.HIGH
-    return ResistorChoice.HIGH if low_for_rect else ResistorChoice.LOW
+    for_rect = ResistorChoice.LOW if party is Party.ALICE else _RULES[Protocol.P1].bob_rect
+    return _resistor(basis, for_rect)
 
 
 def map_basis_to_resistor_same(basis: Basis) -> ResistorChoice:
-    """Shared mapping for both parties: +/x -> RL/RH."""
-    return ResistorChoice.LOW if basis is Basis.RECTILINEAR else ResistorChoice.HIGH
+    """Shared mapping (Protocol III) for both parties: +/x -> RL/RH."""
+    return _resistor(basis, _RULES[Protocol.P3].bob_rect)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ class RoundInputs:
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Stochastic channel knobs shared by all round engines.
+    """Stochastic channel knobs shared by every protocol's rounds.
 
     detection_prob:  probability an optical pulse yields a click (the
                      analytic per-pulse gain when simulating a link).
@@ -245,165 +247,32 @@ def measure_photon(
 
 def _level_impossible_for(level: NoiseLevel, own_resistor: ResistorChoice) -> bool:
     # A party holding RL can never see a true high level (both resistors
-    # would have to be RH), and symmetrically for RL/low.
+    # would have to be RH), and symmetrically for RH/low.
     if own_resistor is ResistorChoice.LOW:
         return level is NoiseLevel.HIGH
     return level is NoiseLevel.LOW
 
 
-def _observe_level(
-    alice_res: ResistorChoice,
-    bob_res: ResistorChoice,
-    channel: ChannelModel,
-    rng: np.random.Generator,
-) -> tuple[NoiseLevel, NoiseLevel, LineObservation | None]:
-    truth = ground_truth_level(alice_res, bob_res)
-    if channel.ideal_classification:
-        return truth, truth, None
-    obs = sample_line(channel.line, alice_res, bob_res, rng, channel.temperature_scale)
-    return obs.classified_level, truth, obs
+@dataclass(frozen=True)
+class _WireRule:
+    """What sets one wire-assisted protocol apart from the others.
+
+    bob_rect:       Bob's resistor for the rectilinear basis (Alice's is
+                    always RL); his diagonal resistor is the other one.
+    optical_levels: classified levels at which a detected pulse keeps its
+                    optical bit.
+    mid_wire_bit:   whether an intermediate round credits a wire bit.
+    """
+
+    bob_rect: ResistorChoice
+    optical_levels: tuple[NoiseLevel, ...]
+    mid_wire_bit: bool
 
 
-def run_round_bb84(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    rng: np.random.Generator | int,
-) -> ProtocolRound:
-    """Baseline BB84 round; sifting by (modeled) public basis comparison."""
-    gen = np.random.default_rng(rng)
-    detected = _resolve_detection(inputs, channel, gen)
-    bob_bit = _resolve_bob_bit(inputs, channel, gen, detected)
-    sifted = detected and inputs.alice_basis is inputs.bob_basis
-    return ProtocolRound(
-        protocol=Protocol.BB84,
-        alice_basis=inputs.alice_basis,
-        alice_bit=inputs.alice_bit,
-        bob_basis=inputs.bob_basis,
-        alice_resistor=None,
-        bob_resistor=None,
-        noise_level=None,
-        ground_truth_level=None,
-        optical_detected=detected,
-        bob_bit=bob_bit,
-        qkd_key_bit=bob_bit if sifted else None,
-        kljn_key_bit=None,
-    )
-
-
-def run_round_protocol1(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    rng: np.random.Generator | int,
-) -> ProtocolRound:
-    """Protocol I: wire-silent sifting, optical bits only."""
-    return _run_cross_mapped(inputs, channel, rng, Protocol.P1)
-
-
-def run_round_protocol2(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    rng: np.random.Generator | int,
-) -> ProtocolRound:
-    """Protocol II: Protocol I plus one basis-derived bit per kept round."""
-    return _run_cross_mapped(inputs, channel, rng, Protocol.P2)
-
-
-def _run_cross_mapped(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    rng: np.random.Generator | int,
-    which: Protocol,
-) -> ProtocolRound:
-    gen = np.random.default_rng(rng)
-    alice_res = map_basis_to_resistor_cross(Party.ALICE, inputs.alice_basis)
-    bob_res = map_basis_to_resistor_cross(Party.BOB, inputs.bob_basis)
-    detected = _resolve_detection(inputs, channel, gen)
-    bob_bit = _resolve_bob_bit(inputs, channel, gen, detected)
-    level, truth, obs = _observe_level(alice_res, bob_res, channel, gen)
-
-    flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
-    keep = (not flagged) and level is NoiseLevel.INTERMEDIATE
-
-    qkd_bit = bob_bit if (keep and detected) else None
-    alice_kljn = bob_kljn = None
-    if which is Protocol.P2 and keep:
-        # Under the cross mapping an intermediate level means equal bases,
-        # so each side reads the common basis off its own choice.
-        alice_kljn = 1 if inputs.alice_basis is Basis.DIAGONAL else 0
-        bob_kljn = 1 if inputs.bob_basis is Basis.DIAGONAL else 0
-
-    return ProtocolRound(
-        protocol=which,
-        alice_basis=inputs.alice_basis,
-        alice_bit=inputs.alice_bit,
-        bob_basis=inputs.bob_basis,
-        alice_resistor=alice_res,
-        bob_resistor=bob_res,
-        noise_level=level,
-        ground_truth_level=truth,
-        optical_detected=detected,
-        bob_bit=bob_bit,
-        qkd_key_bit=qkd_bit,
-        kljn_key_bit=alice_kljn,
-        bob_kljn_bit=bob_kljn,
-        flagged=flagged,
-        observation=obs,
-    )
-
-
-def run_round_protocol3(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    rng: np.random.Generator | int,
-) -> ProtocolRound:
-    """Protocol III: one bit per interval, alternating subsystems."""
-    gen = np.random.default_rng(rng)
-    alice_res = map_basis_to_resistor_same(inputs.alice_basis)
-    bob_res = map_basis_to_resistor_same(inputs.bob_basis)
-    detected = _resolve_detection(inputs, channel, gen)
-    bob_bit = _resolve_bob_bit(inputs, channel, gen, detected)
-    level, truth, obs = _observe_level(alice_res, bob_res, channel, gen)
-
-    flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
-
-    qkd_bit = None
-    alice_kljn = bob_kljn = None
-    if not flagged:
-        if level is NoiseLevel.INTERMEDIATE:
-            # Mixed resistors: the ordering is the key bit, (+/x) -> 0 and
-            # (x/+) -> 1. Each side infers the partner's basis as the
-            # opposite of its own.
-            alice_kljn = 1 if inputs.alice_basis is Basis.DIAGONAL else 0
-            bob_kljn = 1 if inputs.bob_basis is Basis.RECTILINEAR else 0
-        elif detected:
-            # Low/high reveals the common basis; a lost pulse yields
-            # nothing (the one-bit-per-interval claim is lossless-limit).
-            qkd_bit = bob_bit
-
-    return ProtocolRound(
-        protocol=Protocol.P3,
-        alice_basis=inputs.alice_basis,
-        alice_bit=inputs.alice_bit,
-        bob_basis=inputs.bob_basis,
-        alice_resistor=alice_res,
-        bob_resistor=bob_res,
-        noise_level=level,
-        ground_truth_level=truth,
-        optical_detected=detected,
-        bob_bit=bob_bit,
-        qkd_key_bit=qkd_bit,
-        kljn_key_bit=alice_kljn,
-        bob_kljn_bit=bob_kljn,
-        flagged=flagged,
-        observation=obs,
-    )
-
-
-_ENGINES = {
-    Protocol.BB84: run_round_bb84,
-    Protocol.P1: run_round_protocol1,
-    Protocol.P2: run_round_protocol2,
-    Protocol.P3: run_round_protocol3,
+_RULES = {
+    Protocol.P1: _WireRule(ResistorChoice.HIGH, (NoiseLevel.INTERMEDIATE,), False),
+    Protocol.P2: _WireRule(ResistorChoice.HIGH, (NoiseLevel.INTERMEDIATE,), True),
+    Protocol.P3: _WireRule(ResistorChoice.LOW, (NoiseLevel.LOW, NoiseLevel.HIGH), True),
 }
 
 
@@ -413,37 +282,73 @@ def run_round(
     channel: ChannelModel,
     rng: np.random.Generator | int,
 ) -> ProtocolRound:
-    """Dispatch one round to the engine for `protocol`."""
-    return _ENGINES[protocol](inputs, channel, rng)
+    """Play one round of `protocol`.
 
+    Draws, in order: detection, Bob's outcome, then (wire protocols only)
+    the line samples. BB84 sifts by the modelled public basis comparison.
+    The wire protocols read their rule from `_RULES`; a round whose
+    classified level contradicts either party's own resistor is flagged
+    and yields nothing.
+    """
+    gen = np.random.default_rng(rng)
+    detected = inputs.detected
+    if detected is None:
+        detected = bool(gen.random() < channel.detection_prob)
+    bob_bit = inputs.forced_bob_bit if detected else None
+    if detected and bob_bit is None:
+        bob_bit = measure_photon(
+            inputs.alice_bit, inputs.alice_basis, inputs.bob_basis, True, gen, channel.flip_prob
+        )
+    alice_res = bob_res = level = truth = obs = None
+    qkd_bit = alice_kljn = bob_kljn = None
+    flagged = False
+    if protocol is Protocol.BB84:
+        if inputs.alice_basis is inputs.bob_basis:
+            qkd_bit = bob_bit
+    else:
+        rule = _RULES[protocol]
+        alice_res = _resistor(inputs.alice_basis, ResistorChoice.LOW)
+        bob_res = _resistor(inputs.bob_basis, rule.bob_rect)
+        level = truth = ground_truth_level(alice_res, bob_res)
+        if not channel.ideal_classification:
+            obs = sample_line(channel.line, alice_res, bob_res, gen, channel.temperature_scale)
+            level = obs.classified_level
+        flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
+        if not flagged:
+            if level in rule.optical_levels:
+                qkd_bit = bob_bit  # None for a lost pulse
+            if level is NoiseLevel.INTERMEDIATE and rule.mid_wire_bit:
+                # On a truly mixed pair Alice holds RH exactly when Bob
+                # holds RL, and that is the bit; a misclassified round makes
+                # the two sides disagree. Cross mapping (P2): the common
+                # basis, (+/+) -> 0, (x/x) -> 1. Shared mapping (P3): the
+                # ordering, (+/x) -> 0, (x/+) -> 1.
+                alice_kljn = int(alice_res is ResistorChoice.HIGH)
+                bob_kljn = int(bob_res is ResistorChoice.LOW)
 
-def _resolve_detection(
-    inputs: RoundInputs, channel: ChannelModel, gen: np.random.Generator
-) -> bool:
-    if inputs.detected is not None:
-        return inputs.detected
-    return bool(gen.random() < channel.detection_prob)
-
-
-def _resolve_bob_bit(
-    inputs: RoundInputs,
-    channel: ChannelModel,
-    gen: np.random.Generator,
-    detected: bool,
-) -> int | None:
-    if not detected:
-        return None
-    if inputs.forced_bob_bit is not None:
-        return inputs.forced_bob_bit
-    return measure_photon(
-        inputs.alice_bit, inputs.alice_basis, inputs.bob_basis, True, gen, channel.flip_prob
+    return ProtocolRound(
+        protocol=protocol,
+        alice_basis=inputs.alice_basis,
+        alice_bit=inputs.alice_bit,
+        bob_basis=inputs.bob_basis,
+        alice_resistor=alice_res,
+        bob_resistor=bob_res,
+        noise_level=level,
+        ground_truth_level=truth,
+        optical_detected=detected,
+        bob_bit=bob_bit,
+        qkd_key_bit=qkd_bit,
+        kljn_key_bit=alice_kljn,
+        bob_kljn_bit=bob_kljn,
+        flagged=flagged,
+        observation=obs,
     )
 
 
 def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
     """Concatenate per-round key bits, optical bit before wire bit.
 
-    All rounds must come from the same protocol engine.
+    All rounds must come from the same protocol.
     """
     protocols = {r.protocol for r in rounds}
     if len(protocols) > 1:

@@ -126,8 +126,10 @@ def sweep(
     spacing: str = "log",
 ) -> list[RatePoint]:
     """RatePoints over [l_min, l_max] at linear or log spacing."""
-    if not 0 < l_min < l_max:
-        raise DomainError(f"need 0 < l_min < l_max, got {l_min}, {l_max}")
+    if not 0 < l_min < l_max < math.inf:
+        raise DomainError(
+            f"sweep distances need 0 < l_min < l_max < inf km, got {l_min}, {l_max}"
+        )
     if n_points < 2:
         raise DomainError(f"need at least 2 sweep points, got {n_points}")
     if spacing == "linear":

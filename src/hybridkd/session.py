@@ -1,7 +1,7 @@
 """Monte Carlo sessions in the two timing modes.
 
 Gated mode runs one wire decision per optical pulse, so the pulse clock is
-f_sys = min(f_qkd, R_kljn) and every round goes through the round engines
+f_sys = min(f_qkd, R_kljn) and every round goes through the round engine
 in `protocol`. Buffered mode (Protocols I/II only) alternates two phases:
 the wire fills a buffer of basis-coordination bits at R_kljn while the
 laser idles, then the laser drains the buffer in a burst at its native
@@ -76,9 +76,15 @@ class TimingMode:
         return TimingMode(Timing.BUFFERED, buffer_capacity, burst_block)
 
     def check_protocol(self, protocol: Protocol) -> None:
-        """Protocol III reveals bases and must run gated, in real time."""
-        if self.timing is Timing.BUFFERED and protocol is Protocol.P3:
-            raise ConfigError("Protocol III cannot run in buffered mode (gated only)")
+        """Buffered mode runs Protocols I/II only.
+
+        Protocol III reveals bases and must run gated, in real time; BB84
+        has no wire to fill a buffer with.
+        """
+        if self.timing is Timing.BUFFERED and protocol not in (Protocol.P1, Protocol.P2):
+            raise ConfigError(
+                f"buffered mode supports p1/p2 only, got {protocol.value} (run it gated)"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,7 +166,7 @@ def run_gated_session(
 ) -> SessionStats:
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
-    Per-round logic is delegated to the round engines. Simulated wall time
+    Per-round logic is delegated to `protocol.run_round`. Simulated wall time
     is n_rounds / f_sys (plain BB84 runs unthrottled at f_qkd).
     """
     if n_rounds < 1:
@@ -243,8 +249,6 @@ def run_buffered_session(
     if mode.timing is not Timing.BUFFERED:
         raise ConfigError("run_buffered_session requires a buffered TimingMode")
     mode.check_protocol(protocol)
-    if protocol not in (Protocol.P1, Protocol.P2):
-        raise ConfigError(f"buffered mode supports p1/p2 only, got {protocol.value}")
     if duration_s <= 0:
         raise DomainError(f"duration_s must be > 0, got {duration_s}")
 

@@ -1,13 +1,16 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import hybridkd
 from hybridkd import cli
 from hybridkd.config import CONFIG_ENV_VAR
 
@@ -185,6 +188,23 @@ class TestCrossover:
         assert cli.main(["crossover", "--bracket", "0.1", "0.5"]) == cli.EXIT_SOLVER
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--distance-max", "inf"],
+        ["crossover", "--bracket", "1", "inf"],
+        ["simulate", "--distance", "inf"],
+        ["simulate", "--distance", "nan"],
+    ],
+    ids=lambda a: "_".join(x.lstrip("-") for x in a),
+)
+def test_non_finite_distance_is_domain_error(argv, capsys):
+    assert cli.main(argv) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distance" in captured.err
+
+
 class TestConfigHandling:
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.yaml"
@@ -234,10 +254,15 @@ class TestDeterminism:
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "x.csv"
+    # the child imports the same package as this test, installed or not
+    package_root = str(Path(hybridkd.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     proc = subprocess.run(
         [sys.executable, "-m", "hybridkd", "sweep", "--points", "3", "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 4

@@ -58,18 +58,36 @@ class TestIngestion:
             config_from_mapping({"optical": {"alpha": 0.2}})  # missing unit suffix
 
     def test_invalid_values_are_config_errors(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping({"optical": {"mu": -1.0}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"run": {"protocol": "p9"}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"run": {"mode": "turbo"}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"sweep": {"spacing": "cubic"}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"run": {"bracket": [1.0]}})
-        with pytest.raises(ConfigError):
-            config_from_mapping({"output": {"format": "xml"}})
+        for mapping in (
+            {"optical": {"mu": -1.0}},
+            {"run": {"protocol": "p9"}},
+            {"run": {"mode": "turbo"}},
+            {"sweep": {"spacing": "cubic"}},
+            {"run": {"bracket": [1.0]}},
+            {"output": {"format": "xml"}},
+            # scalars are coerced strictly
+            {"run": {"seed": "abc"}},
+            {"run": {"ideal_classification": "no"}},
+            {"run": {"ideal_classification": 1}},
+            {"run": {"rounds": 2.5}},
+            {"kljn": {"n_samples": "3.5"}},
+            {"sweep": {"points": True}},
+            {"optical": {"mu": float("nan")}},
+            {"optical": {"alpha_db_per_km": True}},
+            {"run": {"distance_km": float("inf")}},
+            {"run": {"bracket": [1.0, ".inf"]}},
+            {"optical": {"f_qkd_hz": None}},
+        ):
+            with pytest.raises(ConfigError):
+                config_from_mapping(mapping)
+
+    def test_numeric_strings_and_integral_floats_are_accepted(self):
+        # YAML 1.1 reads 1e-5 (no dot) as a string
+        cfg = yaml.safe_load("optical: {p_d: 1e-5}\nrun: {rounds: 1.0e+4, seed: 7}\n")
+        got = config_from_mapping(cfg)
+        assert got.optical.p_d == 1e-5
+        assert got.rounds == 10_000 and isinstance(got.rounds, int)
+        assert got.seed == 7
 
     def test_mapping_roundtrip_is_identity(self):
         cfg = config_from_mapping(

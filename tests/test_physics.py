@@ -61,6 +61,11 @@ class TestSystemTransmittance:
         with pytest.raises(DomainError):
             system_transmittance(optical, -0.1)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_distance_rejected(self, optical, bad):
+        with pytest.raises(DomainError, match="distance"):
+            system_transmittance(optical, bad)
+
     def test_monotone_nonincreasing(self, optical):
         grid = np.linspace(0.0, 100.0, 64)
         vals = [system_transmittance(optical, d) for d in grid]
@@ -158,6 +163,11 @@ class TestWireLine:
             wave_limit_bandwidth(line, 0.0)
         with pytest.raises(DomainError):
             kljn_bit_rate(line, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_distance_rejected(self, line, bad):
+        with pytest.raises(DomainError, match="distance"):
+            wave_limit_bandwidth(line, bad)
 
     def test_bit_rate_values(self, line):
         assert kljn_bit_rate(line, 1.0) == 4.0e5

@@ -23,8 +23,6 @@ from hybridkd.protocol import (
     random_inputs,
     render_trace,
     run_round,
-    run_round_bb84,
-    run_round_protocol3,
 )
 
 RECT, DIAG = Basis.RECTILINEAR, Basis.DIAGONAL
@@ -161,16 +159,16 @@ class TestGoldenReplay:
 
 class TestBb84:
     def test_matched_detected_no_error(self):
-        rnd = run_round_bb84(RoundInputs(RECT, 1, RECT, detected=True), IDEAL, 0)
+        rnd = run_round(Protocol.BB84, RoundInputs(RECT, 1, RECT, detected=True), IDEAL, 0)
         assert rnd.qkd_key_bit == 1
         assert rnd.alice_resistor is None and rnd.noise_level is None
 
     def test_mismatched_no_key(self):
-        rnd = run_round_bb84(RoundInputs(RECT, 1, DIAG, detected=True), IDEAL, 0)
+        rnd = run_round(Protocol.BB84, RoundInputs(RECT, 1, DIAG, detected=True), IDEAL, 0)
         assert rnd.qkd_key_bit is None
 
     def test_lost_pulse_no_key(self):
-        rnd = run_round_bb84(RoundInputs(RECT, 1, RECT, detected=False), IDEAL, 0)
+        rnd = run_round(Protocol.BB84, RoundInputs(RECT, 1, RECT, detected=False), IDEAL, 0)
         assert rnd.qkd_key_bit is None and rnd.bob_bit is None
 
     def test_yield_is_half_detection_probability(self):
@@ -179,7 +177,7 @@ class TestBb84:
         rng = np.random.default_rng(10)
         n = 20_000
         kept = sum(
-            run_round_bb84(random_inputs(rng), channel, rng).qkd_key_bit is not None
+            run_round(Protocol.BB84, random_inputs(rng), channel, rng).qkd_key_bit is not None
             for _ in range(n)
         )
         p = 0.5 * q
@@ -259,7 +257,7 @@ class TestEveProperties:
         checked = 0
         for _ in range(4_000):
             inp = random_inputs(rng)
-            r = run_round_protocol3(inp, IDEAL, rng)
+            r = run_round(Protocol.P3, inp, IDEAL, rng)
             if inp.alice_basis is inp.bob_basis:
                 inferred = RECT if r.noise_level is NoiseLevel.LOW else DIAG
                 assert r.noise_level in (NoiseLevel.LOW, NoiseLevel.HIGH)

@@ -28,8 +28,9 @@ class TestTimingMode:
             TimingMode.buffered(buffer_capacity=100, burst_block=200)
 
     def test_p3_rejected_in_buffered(self):
-        with pytest.raises(ConfigError):
-            TimingMode.buffered().check_protocol(Protocol.P3)
+        for protocol in (Protocol.P3, Protocol.BB84):
+            with pytest.raises(ConfigError, match="p1/p2 only"):
+                TimingMode.buffered().check_protocol(protocol)
         TimingMode.gated().check_protocol(Protocol.P3)  # fine
         TimingMode.buffered().check_protocol(Protocol.P2)  # fine
 
