@@ -17,7 +17,6 @@ error, 3 domain error, 4 solver failure, 5 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -65,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--distance-min", type=float, help="sweep start [km]")
     p_sweep.add_argument("--distance-max", type=float, help="sweep end [km]")
     p_sweep.add_argument("--points", type=int, help="number of sweep points")
-    p_sweep.add_argument("--spacing", choices=("linear", "log"), help="grid spacing")
+    p_sweep.add_argument("--spacing", choices=cfgmod.SPACINGS, help="grid spacing")
 
     p_trace = sub.add_parser("trace", help="round-by-round protocol trace")
     common(p_trace)
@@ -74,8 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--fixture",
                          help="fixture path with 'a_basis a_bit b_basis b_bit' lines; "
                               "'bundled' selects the packaged 14-round example")
-    p_trace.add_argument("--rounds", type=int, default=14,
-                         help="random rounds to trace when no fixture is given")
+    p_trace.add_argument("--rounds", type=int, default=14, dest="trace_rounds",
+                         metavar="ROUNDS", help="random rounds to trace when no fixture is given")
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo session vs analytic model")
     common(p_sim)
@@ -99,48 +98,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag dest -> RunConfig field path (a dot reaches into a record)
+_FLAG_FIELDS = {
+    "seed": "seed",
+    "out": "out",
+    "format": "format",
+    "protocol": "protocol",
+    "mode": "timing",
+    "distance": "distance_km",
+    "rounds": "rounds",
+    "duration": "duration_s",
+    "burst_block": "burst_block",
+    "buffer_capacity": "buffer_capacity",
+    "classification": "ideal_classification",
+    "bracket": "bracket",
+    "factor": "factor",
+    "distance_min": "sweep.distance_min_km",
+    "distance_max": "sweep.distance_max_km",
+    "points": "sweep.points",
+    "spacing": "sweep.spacing",
+}
+
+# flags whose parsed value is not yet the field's value
+_FLAG_VALUES = {
+    "protocol": Protocol,
+    "mode": Timing,
+    "classification": lambda choice: choice == "ideal",
+    "bracket": tuple,
+}
+
+
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates: dict = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
-    if getattr(args, "protocol", None) is not None:
-        updates["protocol"] = Protocol(args.protocol)
-    if getattr(args, "mode", None) is not None:
-        updates["timing"] = Timing(args.mode)
-    if getattr(args, "distance", None) is not None:
-        updates["distance_km"] = args.distance
-    if getattr(args, "rounds", None) is not None and args.command == "simulate":
-        updates["rounds"] = args.rounds
-    if getattr(args, "duration", None) is not None:
-        updates["duration_s"] = args.duration
-    if getattr(args, "burst_block", None) is not None:
-        updates["burst_block"] = args.burst_block
-    if getattr(args, "buffer_capacity", None) is not None:
-        updates["buffer_capacity"] = args.buffer_capacity
-    if getattr(args, "classification", None) is not None:
-        updates["ideal_classification"] = args.classification == "ideal"
-    if getattr(args, "bracket", None) is not None:
-        updates["bracket"] = (args.bracket[0], args.bracket[1])
-    if getattr(args, "factor", None) is not None:
-        updates["factor"] = args.factor
-
-    sweep_updates: dict = {}
-    if getattr(args, "distance_min", None) is not None:
-        sweep_updates["distance_min_km"] = args.distance_min
-    if getattr(args, "distance_max", None) is not None:
-        sweep_updates["distance_max_km"] = args.distance_max
-    if getattr(args, "points", None) is not None:
-        sweep_updates["points"] = args.points
-    if getattr(args, "spacing", None) is not None:
-        sweep_updates["spacing"] = args.spacing
-    if sweep_updates:
-        updates["sweep"] = dataclasses.replace(cfg.sweep, **sweep_updates)
-
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    updates = {}
+    for dest, field in _FLAG_FIELDS.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            updates[field] = _FLAG_VALUES.get(dest, lambda v: v)(value)
+    return cfgmod.with_fields(cfg, updates)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -285,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             text = cmd_sweep(cfg)
         elif args.command == "trace":
-            text = cmd_trace(cfg, args.fixture, args.rounds)
+            text = cmd_trace(cfg, args.fixture, args.trace_rounds)
         elif args.command == "simulate":
             text = cmd_simulate(cfg)
         else:

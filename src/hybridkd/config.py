@@ -11,9 +11,11 @@ unit-suffixed, internal fields are plain.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
@@ -32,7 +34,9 @@ from .session import (
 __all__ = [
     "SweepSpec",
     "RunConfig",
+    "KEYS",
     "default_config",
+    "with_fields",
     "load_config",
     "config_to_mapping",
     "dump_config",
@@ -60,6 +64,10 @@ DEFAULT_KLJN = KljnLineParams(
 )
 
 
+SPACINGS = ("linear", "log")
+FORMATS = ("csv", "records")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     distance_min_km: float = 0.1
@@ -70,23 +78,27 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    optical: OpticalParams
-    kljn: KljnLineParams
-    temperature_scale: float
-    sweep: SweepSpec
-    protocol: Protocol
-    timing: Timing
-    burst_block: int
-    buffer_capacity: int
-    distance_km: float
-    rounds: int
-    duration_s: float
-    ideal_classification: bool
-    seed: int
-    bracket: tuple[float, float]
-    factor: float
-    out: str | None
-    format: str
+    optical: OpticalParams = DEFAULT_OPTICAL
+    kljn: KljnLineParams = DEFAULT_KLJN
+    temperature_scale: float = 1.0
+    sweep: SweepSpec = SweepSpec()
+    protocol: Protocol = Protocol.P2
+    timing: Timing = Timing.GATED
+    burst_block: int = DEFAULT_BURST_BLOCK
+    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
+    distance_km: float = 2.0
+    rounds: int = 100_000
+    duration_s: float = 2.0
+    ideal_classification: bool = True
+    seed: int = 20260810
+    bracket: tuple[float, float] = (1.0, 10.0)
+    factor: float = 1.0
+    out: str | None = None
+    format: str = "csv"
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def timing_mode(self) -> TimingMode:
         if self.timing is Timing.GATED:
@@ -95,82 +107,59 @@ class RunConfig:
 
 
 def default_config() -> RunConfig:
-    return RunConfig(
-        optical=DEFAULT_OPTICAL,
-        kljn=DEFAULT_KLJN,
-        temperature_scale=1.0,
-        sweep=SweepSpec(),
-        protocol=Protocol.P2,
-        timing=Timing.GATED,
-        burst_block=DEFAULT_BURST_BLOCK,
-        buffer_capacity=DEFAULT_BUFFER_CAPACITY,
-        distance_km=2.0,
-        rounds=100_000,
-        duration_s=2.0,
-        ideal_classification=True,
-        seed=20260810,
-        bracket=(1.0, 10.0),
-        factor=1.0,
-        out=None,
-        format="csv",
-    )
+    return RunConfig()
 
 
-# config-key -> (section dataclass field, converter) tables keep the YAML
-# surface explicit; unknown keys are rejected rather than ignored.
-
-_OPTICAL_KEYS = {
-    "alpha_db_per_km": "alpha",
-    "mu": "mu",
-    "eta_d": "eta_d",
-    "p_d": "p_d",
-    "e_opt": "e_opt",
-    "f_ec": "f_ec",
-    "f_qkd_hz": "f_qkd",
-}
-
-_KLJN_KEYS = {
-    "v_km_per_s": "v",
-    "n_pairs": "n_pairs",
-    "n_samples": "n_samples",
-    "r_low_ohm": "r_low",
-    "r_high_ohm": "r_high",
-}
-
-_SWEEP_KEYS = ("distance_min_km", "distance_max_km", "points", "spacing")
-
-_RUN_KEYS = (
-    "protocol",
-    "mode",
-    "distance_km",
-    "rounds",
-    "duration_s",
-    "burst_block",
-    "buffer_capacity",
-    "ideal_classification",
-    "seed",
-    "bracket",
-    "factor",
-    "temperature_scale",
+# (section, YAML key, RunConfig field) in dump order: the whole YAML surface.
+# A dotted field reaches into the optical/kljn/sweep record. Each value is
+# coerced by the type of the field's default; unknown keys are rejected.
+KEYS = (
+    ("optical", "alpha_db_per_km", "optical.alpha"),
+    ("optical", "mu", "optical.mu"),
+    ("optical", "eta_d", "optical.eta_d"),
+    ("optical", "p_d", "optical.p_d"),
+    ("optical", "e_opt", "optical.e_opt"),
+    ("optical", "f_ec", "optical.f_ec"),
+    ("optical", "f_qkd_hz", "optical.f_qkd"),
+    ("kljn", "v_km_per_s", "kljn.v"),
+    ("kljn", "n_pairs", "kljn.n_pairs"),
+    ("kljn", "n_samples", "kljn.n_samples"),
+    ("kljn", "r_low_ohm", "kljn.r_low"),
+    ("kljn", "r_high_ohm", "kljn.r_high"),
+    ("sweep", "distance_min_km", "sweep.distance_min_km"),
+    ("sweep", "distance_max_km", "sweep.distance_max_km"),
+    ("sweep", "points", "sweep.points"),
+    ("sweep", "spacing", "sweep.spacing"),
+    ("run", "protocol", "protocol"),
+    ("run", "mode", "timing"),
+    ("run", "distance_km", "distance_km"),
+    ("run", "rounds", "rounds"),
+    ("run", "duration_s", "duration_s"),
+    ("run", "burst_block", "burst_block"),
+    ("run", "buffer_capacity", "buffer_capacity"),
+    ("run", "ideal_classification", "ideal_classification"),
+    ("run", "seed", "seed"),
+    ("run", "bracket", "bracket"),
+    ("run", "factor", "factor"),
+    ("run", "temperature_scale", "temperature_scale"),
+    ("output", "path", "out"),
+    ("output", "format", "format"),
 )
 
-_OUTPUT_KEYS = ("path", "format")
+# the string fields with a fixed set of values
+_CHOICES = {"sweep.spacing": SPACINGS, "format": FORMATS}
 
-FORMATS = ("csv", "records")
-
-
-def _require_mapping(value: Any, where: str) -> dict:
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {where!r} must be a mapping")
-    return value
+# section -> {YAML key: field}, grouped once here rather than on every load
+_SECTIONS = {
+    section: {key: field for sec, key, field in KEYS if sec == section}
+    for section, _, _ in KEYS
+}
 
 
 def _reject_unknown(section: dict, allowed: Any, where: str) -> None:
     unknown = set(section) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {where!r}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {where!r}: {sorted(unknown, key=str)}")
 
 
 _KIND_TEXT = {bool: "true or false", int: "a whole number", float: "a finite number"}
@@ -191,111 +180,72 @@ def _coerce(value: Any, kind: type, name: str) -> Any:
     else:
         try:
             number = float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             number = math.nan
         if math.isfinite(number) and (kind is float or number.is_integer()):
             return kind(number)
     raise ConfigError(f"{name} must be {_KIND_TEXT[kind]}, got {value!r}")
 
 
-def _scalar(section: dict, key: str, default: Any, where: str) -> Any:
-    """`section[key]` coerced to the type of its built-in `default`, else `default`."""
-    if key not in section:
-        return default
-    return _coerce(section[key], type(default), f"{where}.{key}")
+def _convert(value: Any, field: str, default: Any, name: str) -> Any:
+    """A YAML value for `field`, coerced by the type of its `default`."""
+    if isinstance(default, enum.Enum):
+        try:
+            return type(default)(str(value).lower())
+        except ValueError:
+            allowed = "/".join(member.value for member in type(default))
+            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}") from None
+    if isinstance(default, tuple):
+        if not (isinstance(value, (list, tuple)) and len(value) == 2):
+            raise ConfigError(f"{name} must be a pair of distances, got {value!r}")
+        return tuple(_coerce(d, float, name) for d in value)
+    if field in _CHOICES:
+        if str(value) not in _CHOICES[field]:
+            raise ConfigError(f"{name} must be one of {'/'.join(_CHOICES[field])}, got {value!r}")
+        return str(value)
+    if default is None:  # output.path
+        return None if value is None else str(value)
+    return _coerce(value, type(default), name)
+
+
+def with_fields(cfg: RunConfig, updates: dict[str, Any]) -> RunConfig:
+    """`cfg` with the dotted field paths in `updates` replaced.
+
+    Invalid values for the optical/kljn records raise ConfigError.
+    """
+    top: dict[str, Any] = {}
+    records: dict[str, dict[str, Any]] = {}
+    for path, value in updates.items():
+        record, _, field = path.rpartition(".")
+        if record:
+            records.setdefault(record, {})[field] = value
+        else:
+            top[path] = value
+    for record, fields in records.items():
+        try:
+            top[record] = dataclasses.replace(getattr(cfg, record), **fields)
+        except DomainError as exc:
+            raise ConfigError(f"{record}: {exc}") from exc
+    return dataclasses.replace(cfg, **top) if top else cfg
 
 
 def config_from_mapping(data: dict) -> RunConfig:
     """Build a RunConfig from a parsed YAML mapping over the defaults."""
-    base = default_config()
-    _reject_unknown(data, ("optical", "kljn", "sweep", "run", "output"), "top level")
-
-    opt_sec = _require_mapping(data.get("optical"), "optical")
-    _reject_unknown(opt_sec, _OPTICAL_KEYS, "optical")
-    opt_fields = {
-        f: _scalar(opt_sec, key, getattr(base.optical, f), "optical")
-        for key, f in _OPTICAL_KEYS.items()
-    }
-    try:
-        optical = OpticalParams(**opt_fields)
-    except DomainError as exc:
-        raise ConfigError(f"optical: {exc}") from exc
-
-    kljn_sec = _require_mapping(data.get("kljn"), "kljn")
-    _reject_unknown(kljn_sec, _KLJN_KEYS, "kljn")
-    kljn_fields = {
-        f: _scalar(kljn_sec, key, getattr(base.kljn, f), "kljn") for key, f in _KLJN_KEYS.items()
-    }
-    try:
-        kljn = KljnLineParams(**kljn_fields)
-    except DomainError as exc:
-        raise ConfigError(f"kljn: {exc}") from exc
-
-    sweep_sec = _require_mapping(data.get("sweep"), "sweep")
-    _reject_unknown(sweep_sec, _SWEEP_KEYS, "sweep")
-    sweep = SweepSpec(
-        distance_min_km=_scalar(sweep_sec, "distance_min_km", base.sweep.distance_min_km, "sweep"),
-        distance_max_km=_scalar(sweep_sec, "distance_max_km", base.sweep.distance_max_km, "sweep"),
-        points=_scalar(sweep_sec, "points", base.sweep.points, "sweep"),
-        spacing=str(sweep_sec.get("spacing", base.sweep.spacing)),
-    )
-    if sweep.spacing not in ("linear", "log"):
-        raise ConfigError(f"sweep.spacing must be linear or log, got {sweep.spacing!r}")
-
-    run_sec = _require_mapping(data.get("run"), "run")
-    _reject_unknown(run_sec, _RUN_KEYS, "run")
-    protocol = _parse_protocol(run_sec.get("protocol", base.protocol.value))
-    timing = _parse_timing(run_sec.get("mode", base.timing.value))
-    bracket = run_sec.get("bracket", list(base.bracket))
-    if not (isinstance(bracket, (list, tuple)) and len(bracket) == 2):
-        raise ConfigError(f"run.bracket must be a pair of distances, got {bracket!r}")
-    bracket = tuple(_coerce(d, float, "run.bracket") for d in bracket)
-
-    out_sec = _require_mapping(data.get("output"), "output")
-    _reject_unknown(out_sec, _OUTPUT_KEYS, "output")
-    fmt = str(out_sec.get("format", base.format))
-    if fmt not in FORMATS:
-        raise ConfigError(f"output.format must be one of {FORMATS}, got {fmt!r}")
-    out = out_sec.get("path", base.out)
-
-    def run(key: str) -> Any:
-        return _scalar(run_sec, key, getattr(base, key), "run")
-
-    return RunConfig(
-        optical=optical,
-        kljn=kljn,
-        temperature_scale=run("temperature_scale"),
-        sweep=sweep,
-        protocol=protocol,
-        timing=timing,
-        burst_block=run("burst_block"),
-        buffer_capacity=run("buffer_capacity"),
-        distance_km=run("distance_km"),
-        rounds=run("rounds"),
-        duration_s=run("duration_s"),
-        ideal_classification=run("ideal_classification"),
-        seed=run("seed"),
-        bracket=bracket,
-        factor=run("factor"),
-        out=None if out is None else str(out),
-        format=fmt,
-    )
-
-
-def _parse_protocol(value: Any) -> Protocol:
-    try:
-        return Protocol(str(value).lower())
-    except ValueError:
-        raise ConfigError(
-            f"protocol must be one of bb84/p1/p2/p3, got {value!r}"
-        ) from None
-
-
-def _parse_timing(value: Any) -> Timing:
-    try:
-        return Timing(str(value).lower())
-    except ValueError:
-        raise ConfigError(f"mode must be gated or buffered, got {value!r}") from None
+    base = RunConfig()
+    _reject_unknown(data, _SECTIONS, "top level")
+    updates: dict[str, Any] = {}
+    for section, fields in _SECTIONS.items():
+        values = data.get(section)
+        if values is None:
+            continue
+        if not isinstance(values, dict):
+            raise ConfigError(f"config section {section!r} must be a mapping")
+        _reject_unknown(values, fields, section)
+        for key, value in values.items():
+            field = fields[key]
+            default = attrgetter(field)(base)
+            updates[field] = _convert(value, field, default, f"{section}.{key}")
+    return with_fields(base, updates)
 
 
 def load_config(path: str | os.PathLike | None) -> RunConfig:
@@ -321,26 +271,15 @@ def load_config(path: str | os.PathLike | None) -> RunConfig:
 
 def config_to_mapping(cfg: RunConfig) -> dict:
     """Effective config as a YAML-ready mapping (inverse of ingestion)."""
-    return {
-        "optical": {key: getattr(cfg.optical, f) for key, f in _OPTICAL_KEYS.items()},
-        "kljn": {key: getattr(cfg.kljn, f) for key, f in _KLJN_KEYS.items()},
-        "sweep": dataclasses.asdict(cfg.sweep),
-        "run": {
-            "protocol": cfg.protocol.value,
-            "mode": cfg.timing.value,
-            "distance_km": cfg.distance_km,
-            "rounds": cfg.rounds,
-            "duration_s": cfg.duration_s,
-            "burst_block": cfg.burst_block,
-            "buffer_capacity": cfg.buffer_capacity,
-            "ideal_classification": cfg.ideal_classification,
-            "seed": cfg.seed,
-            "bracket": list(cfg.bracket),
-            "factor": cfg.factor,
-            "temperature_scale": cfg.temperature_scale,
-        },
-        "output": {"path": cfg.out, "format": cfg.format},
-    }
+    mapping: dict[str, dict] = {}
+    for section, fields in _SECTIONS.items():
+        mapping[section] = values = {}
+        for key, field in fields.items():
+            value = attrgetter(field)(cfg)
+            if isinstance(value, enum.Enum):
+                value = value.value
+            values[key] = list(value) if isinstance(value, tuple) else value
+    return mapping
 
 
 def dump_config(cfg: RunConfig, path: str | os.PathLike) -> None:

@@ -13,7 +13,7 @@ Conversions belong at the configuration boundary, not here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError
 
@@ -29,6 +29,13 @@ __all__ = [
     "kljn_bit_rate",
     "link_budget",
 ]
+
+
+def _require_finite(params: object) -> None:
+    for field in fields(params):
+        value = getattr(params, field.name)
+        if not math.isfinite(value):
+            raise DomainError(f"{field.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,7 @@ class OpticalParams:
     f_qkd: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.alpha < 0:
             raise DomainError(f"alpha must be >= 0 dB/km, got {self.alpha}")
         if self.mu <= 0:
@@ -87,6 +95,7 @@ class KljnLineParams:
     r_high: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.v <= 0:
             raise DomainError(f"v must be > 0 km/s, got {self.v}")
         if self.n_pairs < 1:

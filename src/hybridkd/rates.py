@@ -201,8 +201,8 @@ def short_haul_supremacy_bound(
     the root of T_II,III(L) - factor * T_BB84(L) over the bracket.
     With factor=1 this is exactly the crossover distance.
     """
-    if factor <= 0:
-        raise DomainError(f"factor must be > 0, got {factor}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise DomainError(f"factor must be finite and > 0, got {factor}")
     lo, hi = bracket
     if not 0 < lo < hi:
         raise DomainError(f"invalid bracket ({lo}, {hi})")

@@ -15,6 +15,7 @@ derived streams for parallel workers come from SeedSequence.spawn).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -249,8 +250,8 @@ def run_buffered_session(
     if mode.timing is not Timing.BUFFERED:
         raise ConfigError("run_buffered_session requires a buffered TimingMode")
     mode.check_protocol(protocol)
-    if duration_s <= 0:
-        raise DomainError(f"duration_s must be > 0, got {duration_s}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise DomainError(f"duration_s must be finite and > 0, got {duration_s}")
 
     budget = link_budget(optical, distance_km)
     r_kljn = kljn_bit_rate(line, distance_km)

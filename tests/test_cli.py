@@ -12,7 +12,7 @@ import yaml
 
 import hybridkd
 from hybridkd import cli
-from hybridkd.config import CONFIG_ENV_VAR
+from hybridkd.config import CONFIG_ENV_VAR, KEYS
 
 SCI = re.compile(r"^-?\d\.\d{9}e[+-]\d{2}$")  # 10 significant digits
 
@@ -188,21 +188,38 @@ class TestCrossover:
         assert cli.main(["crossover", "--bracket", "0.1", "0.5"]) == cli.EXIT_SOLVER
 
 
+BUFFERED_P1 = ["simulate", "--protocol", "p1", "--mode", "buffered", "--distance", "2"]
+
+# (argv, the value the domain error must name)
+NON_FINITE = [
+    (["sweep", "--distance-max", "inf"], "distance"),
+    (["crossover", "--bracket", "1", "inf"], "distance"),
+    (["simulate", "--distance", "inf"], "distance"),
+    (["simulate", "--distance", "nan"], "distance"),
+    (BUFFERED_P1 + ["--duration", "nan"], "duration"),
+    (BUFFERED_P1 + ["--duration", "inf"], "duration"),
+    (["crossover", "--factor", "nan"], "factor"),
+    (["crossover", "--factor", "inf"], "factor"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--distance-max", "inf"],
-        ["crossover", "--bracket", "1", "inf"],
-        ["simulate", "--distance", "inf"],
-        ["simulate", "--distance", "nan"],
-    ],
-    ids=lambda a: "_".join(x.lstrip("-") for x in a),
+    "argv, name",
+    [pytest.param(a, n, id="_".join(x.lstrip("-") for x in a)) for a, n in NON_FINITE],
 )
-def test_non_finite_distance_is_domain_error(argv, capsys):
+def test_non_finite_distance_is_domain_error(argv, name, capsys):
     assert cli.main(argv) == cli.EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "distance" in captured.err
+    assert name in captured.err
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--rounds", "10"], ["trace"]], ids=lambda a: a[0])
+def test_negative_seed_is_config_error(argv, capsys):
+    assert cli.main(argv + ["--seed", "-1"]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed" in captured.err
 
 
 class TestConfigHandling:
@@ -231,6 +248,57 @@ class TestConfigHandling:
         # re-ingesting the dumped config reproduces the run byte for byte
         assert cli.main(["sweep", "--config", str(dumped), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestFlagsMatchYaml:
+    # flag dest -> (command, flag argv, YAML value of the flag's config key)
+    CASES = {
+        "seed": ("sweep", ["--seed", "5"], 5),
+        "out": ("sweep", ["--out", "run.out"], "run.out"),
+        "format": ("sweep", ["--format", "records"], "records"),
+        "distance_min": ("sweep", ["--distance-min", "0.5"], 0.5),
+        "distance_max": ("sweep", ["--distance-max", "5"], 5.0),
+        "points": ("sweep", ["--points", "7"], 7),
+        "spacing": ("sweep", ["--spacing", "linear"], "linear"),
+        "protocol": ("trace", ["--protocol", "p3"], "p3"),
+        "mode": ("simulate", ["--mode", "buffered"], "buffered"),
+        "distance": ("simulate", ["--distance", "3"], 3.0),
+        "rounds": ("simulate", ["--rounds", "30"], 30),
+        "duration": ("simulate", ["--duration", "0.5"], 0.5),
+        "burst_block": ("simulate", ["--burst-block", "2000"], 2000),
+        "buffer_capacity": ("simulate", ["--buffer-capacity", "50000"], 50000),
+        "classification": ("simulate", ["--classification", "sampled"], False),
+        "bracket": ("crossover", ["--bracket", "2", "9"], [2.0, 9.0]),
+        "factor": ("crossover", ["--factor", "1.5"], 1.5),
+    }
+    # keeps simulate runs short, except for the flag under test
+    CHEAP = {"simulate": {"--rounds": "20", "--duration": "0.01"}}
+
+    def test_every_flag_has_a_case(self):
+        assert set(self.CASES) == set(cli._FLAG_FIELDS)
+
+    @pytest.mark.parametrize("dest", sorted(CASES))
+    def test_flag_dumps_like_yaml_key(self, dest, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        command, flag, value = self.CASES[dest]
+        section, key = next(
+            (section, key) for section, key, field in KEYS if field == cli._FLAG_FIELDS[dest]
+        )
+        yaml_path = tmp_path / "cfg.yaml"
+        yaml_path.write_text(yaml.safe_dump({section: {key: value}}))
+        cheap = self.CHEAP.get(command, {}).items()
+        base = [command] + [arg for f, v in cheap if f != flag[0] for arg in (f, v)]
+        by_flag, by_yaml = tmp_path / "flag.yaml", tmp_path / "yaml.yaml"
+        cli.main(base + flag + ["--dump-config", str(by_flag)])
+        cli.main(base + ["--config", str(yaml_path), "--dump-config", str(by_yaml)])
+        capsys.readouterr()
+        assert by_flag.read_bytes() == by_yaml.read_bytes()
+        assert yaml.safe_load(by_flag.read_text())[section][key] == value
+
+    def test_trace_rounds_is_not_the_session_round_count(self, tmp_path, capsys):
+        dumped = tmp_path / "cfg.yaml"
+        assert cli.main(["trace", "--rounds", "3", "--dump-config", str(dumped)]) == 0
+        assert yaml.safe_load(dumped.read_text())["run"]["rounds"] == 100_000
 
 
 class TestDeterminism:

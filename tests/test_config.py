@@ -1,12 +1,16 @@
 """Configuration defaults, ingestion, precedence and round-tripping."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkd import cli
 from hybridkd.config import (
+    KEYS,
     RunConfig,
     config_from_mapping,
     config_to_mapping,
@@ -77,6 +81,8 @@ class TestIngestion:
             {"run": {"distance_km": float("inf")}},
             {"run": {"bracket": [1.0, ".inf"]}},
             {"optical": {"f_qkd_hz": None}},
+            {"run": {"seed": -1}},
+            {"optical": {"mu": 10**400}},  # too large for a float
         ):
             with pytest.raises(ConfigError):
                 config_from_mapping(mapping)
@@ -116,3 +122,52 @@ class TestPrecedence:
         out = capsys.readouterr().out
         assert code == 0
         assert len(out.splitlines()) == 4  # header + 3 rows, flag wins
+
+
+# any scalar YAML can hold, plus strings that parse as numbers or choices
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.sampled_from(["p1", "P3", "bb84", "gated", "Buffered", "log", "linear", "records",
+                     "1e-5", "7", "2.5", ".inf", "nan", 10**400]),
+)
+VALUES = st.one_of(
+    SCALARS,
+    st.lists(SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), SCALARS, max_size=1),
+)
+DEFAULTS = config_to_mapping(default_config())
+
+
+def _section(section: str):
+    keys = [key for sec, key, _ in KEYS if sec == section]
+    value = {key: st.one_of(st.just(DEFAULTS[section][key]), VALUES) for key in keys}
+    return st.fixed_dictionaries({}, optional=value)
+
+
+MAPPINGS = st.fixed_dictionaries({}, optional={section: _section(section) for section in DEFAULTS})
+
+
+class TestTable:
+    @settings(max_examples=300, deadline=None)
+    @given(MAPPINGS)
+    def test_load_is_config_error_or_dump_load_identity(self, mapping):
+        try:
+            cfg = config_from_mapping(mapping)
+        except ConfigError:
+            return
+        text = yaml.safe_dump(config_to_mapping(cfg), sort_keys=False)
+        assert config_from_mapping(yaml.safe_load(text)) == cfg
+
+    def test_table_covers_every_field(self):
+        fields = {field.split(".")[0] for _, _, field in KEYS}
+        assert fields == {field.name for field in dataclasses.fields(RunConfig)}
+        assert len({(section, key) for section, key, _ in KEYS}) == len(KEYS)
+
+    def test_readme_block_is_the_default_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+        assert yaml.safe_load(block) == config_to_mapping(default_config())

@@ -234,3 +234,14 @@ class TestParamValidation:
     def test_bad_line(self, kw):
         with pytest.raises(DomainError):
             make_line(**kw)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "make, field",
+        [(make_optical, f) for f in ("alpha", "mu", "eta_d", "p_d", "e_opt", "f_ec", "f_qkd")]
+        + [(make_line, f) for f in ("v", "r_low", "r_high")],
+        ids=lambda x: getattr(x, "__name__", x),
+    )
+    def test_non_finite_float_rejected(self, make, field, bad):
+        with pytest.raises(DomainError, match=field):
+            make(**{field: bad})

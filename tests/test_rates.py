@@ -156,3 +156,8 @@ class TestCrossover:
             short_haul_supremacy_bound(optical, line, factor=0.0)
         with pytest.raises(DomainError):
             crossover_distance(optical, line, bracket=(0.0, 1.0))
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_factor(self, optical, line, factor):
+        with pytest.raises(DomainError, match="factor"):
+            short_haul_supremacy_bound(optical, line, factor=factor)
