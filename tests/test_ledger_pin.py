@@ -2,8 +2,9 @@
 
 The golden traces replay forced, ideal rounds only. These digests pin the
 full per-round ledger (lost pulses, flips, flags and misclassified levels)
-and the gated session summaries for every protocol, so any change to the
-round logic or to the order of random draws shows up here.
+and the session summaries (gated for every protocol, buffered for
+Protocols I/II under both classifiers), so any change to the round logic or
+to the order of random draws shows up here.
 """
 
 import hashlib
@@ -13,7 +14,7 @@ import pytest
 
 from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL
 from hybridkd.protocol import ChannelModel, Protocol, random_inputs, run_round
-from hybridkd.session import run_gated_session
+from hybridkd.session import TimingMode, run_buffered_session, run_gated_session
 
 N_ROUNDS = 2_000
 CHANNEL = ChannelModel(
@@ -93,3 +94,58 @@ def test_sampled_gated_session_summary(protocol):
         "wall_time_s": 0.0002 if protocol is Protocol.BB84 else 0.01,
         "effective_throughput_bps": throughput,
     }
+
+
+BUFFERED_COUNTS = {  # rounds_executed=9000 in 9 cycles of 1000, distance_km=2.0, seed=609
+    # (protocol, ideal): (qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded,
+    #                     flagged, effective_throughput_bps, burst_throughput_measured_bps)
+    # Under sampled classification the buffered path scores only optical
+    # flips as QKD errors, never the 50% errors of a misclassified round with
+    # mismatched bases (ROADMAP item 2); these counts pin that as it is.
+    (Protocol.P1, True): (48, 0, 1, 0, 8952, 0, 785.9112208505425, 40081.47226337766),
+    (Protocol.P1, False): (34, 0, 1, 0, 8588, 378, 556.6871147691343, 28391.042853225845),
+    (Protocol.P2, True): (48, 4438, 1, 0, 4562, 0, 97474.36437989192, 4971192.583374489),
+    (Protocol.P2, False): (34, 4221, 1, 109, 4401, 378, 92517.47142849462, 4718391.042853225),
+}
+BURST_MODEL_BPS = {Protocol.P1: 34151.843105942884, Protocol.P2: 5034151.843105943}
+
+
+@pytest.mark.parametrize(
+    "protocol, ideal",
+    list(BUFFERED_COUNTS),
+    ids=lambda v: v.value if isinstance(v, Protocol) else ("ideal" if v else "sampled"),
+)
+def test_buffered_session_summary(protocol, ideal):
+    stats = run_buffered_session(
+        protocol, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 0.05, seed=609,
+        mode=TimingMode.buffered(buffer_capacity=1_000, burst_block=1_000),
+        ideal_classification=ideal,
+    )
+    (qkd, kljn, qkd_err, kljn_err, discarded, flagged, throughput,
+     burst_measured) = BUFFERED_COUNTS[protocol, ideal]
+    assert stats.to_dict() == {
+        "protocol": protocol.value,
+        "timing": "buffered",
+        "distance_km": 2.0,
+        "seed": 609,
+        "rounds_executed": 9_000,
+        "qkd_bits": qkd,
+        "kljn_bits": kljn,
+        "qkd_errors": qkd_err,
+        "kljn_errors": kljn_err,
+        "discarded_rounds": discarded,
+        "flagged_rounds": flagged,
+        "gamma": GAMMA_2KM,
+        "wall_time_s": 0.0459,
+        "effective_throughput_bps": throughput,
+        "cycles": 9,
+        "kljn_bits_produced": 9_000,
+        "burst_throughput_model_bps": BURST_MODEL_BPS[protocol],
+        "burst_throughput_measured_bps": burst_measured,
+    }
+    assert list(stats.to_dict()) == [
+        "protocol", "timing", "distance_km", "seed", "rounds_executed", "qkd_bits",
+        "kljn_bits", "qkd_errors", "kljn_errors", "discarded_rounds", "flagged_rounds",
+        "gamma", "wall_time_s", "effective_throughput_bps", "cycles",
+        "kljn_bits_produced", "burst_throughput_model_bps", "burst_throughput_measured_bps",
+    ]
