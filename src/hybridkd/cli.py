@@ -233,10 +233,9 @@ def cmd_simulate(cfg: RunConfig) -> str:
             temperature_scale=cfg.temperature_scale,
         )
         gated_bound = point.t_p1 if cfg.protocol is Protocol.P1 else point.t_p23
-        burst_model = point.t_burst_p1 if cfg.protocol is Protocol.P1 else point.t_burst_p2
         analytic = {
             "gated_bound_bps": gated_bound,
-            "burst_throughput_bps": burst_model,
+            "burst_throughput_bps": stats.burst_throughput_model_bps,
             "long_run_ratio_to_bound": stats.effective_throughput_bps / gated_bound,
         }
 

@@ -99,6 +99,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.temperature_scale <= 0:
+            raise ConfigError(f"temperature_scale must be > 0, got {self.temperature_scale}")
 
     def timing_mode(self) -> TimingMode:
         if self.timing is Timing.GATED:

@@ -22,7 +22,8 @@ entries of their rule in `_RULES`:
 
 Rounds are pure given an explicit random generator; golden-trace inputs
 can force detection and Bob's recorded outcome so that reference example
-rounds replay exactly.
+rounds replay exactly. `decide_block` applies the same `_RULES` to a block
+of drawn rounds as masks, for buffered sessions.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ __all__ = [
     "map_basis_to_resistor_same",
     "measure_photon",
     "run_round",
+    "decide_block",
     "extract_key",
     "random_inputs",
     "render_trace",
@@ -343,6 +345,48 @@ def run_round(
         flagged=flagged,
         observation=obs,
     )
+
+
+def decide_block(
+    protocol: Protocol,
+    alice_diag: np.ndarray,
+    bob_diag: np.ndarray,
+    channel: ChannelModel,
+    mean_squares: np.ndarray | None = None,
+    thresholds: tuple[float, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`run_round`'s wire rule over a block of drawn rounds, as masks.
+
+    `alice_diag`/`bob_diag` are True for a diagonal basis. Sampled
+    classification bands each round's line variance times `mean_squares`
+    (the mean square of its N unit-variance samples) at `thresholds`.
+    Returns (flagged, keeps_optical, wire_bit, wire_bit_wrong); a mask the
+    rule never sets is None, so that small blocks pay for no empty mask.
+    """
+    rule = _RULES[protocol]
+    # Alice holds RH on the diagonal basis, Bob on the rectilinear one under
+    # the cross mapping, so there matching bases make a mixed pair.
+    cross = rule.bob_rect is ResistorChoice.HIGH
+    mixed = alice_diag == bob_diag if cross else alice_diag != bob_diag
+    mid, flagged = mixed, None
+    if not channel.ideal_classification:
+        line = channel.line
+        bob_rh = ~bob_diag if cross else bob_diag
+        ra = np.where(alice_diag, line.r_high, line.r_low)
+        rb = np.where(bob_rh, line.r_high, line.r_low)
+        estimates = channel.temperature_scale * ra * rb / (ra + rb) * mean_squares
+        low, high = estimates < thresholds[0], estimates > thresholds[1]
+        mid = ~(low | high)
+        # Holding RH rules out a low level, holding RL a high one.
+        flagged = np.where(alice_diag, low, high) | np.where(bob_rh, low, high)
+    # Only an outer level can be flagged.
+    if NoiseLevel.INTERMEDIATE in rule.optical_levels:
+        keeps = mid
+    else:
+        keeps = ~mid if flagged is None else ~mid & ~flagged
+    # Alice's wire bit (she holds RH) and Bob's (he holds RL) agree on a mixed pair.
+    wire = mid if rule.mid_wire_bit else None
+    return flagged, keeps, wire, None if wire is None else wire & ~mixed
 
 
 def extract_key(rounds: list[ProtocolRound]) -> KeyStream:

@@ -15,7 +15,7 @@ operation transiently escapes the throttle at f_qkd.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -60,22 +60,7 @@ class RatePoint:
     t_burst_p2: float  # bps
 
 
-RATE_POINT_FIELDS = (
-    "distance_km",
-    "q_mu",
-    "e_mu",
-    "gamma",
-    "r_bb84",
-    "r_p1",
-    "r_p23",
-    "r_kljn",
-    "f_sys",
-    "t_bb84",
-    "t_p1",
-    "t_p23",
-    "t_burst_p1",
-    "t_burst_p2",
-)
+RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 
 
 def normalized_rates(budget: LinkBudget) -> tuple[float, float]:

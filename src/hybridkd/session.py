@@ -5,7 +5,9 @@ f_sys = min(f_qkd, R_kljn) and every round goes through the round engine
 in `protocol`. Buffered mode (Protocols I/II only) alternates two phases:
 the wire fills a buffer of basis-coordination bits at R_kljn while the
 laser idles, then the laser drains the buffer in a burst at its native
-rate. Time is simulated, never wall-clock.
+rate. Time is simulated, never wall-clock. Both modes only draw and count:
+the rules (`protocol._RULES`) are applied inside `protocol`, per round by
+`run_round` when gated and per block by `decide_block` when buffered.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .kljn import variance_thresholds
 from .physics import KljnLineParams, OpticalParams, kljn_bit_rate, link_budget
-from .protocol import ChannelModel, Protocol, random_inputs, run_round
+from .protocol import ChannelModel, Protocol, decide_block, random_inputs, run_round
 from .rates import normalized_rates
 
 __all__ = [
@@ -57,8 +59,10 @@ class TimingMode:
 
     def __post_init__(self) -> None:
         if self.timing is Timing.BUFFERED:
-            if not self.buffer_capacity or not self.burst_block:
-                raise ConfigError("buffered mode needs buffer_capacity and burst_block")
+            for name in ("buffer_capacity", "burst_block"):
+                value = getattr(self, name)
+                if value is None or value < 1:
+                    raise ConfigError(f"buffered mode needs {name} >= 1, got {value}")
             if self.burst_block > self.buffer_capacity:
                 raise ConfigError(
                     f"burst_block ({self.burst_block}) exceeds buffer capacity "
@@ -115,35 +119,15 @@ class SessionStats:
     gamma: float
     wall_time_s: float
     effective_throughput_bps: float
-    buffer_occupancy_trace: tuple[tuple[float, int], ...] | None = None
     cycles: int | None = None
     kljn_bits_produced: int | None = None
     burst_throughput_model_bps: float | None = None
     burst_throughput_measured_bps: float | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "protocol": self.protocol,
-            "timing": self.timing,
-            "distance_km": self.distance_km,
-            "seed": self.seed,
-            "rounds_executed": self.rounds_executed,
-            "qkd_bits": self.qkd_bits,
-            "kljn_bits": self.kljn_bits,
-            "qkd_errors": self.qkd_errors,
-            "kljn_errors": self.kljn_errors,
-            "discarded_rounds": self.discarded_rounds,
-            "flagged_rounds": self.flagged_rounds,
-            "gamma": self.gamma,
-            "wall_time_s": self.wall_time_s,
-            "effective_throughput_bps": self.effective_throughput_bps,
-        }
-        if self.cycles is not None:
-            out["cycles"] = self.cycles
-            out["kljn_bits_produced"] = self.kljn_bits_produced
-            out["burst_throughput_model_bps"] = self.burst_throughput_model_bps
-            out["burst_throughput_measured_bps"] = self.burst_throughput_measured_bps
-        return out
+        """Fields in declaration order; the buffered-only ones when set."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: v for k, v in out.items() if v is not None}
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -153,6 +137,10 @@ def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
 
 def _secure_bits(qkd_bits: int, kljn_bits: int, gamma: float) -> float:
     return qkd_bits * (1.0 - gamma) + kljn_bits
+
+
+def _count(mask: np.ndarray | None) -> int:
+    return 0 if mask is None else int(np.count_nonzero(mask))
 
 
 def run_gated_session(
@@ -174,11 +162,7 @@ def run_gated_session(
         raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
     budget = link_budget(optical, distance_km)
     channel = ChannelModel(
-        detection_prob=budget.q_mu,
-        flip_prob=optical.e_opt,
-        line=line,
-        temperature_scale=temperature_scale,
-        ideal_classification=ideal_classification,
+        budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
     )
     rng = np.random.default_rng(seed)
 
@@ -188,20 +172,15 @@ def run_gated_session(
         rnd = run_round(protocol, random_inputs(rng), channel, rng)
         if rnd.flagged:
             flagged += 1
-            continue
-        got_bit = False
-        if rnd.qkd_key_bit is not None:
-            qkd_bits += 1
-            got_bit = True
-            if rnd.qkd_key_bit != rnd.alice_bit:
-                qkd_errors += 1
-        if rnd.kljn_key_bit is not None:
-            kljn_bits += 1
-            got_bit = True
-            if rnd.bob_kljn_bit != rnd.kljn_key_bit:
-                kljn_errors += 1
-        if not got_bit:
+        elif rnd.qkd_key_bit is None and rnd.kljn_key_bit is None:
             discarded += 1
+        else:
+            if rnd.qkd_key_bit is not None:
+                qkd_bits += 1
+                qkd_errors += rnd.qkd_key_bit != rnd.alice_bit
+            if rnd.kljn_key_bit is not None:
+                kljn_bits += 1
+                kljn_errors += rnd.bob_kljn_bit != rnd.kljn_key_bit
 
     if protocol is Protocol.BB84:
         f_clock = optical.f_qkd
@@ -243,8 +222,9 @@ def run_buffered_session(
     Each cycle accumulates one burst block of wire decisions at R_kljn with
     the laser idle, then fires one pulse per buffered decision at f_qkd.
     Basis-derived key bits (Protocol II) are credited when the buffered
-    decision is consumed. Runs whole cycles only, so the buffer is empty at
-    the end and consumption can never outrun production.
+    decision is consumed; `protocol.decide_block` decides each block. Runs
+    whole cycles only, so the buffer is empty at the end and consumption
+    can never outrun production.
     """
     mode = mode or TimingMode.buffered()
     if mode.timing is not Timing.BUFFERED:
@@ -266,60 +246,41 @@ def run_buffered_session(
             f"({cycle_time:.6g} s)"
         )
 
+    channel = ChannelModel(
+        budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
+    )
     rng = np.random.default_rng(seed)
-    if not ideal_classification:
-        t_low, t_high = variance_thresholds(line, temperature_scale)
+    mean_squares = None
+    thresholds = None if ideal_classification else variance_thresholds(line, temperature_scale)
 
     qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
-    discarded = flagged = 0
-    produced = 0
-    trace: list[tuple[float, int]] = [(0.0, 0)]
+    yielded = flagged = 0
     burst_rates: list[float] = []
-    now = 0.0
 
     for _ in range(n_cycles):
-        # Fill phase: wire decisions accumulate; under the cross mapping a
-        # decision is "kept" when the classified level is intermediate,
-        # meaning the committed bases match.
+        # Fill phase: one wire decision per buffered round.
         alice_diag = rng.integers(0, 2, size=block).astype(bool)
         bob_diag = rng.integers(0, 2, size=block).astype(bool)
-        truth_mid = alice_diag == bob_diag
-        if ideal_classification:
-            kept = truth_mid
-            flags = np.zeros(block, dtype=bool)
-        else:
-            kept, flags = _sampled_cross_classification(
-                rng, line, temperature_scale, alice_diag, bob_diag, t_low, t_high
-            )
-        produced += block
-        now += fill_time
-        trace.append((now, block))
+        if not ideal_classification:
+            noise = rng.normal(0.0, 1.0, size=(block, line.n_samples))
+            mean_squares = np.mean(noise * noise, axis=1)
+        flags, keeps, wire, wire_wrong = decide_block(
+            protocol, alice_diag, bob_diag, channel, mean_squares, thresholds
+        )
 
         # Drain phase: one pulse per buffered decision at the native rate.
-        detected = rng.random(block) < budget.q_mu
-        keeps_detected = kept & detected
+        detected = rng.random(block) < channel.detection_prob
+        keeps_detected = keeps & detected
         n_qkd = int(np.count_nonzero(keeps_detected))
-        flips = rng.random(block) < optical.e_opt
-        n_qkd_err = int(np.count_nonzero(keeps_detected & flips))
+        flips = rng.random(block) < channel.flip_prob
         qkd_bits += n_qkd
-        qkd_errors += n_qkd_err
-
-        cycle_kljn = 0
-        if protocol is Protocol.P2:
-            cycle_kljn = int(np.count_nonzero(kept))
-            kljn_bits += cycle_kljn
-            kljn_errors += int(np.count_nonzero(kept & (alice_diag != bob_diag)))
-            yielded = kept | keeps_detected
-        else:
-            yielded = keeps_detected
-        n_flagged = int(np.count_nonzero(flags))
-        flagged += n_flagged
-        discarded += block - int(np.count_nonzero(yielded)) - n_flagged
-
-        burst_secure = _secure_bits(n_qkd, cycle_kljn, budget.gamma)
-        burst_rates.append(burst_secure / drain_time)
-        now += drain_time
-        trace.append((now, 0))
+        qkd_errors += int(np.count_nonzero(keeps_detected & flips))
+        n_kljn = _count(wire)
+        kljn_bits += n_kljn
+        kljn_errors += _count(wire_wrong)
+        flagged += _count(flags)
+        yielded += _count(keeps_detected if wire is None else wire | keeps_detected)
+        burst_rates.append(_secure_bits(n_qkd, n_kljn, budget.gamma) / drain_time)
 
     wall_time = n_cycles * cycle_time
     r_p1, r_p23 = normalized_rates(budget)
@@ -335,48 +296,16 @@ def run_buffered_session(
         kljn_bits=kljn_bits,
         qkd_errors=qkd_errors,
         kljn_errors=kljn_errors,
-        discarded_rounds=discarded,
+        discarded_rounds=n_cycles * block - yielded - flagged,
         flagged_rounds=flagged,
         gamma=budget.gamma,
         wall_time_s=wall_time,
         effective_throughput_bps=_secure_bits(qkd_bits, kljn_bits, budget.gamma) / wall_time,
-        buffer_occupancy_trace=tuple(trace),
         cycles=n_cycles,
-        kljn_bits_produced=produced,
+        kljn_bits_produced=n_cycles * block,
         burst_throughput_model_bps=r_norm * optical.f_qkd,
         burst_throughput_measured_bps=float(np.mean(burst_rates)),
     )
-
-
-def _sampled_cross_classification(
-    rng: np.random.Generator,
-    line: KljnLineParams,
-    temperature_scale: float,
-    alice_diag: np.ndarray,
-    bob_diag: np.ndarray,
-    t_low: float,
-    t_high: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized level classification for a block of cross-mapped rounds.
-
-    Returns (kept, flagged) masks: kept = classified intermediate and
-    consistent with both parties' resistors.
-    """
-    r_low, r_high = line.r_low, line.r_high
-    # Cross mapping: Alice low iff rectilinear, Bob low iff diagonal.
-    ra = np.where(alice_diag, r_high, r_low)
-    rb = np.where(bob_diag, r_low, r_high)
-    sigma2 = temperature_scale * ra * rb / (ra + rb)
-    noise = rng.normal(0.0, 1.0, size=(alice_diag.size, line.n_samples))
-    estimates = sigma2 * np.mean(noise * noise, axis=1)
-    cls_low = estimates < t_low
-    cls_high = estimates > t_high
-    cls_mid = ~(cls_low | cls_high)
-    # Impossible levels: high while holding RL, low while holding RH.
-    flag_a = np.where(ra == r_low, cls_high, cls_low)
-    flag_b = np.where(rb == r_low, cls_high, cls_low)
-    flags = flag_a | flag_b
-    return cls_mid & ~flags, flags
 
 
 def estimate_per_pulse_yield(stats: SessionStats, n_rounds: int) -> float:

@@ -214,12 +214,24 @@ def test_non_finite_distance_is_domain_error(argv, name, capsys):
     assert name in captured.err
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--rounds", "10"], ["trace"]], ids=lambda a: a[0])
-def test_negative_seed_is_config_error(argv, capsys):
-    assert cli.main(argv + ["--seed", "-1"]) == cli.EXIT_CONFIG
+# (argv, the field the config error must name)
+BAD_CONFIG = [
+    pytest.param(["simulate", "--rounds", "10", "--seed", "-1"], "seed", id="simulate"),
+    pytest.param(["trace", "--seed", "-1"], "seed", id="trace"),
+    pytest.param(BUFFERED_P1 + ["--burst-block", "-5"], "burst_block", id="burst_block_negative"),
+    pytest.param(BUFFERED_P1 + ["--burst-block", "0"], "burst_block", id="burst_block_zero"),
+    pytest.param(
+        BUFFERED_P1 + ["--buffer-capacity", "-1"], "buffer_capacity", id="buffer_capacity_negative"
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, field", BAD_CONFIG)
+def test_negative_seed_is_config_error(argv, field, capsys):
+    assert cli.main(argv) == cli.EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "seed" in captured.err
+    assert field in captured.err
 
 
 class TestConfigHandling:

@@ -82,6 +82,8 @@ class TestIngestion:
             {"run": {"bracket": [1.0, ".inf"]}},
             {"optical": {"f_qkd_hz": None}},
             {"run": {"seed": -1}},
+            {"run": {"temperature_scale": -1.0}},
+            {"run": {"temperature_scale": 0.0}},
             {"optical": {"mu": 10**400}},  # too large for a float
         ):
             with pytest.raises(ConfigError):

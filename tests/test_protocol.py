@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+import hybridkd.protocol as protocol_module
 from hybridkd.cli import bundled_fixture_text
 from hybridkd.errors import DomainError
-from hybridkd.kljn import NoiseLevel, ResistorChoice
+from hybridkd.kljn import LineObservation, NoiseLevel, ResistorChoice
 from hybridkd.physics import KljnLineParams
 from hybridkd.protocol import (
     Basis,
@@ -15,6 +16,7 @@ from hybridkd.protocol import (
     Polarization,
     Protocol,
     RoundInputs,
+    decide_block,
     extract_key,
     map_basis_to_resistor_cross,
     map_basis_to_resistor_same,
@@ -299,6 +301,51 @@ class TestFlaggedRounds:
             assert not any(
                 run_round(proto, random_inputs(rng), IDEAL, rng).flagged for _ in range(500)
             )
+
+
+# (t_low, t_high) that band every positive variance estimate at one level
+BAND_AT = {
+    NoiseLevel.LOW: (np.inf, np.inf),
+    NoiseLevel.INTERMEDIATE: (0.0, np.inf),
+    NoiseLevel.HIGH: (-np.inf, -np.inf),
+}
+
+
+class TestBlockRule:
+    """`decide_block` and `run_round` read `_RULES` the same way."""
+
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("alice_basis", [RECT, DIAG], ids=["a+", "ax"])
+    @pytest.mark.parametrize("bob_basis", [RECT, DIAG], ids=["b+", "bx"])
+    @pytest.mark.parametrize("level", [None, *NoiseLevel],
+                             ids=lambda v: "ideal" if v is None else v.value)
+    def test_masks_match_round(self, monkeypatch, line, protocol, alice_basis, bob_basis,
+                               level):
+        ideal = level is None
+        if not ideal:
+            obs = LineObservation(np.ones(1), 1.0, level, level)
+            monkeypatch.setattr(protocol_module, "sample_line", lambda *a, **k: obs)
+        channel = ChannelModel(line=line, ideal_classification=ideal)
+        inputs = RoundInputs(alice_basis, 1, bob_basis, detected=True, forced_bob_bit=1)
+        r = run_round(protocol, inputs, channel, 0)
+        if not ideal:
+            assert r.noise_level is level
+        masks = decide_block(
+            protocol,
+            np.array([alice_basis is DIAG]),
+            np.array([bob_basis is DIAG]),
+            channel,
+            np.ones(1),
+            BAND_AT.get(level),
+        )
+        flagged, keeps_optical, wire_bit, wire_bit_wrong = (
+            m is not None and bool(m.any()) for m in masks
+        )
+        assert flagged == r.flagged
+        assert keeps_optical == (r.qkd_key_bit is not None)
+        assert wire_bit == (r.kljn_key_bit is not None)
+        assert wire_bit_wrong == (wire_bit and r.bob_kljn_bit != r.kljn_key_bit)
 
 
 class TestExtractKey:

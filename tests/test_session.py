@@ -152,22 +152,6 @@ class TestBufferedSession:
         with pytest.raises(DomainError):
             self.run(Protocol.P1, optical, line, duration_s=0.0)
 
-    def test_sawtooth_trace(self, optical, line):
-        stats = self.run(Protocol.P2, optical, line)
-        trace = stats.buffer_occupancy_trace
-        r_kljn = kljn_bit_rate(line, 2.0)
-        assert trace[0] == (0.0, 0)
-        assert all(occ >= 0 for _, occ in trace)
-        times = [t for t, _ in trace]
-        assert all(a < b for a, b in zip(times, times[1:]))
-        # rises at the wire rate, falls at the laser rate
-        for (t0, o0), (t1, o1) in zip(trace, trace[1:]):
-            slope = (o1 - o0) / (t1 - t0)
-            if o1 > o0:
-                assert slope == pytest.approx(r_kljn, rel=1e-9)
-            else:
-                assert slope == pytest.approx(-optical.f_qkd, rel=1e-9)
-
     def test_conservation(self, optical, line):
         stats = self.run(Protocol.P2, optical, line)
         # one buffered decision consumed per pulse; whole cycles only
