@@ -157,26 +157,15 @@ def bundled_fixture_text() -> str:
 
 
 def cmd_sweep(cfg: RunConfig) -> str:
-    points = rates.sweep(
-        cfg.optical,
-        cfg.kljn,
-        cfg.sweep.distance_min_km,
-        cfg.sweep.distance_max_km,
-        cfg.sweep.points,
-        cfg.sweep.spacing,
-    )
+    spec, fields = cfg.sweep, rates.RATE_POINT_FIELDS
+    points = rates.sweep(cfg.optical, cfg.kljn, spec.distance_min_km, spec.distance_max_km,
+                         spec.points, spec.spacing)
     if cfg.format == "csv":
-        lines = [",".join(rates.RATE_POINT_FIELDS)]
-        for p in points:
-            lines.append(
-                ",".join(_FLOAT_FMT.format(getattr(p, f)) for f in rates.RATE_POINT_FIELDS)
-            )
-        return "\n".join(lines) + "\n"
-    lines = [
-        json.dumps({f: getattr(p, f) for f in rates.RATE_POINT_FIELDS})
-        for p in points
-    ]
-    return "\n".join(lines) + "\n"
+        rows = [",".join(fields)]
+        rows += [",".join(_FLOAT_FMT.format(getattr(p, f)) for f in fields) for p in points]
+    else:
+        rows = [json.dumps({f: getattr(p, f) for f in fields}) for p in points]
+    return "\n".join(rows) + "\n"
 
 
 def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
@@ -218,7 +207,9 @@ def cmd_simulate(cfg: RunConfig) -> str:
             "observed_yield_per_pulse": observed,
             "sigma_per_pulse": sigma,
             "deviation_sigma": (observed - mean) / sigma if sigma > 0 else 0.0,
-            "throughput_bps": _analytic_throughput(cfg.protocol, point),
+            "throughput_bps": {Protocol.BB84: point.t_bb84, Protocol.P1: point.t_p1}.get(
+                cfg.protocol, point.t_p23
+            ),
         }
     else:
         stats = session.run_buffered_session(
@@ -240,14 +231,6 @@ def cmd_simulate(cfg: RunConfig) -> str:
         }
 
     return _json_report({"stats": stats.to_dict(), "analytic": analytic})
-
-
-def _analytic_throughput(protocol: Protocol, point: rates.RatePoint) -> float:
-    if protocol is Protocol.BB84:
-        return point.t_bb84
-    if protocol is Protocol.P1:
-        return point.t_p1
-    return point.t_p23
 
 
 def cmd_crossover(cfg: RunConfig) -> str:

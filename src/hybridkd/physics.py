@@ -174,11 +174,15 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
 
     Keeps the highest noise frequency a factor of ten below the first
     standing-wave frequency f_1 = v / (2 * L), so the cable stays a lumped
-    circuit. Diverges as L -> 0, hence zero distance is rejected.
+    circuit. Diverges as L -> 0, so a distance whose bandwidth is not
+    finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
-    if not (math.isfinite(distance_km) and distance_km > 0):
-        raise DomainError(f"distance must be finite and > 0 km, got {distance_km}")
-    return line.v / (20.0 * distance_km)
+    b_w = line.v / (20.0 * distance_km) if distance_km > 0 else 0.0
+    if not (math.isfinite(b_w) and b_w > 0):
+        raise DomainError(
+            f"distance {distance_km} km gives no finite, positive bandwidth v / (20 L)"
+        )
+    return b_w
 
 
 def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:

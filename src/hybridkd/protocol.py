@@ -20,15 +20,16 @@ entries of their rule in `_RULES`:
                the lossless limit, at the price of disclosing the common
                basis to the wire.
 
-Rounds are pure given an explicit random generator; golden-trace inputs
-can force detection and Bob's recorded outcome so that reference example
-rounds replay exactly. `decide_block` applies the same `_RULES` to a block
-of drawn rounds as masks, for buffered sessions.
+`draw_round` makes a round's random draws and `decide_block`, the only
+place the rules are applied, decides a block of drawn rounds as masks;
+`run_round` is the two on one row. Rounds are pure given an explicit
+generator; golden-trace inputs can force detection and Bob's outcome.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,9 @@ __all__ = [
     "map_basis_to_resistor_cross",
     "map_basis_to_resistor_same",
     "measure_photon",
+    "draw_round",
     "run_round",
+    "classify_block",
     "decide_block",
     "extract_key",
     "random_inputs",
@@ -172,6 +175,10 @@ class ChannelModel:
             raise DomainError(f"detection_prob must be in [0, 1], got {self.detection_prob}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DomainError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
+        if not 0.0 < self.temperature_scale < np.inf:
+            raise DomainError(
+                f"temperature_scale must be finite and > 0, got {self.temperature_scale}"
+            )
         if not self.ideal_classification and self.line is None:
             raise DomainError("sampled classification requires line parameters")
 
@@ -247,14 +254,6 @@ def measure_photon(
     return int(gen.integers(0, 2))
 
 
-def _level_impossible_for(level: NoiseLevel, own_resistor: ResistorChoice) -> bool:
-    # A party holding RL can never see a true high level (both resistors
-    # would have to be RH), and symmetrically for RH/low.
-    if own_resistor is ResistorChoice.LOW:
-        return level is NoiseLevel.HIGH
-    return level is NoiseLevel.LOW
-
-
 @dataclass(frozen=True)
 class _WireRule:
     """What sets one wire-assisted protocol apart from the others.
@@ -278,19 +277,21 @@ _RULES = {
 }
 
 
-def run_round(
+def _resistors(protocol: Protocol, inputs: RoundInputs) -> tuple[ResistorChoice, ResistorChoice]:
+    bob_rect = _RULES[protocol].bob_rect
+    return _resistor(inputs.alice_basis, ResistorChoice.LOW), _resistor(inputs.bob_basis, bob_rect)
+
+
+def draw_round(
     protocol: Protocol,
     inputs: RoundInputs,
     channel: ChannelModel,
     rng: np.random.Generator | int,
-) -> ProtocolRound:
-    """Play one round of `protocol`.
+) -> tuple[bool, int | None, LineObservation | None]:
+    """(detected, Bob's outcome, line observation), drawn in that order.
 
-    Draws, in order: detection, Bob's outcome, then (wire protocols only)
-    the line samples. BB84 sifts by the modelled public basis comparison.
-    The wire protocols read their rule from `_RULES`; a round whose
-    classified level contradicts either party's own resistor is flagged
-    and yields nothing.
+    Forced inputs skip their draws; only wire protocols under sampled
+    classification sample the line.
     """
     gen = np.random.default_rng(rng)
     detected = inputs.detected
@@ -301,33 +302,35 @@ def run_round(
         bob_bit = measure_photon(
             inputs.alice_bit, inputs.alice_basis, inputs.bob_basis, True, gen, channel.flip_prob
         )
-    alice_res = bob_res = level = truth = obs = None
-    qkd_bit = alice_kljn = bob_kljn = None
-    flagged = False
-    if protocol is Protocol.BB84:
-        if inputs.alice_basis is inputs.bob_basis:
-            qkd_bit = bob_bit
-    else:
-        rule = _RULES[protocol]
-        alice_res = _resistor(inputs.alice_basis, ResistorChoice.LOW)
-        bob_res = _resistor(inputs.bob_basis, rule.bob_rect)
-        level = truth = ground_truth_level(alice_res, bob_res)
-        if not channel.ideal_classification:
-            obs = sample_line(channel.line, alice_res, bob_res, gen, channel.temperature_scale)
-            level = obs.classified_level
-        flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
-        if not flagged:
-            if level in rule.optical_levels:
-                qkd_bit = bob_bit  # None for a lost pulse
-            if level is NoiseLevel.INTERMEDIATE and rule.mid_wire_bit:
-                # On a truly mixed pair Alice holds RH exactly when Bob
-                # holds RL, and that is the bit; a misclassified round makes
-                # the two sides disagree. Cross mapping (P2): the common
-                # basis, (+/+) -> 0, (x/x) -> 1. Shared mapping (P3): the
-                # ordering, (+/x) -> 0, (x/+) -> 1.
-                alice_kljn = int(alice_res is ResistorChoice.HIGH)
-                bob_kljn = int(bob_res is ResistorChoice.LOW)
+    if protocol is Protocol.BB84 or channel.ideal_classification:
+        return detected, bob_bit, None
+    resistors = _resistors(protocol, inputs)
+    return detected, bob_bit, sample_line(channel.line, *resistors, gen, channel.temperature_scale)
 
+
+def run_round(
+    protocol: Protocol,
+    inputs: RoundInputs,
+    channel: ChannelModel,
+    rng: np.random.Generator | int,
+) -> ProtocolRound:
+    """Play one round: `draw_round`, then `decide_block` on one row.
+
+    The level is `sample_line`'s classification, or the resistor pair's.
+    """
+    detected, bob_bit, obs = draw_round(protocol, inputs, channel, rng)
+    alice_diag = inputs.alice_basis is Basis.DIAGONAL
+    alice_res = bob_res = level = truth = low = high = None
+    if protocol is not Protocol.BB84:
+        alice_res, bob_res = _resistors(protocol, inputs)
+        level = truth = ground_truth_level(alice_res, bob_res)
+        if obs is not None:
+            level = obs.classified_level
+            low, high = np.array([level is NoiseLevel.LOW]), np.array([level is NoiseLevel.HIGH])
+    decided = decide_block(
+        protocol, np.array([alice_diag]), np.array([inputs.bob_basis is Basis.DIAGONAL]), low, high
+    )
+    flagged, keeps, wire, wire_wrong = (m is not None and bool(m[0]) for m in decided)
     return ProtocolRound(
         protocol=protocol,
         alice_basis=inputs.alice_basis,
@@ -339,52 +342,69 @@ def run_round(
         ground_truth_level=truth,
         optical_detected=detected,
         bob_bit=bob_bit,
-        qkd_key_bit=qkd_bit,
-        kljn_key_bit=alice_kljn,
-        bob_kljn_bit=bob_kljn,
+        qkd_key_bit=bob_bit if keeps else None,  # None for a lost pulse
+        kljn_key_bit=int(alice_diag) if wire else None,
+        bob_kljn_bit=int(alice_diag != wire_wrong) if wire else None,
         flagged=flagged,
         observation=obs,
     )
+
+
+def classify_block(
+    protocol: Protocol,
+    alice_diag: np.ndarray,
+    bob_diag: np.ndarray,
+    channel: ChannelModel,
+    mean_squares: np.ndarray,
+    thresholds: tuple[float, float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) masks: each round's variance estimate, its line variance
+    times `mean_squares` (of N unit-variance samples), banded at `thresholds`.
+    """
+    line = channel.line
+    # Alice holds RH on the diagonal basis; Bob on the rectilinear one when
+    # his rule maps it to RH (the cross mapping), else on the diagonal one.
+    bob_rh = bob_diag != (_RULES[protocol].bob_rect is ResistorChoice.HIGH)
+    ra = np.where(alice_diag, line.r_high, line.r_low)
+    rb = np.where(bob_rh, line.r_high, line.r_low)
+    estimates = channel.temperature_scale * ra * rb / (ra + rb) * mean_squares
+    return estimates < thresholds[0], estimates > thresholds[1]
 
 
 def decide_block(
     protocol: Protocol,
     alice_diag: np.ndarray,
     bob_diag: np.ndarray,
-    channel: ChannelModel,
-    mean_squares: np.ndarray | None = None,
-    thresholds: tuple[float, float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`run_round`'s wire rule over a block of drawn rounds, as masks.
+    low: np.ndarray | None = None,
+    high: np.ndarray | None = None,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Every protocol's rule over a block of drawn rounds, as masks.
 
-    `alice_diag`/`bob_diag` are True for a diagonal basis. Sampled
-    classification bands each round's line variance times `mean_squares`
-    (the mean square of its N unit-variance samples) at `thresholds`.
-    Returns (flagged, keeps_optical, wire_bit, wire_bit_wrong); a mask the
-    rule never sets is None, so that small blocks pay for no empty mask.
+    `alice_diag`/`bob_diag` are True for a diagonal basis; `low`/`high` mark
+    rounds classified at an outer level (None: ideal classification).
+    Returns (flagged, keeps_optical, wire_bit, wire_bit_wrong); a detected
+    pulse keeps its optical bit on a `keeps_optical` round. A mask the rule
+    never sets is None, so that small blocks pay for no empty mask.
     """
+    if protocol is Protocol.BB84:
+        return None, alice_diag == bob_diag, None, None
     rule = _RULES[protocol]
-    # Alice holds RH on the diagonal basis, Bob on the rectilinear one under
-    # the cross mapping, so there matching bases make a mixed pair.
+    # Cross mapping: matching bases make a mixed pair; shared: differing ones.
     cross = rule.bob_rect is ResistorChoice.HIGH
     mixed = alice_diag == bob_diag if cross else alice_diag != bob_diag
     mid, flagged = mixed, None
-    if not channel.ideal_classification:
-        line = channel.line
-        bob_rh = ~bob_diag if cross else bob_diag
-        ra = np.where(alice_diag, line.r_high, line.r_low)
-        rb = np.where(bob_rh, line.r_high, line.r_low)
-        estimates = channel.temperature_scale * ra * rb / (ra + rb) * mean_squares
-        low, high = estimates < thresholds[0], estimates > thresholds[1]
+    if low is not None:
         mid = ~(low | high)
-        # Holding RH rules out a low level, holding RL a high one.
-        flagged = np.where(alice_diag, low, high) | np.where(bob_rh, low, high)
+        # Holding RH rules out a low level, holding RL a high one: a mixed
+        # pair rules out both, an equal pair the one its resistor rules out.
+        flagged = np.where(mixed, ~mid, np.where(alice_diag, low, high))
     # Only an outer level can be flagged.
     if NoiseLevel.INTERMEDIATE in rule.optical_levels:
         keeps = mid
     else:
         keeps = ~mid if flagged is None else ~mid & ~flagged
-    # Alice's wire bit (she holds RH) and Bob's (he holds RL) agree on a mixed pair.
+    # Alice's wire bit is 1 when she holds RH (her diagonal basis), Bob's
+    # when he holds RL; the two agree exactly on a mixed pair.
     wire = mid if rule.mid_wire_bit else None
     return flagged, keeps, wire, None if wire is None else wire & ~mixed
 
@@ -481,6 +501,8 @@ def render_trace(rounds: list[ProtocolRound]) -> str:
 
 
 _BASIS_TOKEN = {"+": Basis.RECTILINEAR, "x": Basis.DIAGONAL, "X": Basis.DIAGONAL}
+# (what, valid tokens) of each fixture field: a_basis a_bit b_basis b_bit
+_FIXTURE_FIELDS = (("basis", _BASIS_TOKEN), ("bit", ("0", "1"))) * 2
 
 
 def parse_trace_fixture(text: str) -> list[RoundInputs]:
@@ -495,26 +517,14 @@ def parse_trace_fixture(text: str) -> list[RoundInputs]:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
-        if len(tokens) != 4:
-            raise DomainError(
-                f"fixture line {lineno}: expected 4 fields, got {len(tokens)}"
-            )
-        positions = _token_columns(line, tokens)
-
-        def bad(idx: int, what: str) -> DomainError:
-            return DomainError(
-                f"fixture line {lineno}, column {positions[idx]}: {what} {tokens[idx]!r}"
-            )
-
-        if tokens[0] not in _BASIS_TOKEN:
-            raise bad(0, "invalid basis")
-        if tokens[1] not in ("0", "1"):
-            raise bad(1, "invalid bit")
-        if tokens[2] not in _BASIS_TOKEN:
-            raise bad(2, "invalid basis")
-        if tokens[3] not in ("0", "1"):
-            raise bad(3, "invalid bit")
+        words = list(re.finditer(r"\S+", line))
+        if len(words) != 4:
+            raise DomainError(f"fixture line {lineno}: expected 4 fields, got {len(words)}")
+        for word, (what, valid) in zip(words, _FIXTURE_FIELDS):
+            if word.group() not in valid:
+                raise DomainError(f"fixture line {lineno}, column {word.start() + 1}: "
+                                  f"invalid {what} {word.group()!r}")
+        tokens = [word.group() for word in words]
         rounds.append(
             RoundInputs(
                 alice_basis=_BASIS_TOKEN[tokens[0]],
@@ -525,13 +535,3 @@ def parse_trace_fixture(text: str) -> list[RoundInputs]:
             )
         )
     return rounds
-
-
-def _token_columns(line: str, tokens: list[str]) -> list[int]:
-    cols = []
-    pos = 0
-    for tok in tokens:
-        pos = line.index(tok, pos)
-        cols.append(pos + 1)  # 1-based
-        pos += len(tok)
-    return cols

@@ -1,13 +1,14 @@
 """Monte Carlo sessions in the two timing modes.
 
 Gated mode runs one wire decision per optical pulse, so the pulse clock is
-f_sys = min(f_qkd, R_kljn) and every round goes through the round engine
-in `protocol`. Buffered mode (Protocols I/II only) alternates two phases:
-the wire fills a buffer of basis-coordination bits at R_kljn while the
-laser idles, then the laser drains the buffer in a burst at its native
-rate. Time is simulated, never wall-clock. Both modes only draw and count:
-the rules (`protocol._RULES`) are applied inside `protocol`, per round by
-`run_round` when gated and per block by `decide_block` when buffered.
+f_sys = min(f_qkd, R_kljn). Buffered mode (Protocols I/II only) alternates
+two phases: the wire fills a buffer of basis-coordination bits at R_kljn
+while the laser idles, then the laser drains the buffer in a burst at its
+native rate. Time is simulated, never wall-clock. Both modes only draw and
+count: a gated session draws round by round (`protocol.draw_round`), a
+buffered one block by block, and each hands its draws to
+`protocol.decide_block`, the one place the rules (`protocol._RULES`) are
+applied.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -16,6 +17,7 @@ derived streams for parallel workers come from SeedSequence.spawn).
 
 from __future__ import annotations
 
+import collections
 import enum
 import math
 from dataclasses import dataclass, fields
@@ -24,9 +26,11 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kljn import variance_thresholds
+from .kljn import NoiseLevel, variance_thresholds
 from .physics import KljnLineParams, OpticalParams, kljn_bit_rate, link_budget
-from .protocol import ChannelModel, Protocol, decide_block, random_inputs, run_round
+from .protocol import Basis, ChannelModel, Protocol, classify_block, decide_block, draw_round
+from .protocol import random_inputs
+from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 from .rates import normalized_rates
 
 __all__ = [
@@ -135,12 +139,32 @@ def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     return np.random.SeedSequence(seed).spawn(n)
 
 
-def _secure_bits(qkd_bits: int, kljn_bits: int, gamma: float) -> float:
-    return qkd_bits * (1.0 - gamma) + kljn_bits
+def _secure_bits(counts: dict[str, Any], gamma: float) -> float:
+    return counts["qkd_bits"] * (1.0 - gamma) + counts["kljn_bits"]
 
 
 def _count(mask: np.ndarray | None) -> int:
     return 0 if mask is None else int(np.count_nonzero(mask))
+
+
+def _tally(decided: tuple, detected: np.ndarray, wrong: np.ndarray) -> dict[str, int]:
+    """The six `SessionStats` counts of a block of decided rounds.
+
+    `decided` is `decide_block`'s masks; `wrong` marks the detected pulses
+    whose outcome differs from Alice's bit. A flagged round yields nothing.
+    """
+    flagged, keeps, wire, wire_wrong = decided
+    qkd = keeps & detected
+    n_qkd, n_flagged = _count(qkd), _count(flagged)
+    n_yielded = n_qkd if wire is None else _count(qkd | wire)
+    return {
+        "qkd_bits": n_qkd,
+        "kljn_bits": _count(wire),
+        "qkd_errors": _count(qkd & wrong),
+        "kljn_errors": _count(wire_wrong),
+        "discarded_rounds": len(keeps) - n_yielded - n_flagged,
+        "flagged_rounds": n_flagged,
+    }
 
 
 def run_gated_session(
@@ -155,8 +179,10 @@ def run_gated_session(
 ) -> SessionStats:
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
-    Per-round logic is delegated to `protocol.run_round`. Simulated wall time
-    is n_rounds / f_sys (plain BB84 runs unthrottled at f_qkd).
+    Each round's inputs and draws come from `protocol.random_inputs` and
+    `protocol.draw_round`; `protocol.decide_block` then decides them all at
+    once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
+    unthrottled at f_qkd).
     """
     if n_rounds < 1:
         raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -166,21 +192,19 @@ def run_gated_session(
     )
     rng = np.random.default_rng(seed)
 
-    qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
-    discarded = flagged = 0
-    for _ in range(n_rounds):
-        rnd = run_round(protocol, random_inputs(rng), channel, rng)
-        if rnd.flagged:
-            flagged += 1
-        elif rnd.qkd_key_bit is None and rnd.kljn_key_bit is None:
-            discarded += 1
-        else:
-            if rnd.qkd_key_bit is not None:
-                qkd_bits += 1
-                qkd_errors += rnd.qkd_key_bit != rnd.alice_bit
-            if rnd.kljn_key_bit is not None:
-                kljn_bits += 1
-                kljn_errors += rnd.bob_kljn_bit != rnd.kljn_key_bit
+    # One row per round: Alice's and Bob's basis is diagonal, detected, Bob's
+    # outcome differs from Alice's bit, classified low, classified high.
+    rows = np.zeros((n_rounds, 6), dtype=bool)
+    for row in rows:
+        inputs = random_inputs(rng)
+        detected, bob_bit, obs = draw_round(protocol, inputs, channel, rng)
+        level = obs and obs.classified_level
+        row[:] = (inputs.alice_basis is Basis.DIAGONAL, inputs.bob_basis is Basis.DIAGONAL,
+                  detected, detected and bob_bit != inputs.alice_bit,
+                  level is NoiseLevel.LOW, level is NoiseLevel.HIGH)
+    alice_diag, bob_diag, detected, wrong, low, high = rows.T
+    levels = (None, None) if ideal_classification else (low, high)
+    counts = _tally(decide_block(protocol, alice_diag, bob_diag, *levels), detected, wrong)
 
     if protocol is Protocol.BB84:
         f_clock = optical.f_qkd
@@ -194,15 +218,10 @@ def run_gated_session(
         distance_km=distance_km,
         seed=seed,
         rounds_executed=n_rounds,
-        qkd_bits=qkd_bits,
-        kljn_bits=kljn_bits,
-        qkd_errors=qkd_errors,
-        kljn_errors=kljn_errors,
-        discarded_rounds=discarded,
-        flagged_rounds=flagged,
+        **counts,
         gamma=budget.gamma,
         wall_time_s=wall_time,
-        effective_throughput_bps=_secure_bits(qkd_bits, kljn_bits, budget.gamma) / wall_time,
+        effective_throughput_bps=_secure_bits(counts, budget.gamma) / wall_time,
     )
 
 
@@ -250,11 +269,9 @@ def run_buffered_session(
         budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
     )
     rng = np.random.default_rng(seed)
-    mean_squares = None
     thresholds = None if ideal_classification else variance_thresholds(line, temperature_scale)
-
-    qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
-    yielded = flagged = 0
+    low = high = None
+    counts: collections.Counter[str] = collections.Counter()
     burst_rates: list[float] = []
 
     for _ in range(n_cycles):
@@ -263,24 +280,17 @@ def run_buffered_session(
         bob_diag = rng.integers(0, 2, size=block).astype(bool)
         if not ideal_classification:
             noise = rng.normal(0.0, 1.0, size=(block, line.n_samples))
-            mean_squares = np.mean(noise * noise, axis=1)
-        flags, keeps, wire, wire_wrong = decide_block(
-            protocol, alice_diag, bob_diag, channel, mean_squares, thresholds
-        )
+            low, high = classify_block(
+                protocol, alice_diag, bob_diag, channel, np.mean(noise * noise, axis=1), thresholds
+            )
+        decided = decide_block(protocol, alice_diag, bob_diag, low, high)
 
         # Drain phase: one pulse per buffered decision at the native rate.
         detected = rng.random(block) < channel.detection_prob
-        keeps_detected = keeps & detected
-        n_qkd = int(np.count_nonzero(keeps_detected))
         flips = rng.random(block) < channel.flip_prob
-        qkd_bits += n_qkd
-        qkd_errors += int(np.count_nonzero(keeps_detected & flips))
-        n_kljn = _count(wire)
-        kljn_bits += n_kljn
-        kljn_errors += _count(wire_wrong)
-        flagged += _count(flags)
-        yielded += _count(keeps_detected if wire is None else wire | keeps_detected)
-        burst_rates.append(_secure_bits(n_qkd, n_kljn, budget.gamma) / drain_time)
+        cycle = _tally(decided, detected, flips)
+        counts.update(cycle)
+        burst_rates.append(_secure_bits(cycle, budget.gamma) / drain_time)
 
     wall_time = n_cycles * cycle_time
     r_p1, r_p23 = normalized_rates(budget)
@@ -292,15 +302,10 @@ def run_buffered_session(
         distance_km=distance_km,
         seed=seed,
         rounds_executed=n_cycles * block,
-        qkd_bits=qkd_bits,
-        kljn_bits=kljn_bits,
-        qkd_errors=qkd_errors,
-        kljn_errors=kljn_errors,
-        discarded_rounds=n_cycles * block - yielded - flagged,
-        flagged_rounds=flagged,
+        **counts,
         gamma=budget.gamma,
         wall_time_s=wall_time,
-        effective_throughput_bps=_secure_bits(qkd_bits, kljn_bits, budget.gamma) / wall_time,
+        effective_throughput_bps=_secure_bits(counts, budget.gamma) / wall_time,
         cycles=n_cycles,
         kljn_bits_produced=n_cycles * block,
         burst_throughput_model_bps=r_norm * optical.f_qkd,
@@ -312,7 +317,7 @@ def estimate_per_pulse_yield(stats: SessionStats, n_rounds: int) -> float:
     """Expected secure bits per optical pulse implied by session counts."""
     if n_rounds <= 0:
         raise DomainError(f"n_rounds must be > 0, got {n_rounds}")
-    return _secure_bits(stats.qkd_bits, stats.kljn_bits, stats.gamma) / n_rounds
+    return _secure_bits(stats.to_dict(), stats.gamma) / n_rounds
 
 
 def per_pulse_yield_moments(

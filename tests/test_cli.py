@@ -200,6 +200,10 @@ NON_FINITE = [
     (BUFFERED_P1 + ["--duration", "inf"], "duration"),
     (["crossover", "--factor", "nan"], "factor"),
     (["crossover", "--factor", "inf"], "factor"),
+    # finite, but the wire's bandwidth v / (20 L) overflows or vanishes
+    (["simulate", "--distance", "1e308"], "distance"),
+    (BUFFERED_P1[:-1] + ["1e308"], "distance"),
+    (["sweep", "--distance-min", "1e-320", "--format", "records"], "distance"),
 ]
 
 

@@ -169,6 +169,14 @@ class TestWireLine:
         with pytest.raises(DomainError, match="distance"):
             wave_limit_bandwidth(line, bad)
 
+    @pytest.mark.parametrize("extreme", [1e308, 1e-320, -1e-320])
+    def test_distance_without_finite_bandwidth_rejected(self, line, extreme):
+        # 20 * 1e308 overflows to inf (bandwidth 0); v / 2e-319 overflows to inf
+        with pytest.raises(DomainError, match="distance"):
+            wave_limit_bandwidth(line, extreme)
+        with pytest.raises(DomainError, match="distance"):
+            kljn_bit_rate(line, extreme)
+
     def test_bit_rate_values(self, line):
         assert kljn_bit_rate(line, 1.0) == 4.0e5
         assert kljn_bit_rate(line, 10.0) == 4.0e4

@@ -6,7 +6,14 @@ import pytest
 import hybridkd.protocol as protocol_module
 from hybridkd.cli import bundled_fixture_text
 from hybridkd.errors import DomainError
-from hybridkd.kljn import LineObservation, NoiseLevel, ResistorChoice
+from hybridkd.kljn import (
+    LineObservation,
+    NoiseLevel,
+    ResistorChoice,
+    classify_level,
+    line_variance,
+    variance_thresholds,
+)
 from hybridkd.physics import KljnLineParams
 from hybridkd.protocol import (
     Basis,
@@ -16,7 +23,7 @@ from hybridkd.protocol import (
     Polarization,
     Protocol,
     RoundInputs,
-    decide_block,
+    classify_block,
     extract_key,
     map_basis_to_resistor_cross,
     map_basis_to_resistor_same,
@@ -303,16 +310,43 @@ class TestFlaggedRounds:
             )
 
 
-# (t_low, t_high) that band every positive variance estimate at one level
-BAND_AT = {
-    NoiseLevel.LOW: (np.inf, np.inf),
-    NoiseLevel.INTERMEDIATE: (0.0, np.inf),
-    NoiseLevel.HIGH: (-np.inf, -np.inf),
+# The scalar form of the wire rule, kept here as the oracle for
+# `decide_block`: for each wire protocol, the classified levels at which a
+# detected pulse keeps its optical bit and whether a mid level yields a
+# wire bit.
+ORACLE_RULES = {
+    Protocol.P1: ((NoiseLevel.INTERMEDIATE,), False),
+    Protocol.P2: ((NoiseLevel.INTERMEDIATE,), True),
+    Protocol.P3: ((NoiseLevel.LOW, NoiseLevel.HIGH), True),
 }
 
 
+def _level_impossible_for(level, own_resistor):
+    # A party holding RL can never see a true high level (both resistors
+    # would have to be RH), and symmetrically for RH/low.
+    if own_resistor is RL:
+        return level is NoiseLevel.HIGH
+    return level is NoiseLevel.LOW
+
+
+def oracle_round(protocol, alice_res, bob_res, level, bob_bit):
+    """(flagged, qkd bit, Alice's wire bit, Bob's wire bit) of one round."""
+    optical_levels, mid_wire_bit = ORACLE_RULES[protocol]
+    flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
+    qkd = alice_kljn = bob_kljn = None
+    if not flagged:
+        if level in optical_levels:
+            qkd = bob_bit
+        if level is NoiseLevel.INTERMEDIATE and mid_wire_bit:
+            # Alice's bit is "I hold RH", Bob's "I hold RL"; they agree on a
+            # truly mixed pair and disagree on a misclassified one.
+            alice_kljn = int(alice_res is RH)
+            bob_kljn = int(bob_res is RL)
+    return flagged, qkd, alice_kljn, bob_kljn
+
+
 class TestBlockRule:
-    """`decide_block` and `run_round` read `_RULES` the same way."""
+    """`run_round`, deciding through `decide_block`, follows the scalar rule."""
 
     @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
                              ids=lambda p: p.value)
@@ -329,23 +363,33 @@ class TestBlockRule:
         channel = ChannelModel(line=line, ideal_classification=ideal)
         inputs = RoundInputs(alice_basis, 1, bob_basis, detected=True, forced_bob_bit=1)
         r = run_round(protocol, inputs, channel, 0)
-        if not ideal:
-            assert r.noise_level is level
-        masks = decide_block(
-            protocol,
-            np.array([alice_basis is DIAG]),
-            np.array([bob_basis is DIAG]),
-            channel,
-            np.ones(1),
-            BAND_AT.get(level),
+        if ideal:
+            level = r.ground_truth_level
+        assert r.noise_level is level
+        assert (r.flagged, r.qkd_key_bit, r.kljn_key_bit, r.bob_kljn_bit) == oracle_round(
+            protocol, r.alice_resistor, r.bob_resistor, level, 1
         )
-        flagged, keeps_optical, wire_bit, wire_bit_wrong = (
-            m is not None and bool(m.any()) for m in masks
-        )
-        assert flagged == r.flagged
-        assert keeps_optical == (r.qkd_key_bit is not None)
-        assert wire_bit == (r.kljn_key_bit is not None)
-        assert wire_bit_wrong == (wire_bit and r.bob_kljn_bit != r.kljn_key_bit)
+
+
+class TestClassifyBlock:
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P3], ids=lambda p: p.value)
+    @pytest.mark.parametrize("scale", [1.0, 2.7])
+    def test_bands_like_classify_level(self, line, protocol, scale):
+        rng = np.random.default_rng(17)
+        alice_diag, bob_diag = rng.integers(0, 2, size=(2, 400)).astype(bool)
+        mean_squares = rng.chisquare(3, size=400) / 3  # wide, so every band is hit
+        channel = ChannelModel(line=line, temperature_scale=scale, ideal_classification=False)
+        low, high = classify_block(protocol, alice_diag, bob_diag, channel, mean_squares,
+                                   variance_thresholds(line, scale))
+        levels = []
+        for a, b, ms in zip(alice_diag, bob_diag, mean_squares):
+            inputs = RoundInputs(DIAG if a else RECT, 0, DIAG if b else RECT, detected=False)
+            r = run_round(protocol, inputs, ChannelModel(temperature_scale=scale), 0)
+            variance = line_variance(line, r.alice_resistor, r.bob_resistor, scale)
+            levels.append(classify_level(variance * ms, line, scale))
+        assert list(low) == [lv is NoiseLevel.LOW for lv in levels]
+        assert list(high) == [lv is NoiseLevel.HIGH for lv in levels]
+        assert {NoiseLevel.LOW, NoiseLevel.INTERMEDIATE, NoiseLevel.HIGH} <= set(levels)
 
 
 class TestExtractKey:

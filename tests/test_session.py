@@ -1,13 +1,14 @@
 """Gated and buffered Monte Carlo sessions."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from hybridkd.errors import ConfigError, DomainError
-from hybridkd.physics import kljn_bit_rate, link_budget
-from hybridkd.protocol import Protocol
+from hybridkd.physics import KljnLineParams, kljn_bit_rate, link_budget
+from hybridkd.protocol import ChannelModel, Protocol, random_inputs, run_round
 from hybridkd.rates import normalized_rates, throughputs
 from hybridkd.session import (
     SessionStats,
@@ -44,6 +45,13 @@ class TestGatedSession:
     def test_rounds_precondition(self, optical, line):
         with pytest.raises(DomainError):
             run_gated_session(Protocol.P1, optical, line, 2.0, 0, seed=1)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+    def test_temperature_scale_must_be_positive(self, optical, line, scale):
+        # rejected under ideal classification too, where no line is sampled
+        with pytest.raises(DomainError, match="temperature_scale"):
+            run_gated_session(Protocol.P2, optical, line, 2.0, 100, seed=1,
+                              temperature_scale=scale)
 
     def test_bb84_wall_time_unthrottled(self, optical, line):
         stats = run_gated_session(Protocol.BB84, optical, line, 2.0, 1_000, seed=2)
@@ -82,6 +90,47 @@ class TestGatedSession:
         stats = run_gated_session(Protocol.P2, optical, line, 2.0, 10_000, seed=9)
         assert stats.flagged_rounds == 0
         assert stats.kljn_errors == 0
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_counts_match_round_by_round_replay(self, optical, protocol, ideal):
+        # A bright, misaligned source loses and flips pulses often, and three
+        # samples per decision misclassify levels often enough to flag rounds.
+        bright = dataclasses.replace(optical, mu=2.0, eta_d=1.0, e_opt=0.1)
+        noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+        distance, n, seed = 3.0, 3_000, 77
+        stats = run_gated_session(protocol, bright, noisy, distance, n, seed,
+                                  ideal_classification=ideal)
+
+        # Reference: the same seed replayed one `run_round` at a time and
+        # counted round by round.
+        budget = link_budget(bright, distance)
+        channel = ChannelModel(budget.q_mu, bright.e_opt, noisy, 1.0, ideal)
+        rng = np.random.default_rng(seed)
+        qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
+        discarded = flagged = lost = flipped = 0
+        for _ in range(n):
+            inputs = random_inputs(rng)
+            rnd = run_round(protocol, inputs, channel, rng)
+            lost += not rnd.optical_detected
+            matched = inputs.alice_basis is inputs.bob_basis
+            flipped += rnd.optical_detected and matched and rnd.bob_bit != inputs.alice_bit
+            if rnd.flagged:
+                flagged += 1
+            elif rnd.qkd_key_bit is None and rnd.kljn_key_bit is None:
+                discarded += 1
+            else:
+                if rnd.qkd_key_bit is not None:
+                    qkd_bits += 1
+                    qkd_errors += rnd.qkd_key_bit != rnd.alice_bit
+                if rnd.kljn_key_bit is not None:
+                    kljn_bits += 1
+                    kljn_errors += rnd.bob_kljn_bit != rnd.kljn_key_bit
+        assert lost > 0 and flipped > 0 and qkd_errors > 0
+        assert (flagged > 0) == (protocol is not Protocol.BB84 and not ideal)
+        assert (stats.qkd_bits, stats.kljn_bits, stats.qkd_errors, stats.kljn_errors,
+                stats.discarded_rounds, stats.flagged_rounds) == (
+            qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded, flagged)
 
 
 class TestYieldHelpers:
@@ -151,6 +200,11 @@ class TestBufferedSession:
             self.run(Protocol.P1, optical, line, duration_s=1e-6)
         with pytest.raises(DomainError):
             self.run(Protocol.P1, optical, line, duration_s=0.0)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
+    def test_temperature_scale_must_be_positive(self, optical, line, scale):
+        with pytest.raises(DomainError, match="temperature_scale"):
+            self.run(Protocol.P2, optical, line, temperature_scale=scale)
 
     def test_conservation(self, optical, line):
         stats = self.run(Protocol.P2, optical, line)
