@@ -178,7 +178,7 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
     b_w = line.v / (20.0 * distance_km) if distance_km > 0 else 0.0
-    if not (math.isfinite(b_w) and b_w > 0):
+    if not 0.0 < b_w < math.inf:
         raise DomainError(
             f"distance {distance_km} km gives no finite, positive bandwidth v / (20 L)"
         )

@@ -198,7 +198,7 @@ def run_gated_session(
     for row in rows:
         inputs = random_inputs(rng)
         detected, bob_bit, obs = draw_round(protocol, inputs, channel, rng)
-        level = obs and obs.classified_level
+        level = obs.classified_level if obs else None
         row[:] = (inputs.alice_basis is Basis.DIAGONAL, inputs.bob_basis is Basis.DIAGONAL,
                   detected, detected and bob_bit != inputs.alice_bit,
                   level is NoiseLevel.LOW, level is NoiseLevel.HIGH)
