@@ -94,43 +94,56 @@ class TestGatedSession:
     @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     def test_counts_match_round_by_round_replay(self, optical, protocol, ideal):
-        # A bright, misaligned source loses and flips pulses often, and three
-        # samples per decision misclassify levels often enough to flag rounds.
-        bright = dataclasses.replace(optical, mu=2.0, eta_d=1.0, e_opt=0.1)
-        noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
-        distance, n, seed = 3.0, 3_000, 77
-        stats = run_gated_session(protocol, bright, noisy, distance, n, seed,
-                                  ideal_classification=ideal)
+        assert_counts_match_replay(optical, protocol, ideal, 3_000, 1.0)
 
-        # Reference: the same seed replayed one `run_round` at a time and
-        # counted round by round.
-        budget = link_budget(bright, distance)
-        channel = ChannelModel(budget.q_mu, bright.e_opt, noisy, 1.0, ideal)
-        rng = np.random.default_rng(seed)
-        qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
-        discarded = flagged = lost = flipped = 0
-        for _ in range(n):
-            inputs = random_inputs(rng)
-            rnd = run_round(protocol, inputs, channel, rng)
-            lost += not rnd.optical_detected
-            matched = inputs.alice_basis is inputs.bob_basis
-            flipped += rnd.optical_detected and matched and rnd.bob_bit != inputs.alice_bit
-            if rnd.flagged:
-                flagged += 1
-            elif rnd.qkd_key_bit is None and rnd.kljn_key_bit is None:
-                discarded += 1
-            else:
-                if rnd.qkd_key_bit is not None:
-                    qkd_bits += 1
-                    qkd_errors += rnd.qkd_key_bit != rnd.alice_bit
-                if rnd.kljn_key_bit is not None:
-                    kljn_bits += 1
-                    kljn_errors += rnd.bob_kljn_bit != rnd.kljn_key_bit
-        assert lost > 0 and flipped > 0 and qkd_errors > 0
-        assert (flagged > 0) == (protocol is not Protocol.BB84 and not ideal)
-        assert (stats.qkd_bits, stats.kljn_bits, stats.qkd_errors, stats.kljn_errors,
-                stats.discarded_rounds, stats.flagged_rounds) == (
-            qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded, flagged)
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    # Sessions that end just before, on and just after a multiple of 128
+    # rounds, and a temperature scale at which the variance's rounding matters.
+    @pytest.mark.parametrize("n, scale", [(3_000, 2.7), (127, 2.7), (128, 1.0), (129, 2.7)])
+    def test_counts_match_replay_across_sizes_and_scales(self, optical, protocol, ideal, n,
+                                                         scale):
+        assert_counts_match_replay(optical, protocol, ideal, n, scale)
+
+
+def assert_counts_match_replay(optical, protocol, ideal, n, scale):
+    # A bright, misaligned source loses and flips pulses often, and three
+    # samples per decision misclassify levels often enough to flag rounds.
+    bright = dataclasses.replace(optical, mu=2.0, eta_d=1.0, e_opt=0.1)
+    noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+    distance, seed = 3.0, 77
+    stats = run_gated_session(protocol, bright, noisy, distance, n, seed,
+                              ideal_classification=ideal, temperature_scale=scale)
+
+    # Reference: the same seed replayed one `run_round` at a time and
+    # counted round by round.
+    budget = link_budget(bright, distance)
+    channel = ChannelModel(budget.q_mu, bright.e_opt, noisy, scale, ideal)
+    rng = np.random.default_rng(seed)
+    qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
+    discarded = flagged = lost = flipped = 0
+    for _ in range(n):
+        inputs = random_inputs(rng)
+        rnd = run_round(protocol, inputs, channel, rng)
+        lost += not rnd.optical_detected
+        matched = inputs.alice_basis is inputs.bob_basis
+        flipped += rnd.optical_detected and matched and rnd.bob_bit != inputs.alice_bit
+        if rnd.flagged:
+            flagged += 1
+        elif rnd.qkd_key_bit is None and rnd.kljn_key_bit is None:
+            discarded += 1
+        else:
+            if rnd.qkd_key_bit is not None:
+                qkd_bits += 1
+                qkd_errors += rnd.qkd_key_bit != rnd.alice_bit
+            if rnd.kljn_key_bit is not None:
+                kljn_bits += 1
+                kljn_errors += rnd.bob_kljn_bit != rnd.kljn_key_bit
+    assert lost > 0 and flipped > 0 and qkd_errors > 0
+    assert (flagged > 0) == (protocol is not Protocol.BB84 and not ideal)
+    assert (stats.qkd_bits, stats.kljn_bits, stats.qkd_errors, stats.kljn_errors,
+            stats.discarded_rounds, stats.flagged_rounds) == (
+        qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded, flagged)
 
 
 class TestYieldHelpers:
