@@ -141,7 +141,10 @@ def gain_and_qber(p: OpticalParams, distance_km: float) -> tuple[float, float]:
     The exponential term is evaluated with expm1 so that the deep-loss
     limit (mu * eta_sys -> 0) stays accurate.
     """
-    eta_sys = system_transmittance(p, distance_km)
+    return _gain_and_qber(p, system_transmittance(p, distance_km))
+
+
+def _gain_and_qber(p: OpticalParams, eta_sys: float) -> tuple[float, float]:
     optical_click = -math.expm1(-p.mu * eta_sys)  # 1 - exp(-mu*eta_sys)
     q_mu = optical_click + p.p_d
     if q_mu == 0.0:
@@ -197,7 +200,7 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
 def link_budget(p: OpticalParams, distance_km: float) -> LinkBudget:
     """Evaluate the full optical budget at one distance."""
     eta_sys = system_transmittance(p, distance_km)
-    q_mu, e_mu = gain_and_qber(p, distance_km)
+    q_mu, e_mu = _gain_and_qber(p, eta_sys)
     return LinkBudget(
         distance_km=distance_km,
         eta_sys=eta_sys,

@@ -22,7 +22,8 @@ entries of their rule in `_RULES`:
 
 `draw_round` makes a round's random draws and `decide_block`, the only
 place the rules are applied, decides a block of drawn rounds as masks;
-`run_round` is the two on one row. Rounds are pure given an explicit
+`run_round` is the two on one row; `draw_block` draws many rounds exactly
+as `random_inputs` and `draw_round` would. Rounds are pure given an explicit
 generator; golden-trace inputs can force detection and Bob's outcome.
 """
 
@@ -35,13 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .kljn import (
-    LineObservation,
-    NoiseLevel,
-    ResistorChoice,
-    ground_truth_level,
-    sample_line,
-)
+from .kljn import (LineObservation, NoiseLevel, ResistorChoice, check_temperature_scale,
+                   ground_truth_level, line_variance, sample_line, variance_thresholds)
 from .physics import KljnLineParams
 
 __all__ = [
@@ -58,6 +54,8 @@ __all__ = [
     "map_basis_to_resistor_same",
     "measure_photon",
     "draw_round",
+    "draw_block",
+    "fair_bits",
     "run_round",
     "classify_block",
     "decide_block",
@@ -175,10 +173,7 @@ class ChannelModel:
             raise DomainError(f"detection_prob must be in [0, 1], got {self.detection_prob}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise DomainError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        if not 0.0 < self.temperature_scale < np.inf:
-            raise DomainError(
-                f"temperature_scale must be finite and > 0, got {self.temperature_scale}"
-            )
+        check_temperature_scale(self.temperature_scale)
         if not self.ideal_classification and self.line is None:
             raise DomainError("sampled classification requires line parameters")
 
@@ -251,7 +246,16 @@ def measure_photon(
         if flip_prob > 0.0 and gen.random() < flip_prob:
             return 1 - alice_bit
         return alice_bit
-    return int(gen.integers(0, 2))
+    return int(fair_bits(gen))
+
+
+def fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray | bool:
+    """Fair coin flips, bit for bit `gen.integers(0, 2, size)` as booleans.
+
+    Each takes the same 32-bit half of a generator word (a spare half carries
+    to the next call): Lemire's bounded-integer method returns its top bit.
+    """
+    return gen.random(size, dtype=np.float32) >= 0.5
 
 
 @dataclass(frozen=True)
@@ -306,6 +310,55 @@ def draw_round(
         return detected, bob_bit, None
     resistors = _resistors(protocol, inputs)
     return detected, bob_bit, sample_line(channel.line, *resistors, gen, channel.temperature_scale)
+
+
+_CHUNK = 128  # rounds per vectorized step of `draw_block`
+
+
+def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
+               n_rounds: int) -> tuple[np.ndarray | None, ...]:
+    """n_rounds rounds drawn as `random_inputs` then `draw_round` would, as masks:
+
+    Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
+    classified low and high (None unless the line is sampled, chunk by chunk).
+    """
+    gen = np.random.default_rng(rng)
+    p_det, p_flip = channel.detection_prob, channel.flip_prob
+    sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
+    flags = bytearray(4 * n_rounds)
+    drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)
+    low = high = None
+    if sampled:
+        line, scale = channel.line, channel.temperature_scale
+        # sigma of the pair at 2 * (Alice diagonal) + (Bob diagonal)
+        sigma = np.sqrt([line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)), scale)
+                         for a in Basis for b in Basis])
+        t_low, t_high = variance_thresholds(line, scale)
+        noise = np.empty((_CHUNK, line.n_samples))
+        low, high = np.empty(n_rounds, dtype=bool), np.empty(n_rounds, dtype=bool)
+    for start in range(0, n_rounds, _CHUNK):
+        stop = min(start + _CHUNK, n_rounds)
+        for i in range(start, stop):
+            a_diag, a_bit, b_diag = fair_bits(gen, 3).tolist()
+            detected, wrong = gen.random() < p_det, False
+            if detected:
+                if a_diag == b_diag:
+                    wrong = p_flip > 0.0 and gen.random() < p_flip
+                else:
+                    wrong = fair_bits(gen) != a_bit
+            j = 4 * i
+            flags[j], flags[j + 1], flags[j + 2], flags[j + 3] = a_diag, b_diag, detected, wrong
+            if sampled:
+                gen.standard_normal(out=noise[i - start])
+        if sampled:
+            # sample_line's mean of squares of normal(0, sigma, N), bit for bit:
+            # sigma times the same normals, and numpy's pairwise sum (not BLAS).
+            block = noise[:stop - start]
+            block *= sigma[2 * drawn[start:stop, 0] + drawn[start:stop, 1]][:, None]
+            block *= block
+            estimates = np.add.reduce(block, axis=1) / line.n_samples
+            low[start:stop], high[start:stop] = estimates < t_low, estimates > t_high
+    return (*drawn.T, low, high)
 
 
 def run_round(
@@ -431,8 +484,7 @@ def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
 
 def random_inputs(rng: np.random.Generator | int) -> RoundInputs:
     """Uniform independent basis and bit choices for one round."""
-    gen = np.random.default_rng(rng)
-    draws = gen.integers(0, 2, size=3)
+    draws = fair_bits(np.random.default_rng(rng), 3)
     return RoundInputs(
         alice_basis=Basis.DIAGONAL if draws[0] else Basis.RECTILINEAR,
         alice_bit=int(draws[1]),

@@ -5,10 +5,10 @@ f_sys = min(f_qkd, R_kljn). Buffered mode (Protocols I/II only) alternates
 two phases: the wire fills a buffer of basis-coordination bits at R_kljn
 while the laser idles, then the laser drains the buffer in a burst at its
 native rate. Time is simulated, never wall-clock. Both modes only draw and
-count: a gated session draws round by round (`protocol.draw_round`), a
-buffered one block by block, and each hands its draws to
-`protocol.decide_block`, the one place the rules (`protocol._RULES`) are
-applied.
+count: a gated session draws its rounds with `protocol.draw_block` (the
+draws of `random_inputs` and `draw_round`, round for round), a buffered one
+block by block, and each hands its draws to `protocol.decide_block`, the one
+place the rules (`protocol._RULES`) are applied.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -26,10 +26,11 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kljn import NoiseLevel, variance_thresholds
-from .physics import KljnLineParams, OpticalParams, kljn_bit_rate, link_budget
-from .protocol import Basis, ChannelModel, Protocol, classify_block, decide_block, draw_round
-from .protocol import random_inputs
+from .kljn import variance_thresholds  # perfbench's tracer wraps this name here
+from .physics import KljnLineParams, OpticalParams, kljn_bit_rate
+from .physics import link_budget  # perfbench's tracer wraps this name here
+from .protocol import ChannelModel, Protocol, classify_block, decide_block, draw_block, fair_bits
+from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 from .rates import normalized_rates
 
@@ -179,9 +180,9 @@ def run_gated_session(
 ) -> SessionStats:
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
-    Each round's inputs and draws come from `protocol.random_inputs` and
-    `protocol.draw_round`; `protocol.decide_block` then decides them all at
-    once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
+    `protocol.draw_block` draws every round, exactly as `random_inputs` and
+    `draw_round` would one by one; `protocol.decide_block` then decides them
+    all at once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
     unthrottled at f_qkd).
     """
     if n_rounds < 1:
@@ -190,21 +191,8 @@ def run_gated_session(
     channel = ChannelModel(
         budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
     )
-    rng = np.random.default_rng(seed)
-
-    # One row per round: Alice's and Bob's basis is diagonal, detected, Bob's
-    # outcome differs from Alice's bit, classified low, classified high.
-    rows = np.zeros((n_rounds, 6), dtype=bool)
-    for row in rows:
-        inputs = random_inputs(rng)
-        detected, bob_bit, obs = draw_round(protocol, inputs, channel, rng)
-        level = obs.classified_level if obs else None
-        row[:] = (inputs.alice_basis is Basis.DIAGONAL, inputs.bob_basis is Basis.DIAGONAL,
-                  detected, detected and bob_bit != inputs.alice_bit,
-                  level is NoiseLevel.LOW, level is NoiseLevel.HIGH)
-    alice_diag, bob_diag, detected, wrong, low, high = rows.T
-    levels = (None, None) if ideal_classification else (low, high)
-    counts = _tally(decide_block(protocol, alice_diag, bob_diag, *levels), detected, wrong)
+    alice_diag, bob_diag, detected, wrong, low, high = draw_block(protocol, channel, seed, n_rounds)
+    counts = _tally(decide_block(protocol, alice_diag, bob_diag, low, high), detected, wrong)
 
     if protocol is Protocol.BB84:
         f_clock = optical.f_qkd
@@ -276,8 +264,7 @@ def run_buffered_session(
 
     for _ in range(n_cycles):
         # Fill phase: one wire decision per buffered round.
-        alice_diag = rng.integers(0, 2, size=block).astype(bool)
-        bob_diag = rng.integers(0, 2, size=block).astype(bool)
+        alice_diag, bob_diag = fair_bits(rng, block), fair_bits(rng, block)
         if not ideal_classification:
             noise = rng.normal(0.0, 1.0, size=(block, line.n_samples))
             low, high = classify_block(

@@ -1,6 +1,7 @@
 """Wire sampling, variance classification and the eavesdropper surface."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ class TestLineVariance:
         with pytest.raises(DomainError):
             line_variance(line, L, L, 0.0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_scale_must_be_finite_and_positive(self, line, scale):
+        for call in (lambda: line_variance(line, L, H, scale),
+                     lambda: variance_thresholds(line, scale),
+                     lambda: sample_line(line, L, H, 0, scale),
+                     lambda: classify_level(1.0, line, scale)):
+            with pytest.raises(DomainError, match="temperature_scale"):
+                call()
+
     def test_ordering_for_random_resistor_pairs(self):
         # brute-force parallel-resistance evaluation over random pairs
         rng = np.random.default_rng(99)
@@ -85,6 +95,10 @@ class TestClassification:
     def test_negative_estimate_rejected(self, line):
         with pytest.raises(DomainError):
             classify_level(-1.0, line)
+
+    def test_nan_estimate_rejected(self, line):
+        with pytest.raises(DomainError, match="variance estimate"):
+            classify_level(math.nan, line)
 
     def test_ground_truth_mapping(self):
         assert ground_truth_level(L, L) is NoiseLevel.LOW

@@ -1,5 +1,7 @@
 """Round engines: mappings, golden replays, security and yield properties."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,10 @@ from hybridkd.protocol import (
     Protocol,
     RoundInputs,
     classify_block,
+    draw_block,
+    draw_round,
     extract_key,
+    fair_bits,
     map_basis_to_resistor_cross,
     map_basis_to_resistor_same,
     measure_photon,
@@ -390,6 +395,91 @@ class TestClassifyBlock:
         assert list(low) == [lv is NoiseLevel.LOW for lv in levels]
         assert list(high) == [lv is NoiseLevel.HIGH for lv in levels]
         assert {NoiseLevel.LOW, NoiseLevel.INTERMEDIATE, NoiseLevel.HIGH} <= set(levels)
+
+
+class TestFairBits:
+    @pytest.mark.parametrize("k", [1, 2, 3, 2500, 2501])
+    def test_same_bits_and_stream_as_integers(self, k):
+        # Interleaved with draws that take a whole 64-bit word, and with a
+        # scalar bit, so a spare 32-bit half must carry across calls alike.
+        fast, slow = np.random.default_rng(99), np.random.default_rng(99)
+        why = f"fair_bits differs from integers(0, 2) on numpy {np.__version__}"
+        for _ in range(4):
+            expected = slow.integers(0, 2, size=k).astype(bool).tolist()
+            assert fair_bits(fast, k).tolist() == expected, why
+            assert fast.random() == slow.random(), why
+            assert fair_bits(fast) == bool(slow.integers(0, 2)), why
+            assert np.array_equal(fast.normal(0.0, 2.0, 7), slow.normal(0.0, 2.0, 7)), why
+        assert fast.bit_generator.state == slow.bit_generator.state, why
+
+
+class TestDrawBlock:
+    """`draw_block` makes the draws of `random_inputs` then `draw_round`."""
+
+    CHUNK = protocol_module._CHUNK
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.1])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3000])
+    def test_rows_match_round_by_round_draws(self, protocol, ideal, flip_prob, n):
+        noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+        channel = ChannelModel(0.7, flip_prob, noisy, 2.7, ideal)
+        fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+        *drawn, low, high = draw_block(protocol, channel, fast, n)
+        rows = []
+        for _ in range(n):
+            inputs = random_inputs(slow)
+            detected, bob_bit, obs = draw_round(protocol, inputs, channel, slow)
+            level = obs.classified_level if obs else None
+            rows.append([inputs.alice_basis is DIAG, inputs.bob_basis is DIAG, detected,
+                         detected and bob_bit != inputs.alice_bit,
+                         level is NoiseLevel.LOW, level is NoiseLevel.HIGH])
+        sampled = protocol is not Protocol.BB84 and not ideal
+        assert (low is not None) == sampled and (high is not None) == sampled
+        if not sampled:
+            low = high = np.zeros(n, dtype=bool)
+        assert np.column_stack([*drawn, low, high]).tolist() == rows
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P3], ids=lambda p: p.value)
+    @pytest.mark.parametrize("n_samples", [3, 50])
+    def test_estimates_equal_sample_line_bit_for_bit(self, monkeypatch, protocol, n_samples):
+        # The banding sees each variance estimate, not just its band, so a
+        # last-bit difference shows: another sum order, or another rounding
+        # of the line variance, as ts*ra*rb/(ra+rb) rounds here for RL/RL.
+        class Edge:
+            __array_ufunc__ = None  # `estimates < edge` calls `edge > estimates`
+
+            def __init__(self, value):
+                self.value, self.seen = value, []
+
+            def __gt__(self, estimates):
+                self.seen.extend(estimates.tolist())
+                return estimates < self.value
+
+            def __lt__(self, estimates):
+                return estimates > self.value
+
+        edges = []
+        monkeypatch.setattr(protocol_module, "variance_thresholds",
+                            lambda *a: edges.extend(map(Edge, variance_thresholds(*a))) or edges)
+        line = KljnLineParams(v=2e5, n_pairs=1000, n_samples=n_samples, r_low=4.7e3, r_high=1e5)
+        channel = ChannelModel(0.7, 0.1, line, 1.1, False)
+        n, slow = 2 * self.CHUNK + 3, np.random.default_rng(8)
+        draw_block(protocol, channel, 8, n)
+        estimates = []
+        for _ in range(n):
+            _, _, obs = draw_round(protocol, random_inputs(slow), channel, slow)
+            estimates.append(obs.estimated_variance)
+        assert edges[0].seen == estimates
+
+
+class TestChannelModel:
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
+    def test_temperature_scale_must_be_finite_and_positive(self, line, scale):
+        with pytest.raises(DomainError, match="temperature_scale"):
+            ChannelModel(line=line, temperature_scale=scale)
 
 
 class TestExtractKey:
