@@ -41,7 +41,8 @@ EXIT_DOMAIN = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
 
-_FLOAT_FMT = "{:.9e}"  # scientific, 10 significant digits, stable for diffs
+# one sweep csv row: scientific, 10 significant digits, stable for diffs
+_CSV_ROW = ",".join(["%.9e"] * len(rates.RATE_POINT_FIELDS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -160,11 +161,12 @@ def cmd_sweep(cfg: RunConfig) -> str:
     spec, fields = cfg.sweep, rates.RATE_POINT_FIELDS
     points = rates.sweep(cfg.optical, cfg.kljn, spec.distance_min_km, spec.distance_max_km,
                          spec.points, spec.spacing)
+    # vars(p) holds a RatePoint's fields in declaration order, the order of `fields`
     if cfg.format == "csv":
         rows = [",".join(fields)]
-        rows += [",".join(_FLOAT_FMT.format(getattr(p, f)) for f in fields) for p in points]
+        rows += [_CSV_ROW % tuple(vars(p).values()) for p in points]
     else:
-        rows = [json.dumps({f: getattr(p, f) for f in fields}) for p in points]
+        rows = [json.dumps(vars(p)) for p in points]
     return "\n".join(rows) + "\n"
 
 

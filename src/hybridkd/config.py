@@ -45,6 +45,11 @@ __all__ = [
 
 CONFIG_ENV_VAR = "HYBRIDKD_CONFIG"
 
+# libyaml's loader and dumper when PyYAML was built with it (several times
+# faster, same objects and bytes), the pure-Python classes otherwise.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
 DEFAULT_OPTICAL = OpticalParams(
     alpha=0.2,      # dB/km at 1550 nm
     mu=0.1,
@@ -261,7 +266,7 @@ def load_config(path: str | os.PathLike | None) -> RunConfig:
         return default_config()
     text = Path(path).read_text(encoding="utf-8")
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if data is None:
@@ -285,5 +290,5 @@ def config_to_mapping(cfg: RunConfig) -> dict:
 
 
 def dump_config(cfg: RunConfig, path: str | os.PathLike) -> None:
-    text = yaml.safe_dump(config_to_mapping(cfg), sort_keys=False)
+    text = yaml.dump(config_to_mapping(cfg), Dumper=_DUMPER, sort_keys=False)
     Path(path).write_text(text, encoding="utf-8")

@@ -8,12 +8,20 @@ spatial multiplexing.
 Units are fixed throughout the package: distances in km, frequencies and
 bit rates in Hz/bps, attenuation in dB/km, signal velocity in km/s.
 Conversions belong at the configuration boundary, not here.
+
+The distance-dependent functions take a float or a float64 array of
+distances and return the same kind. One formula serves both, and an array
+evaluates bit for bit like its elements one at a time: transcendentals go
+through `_libm`, and each domain check names the first offending element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -36,6 +44,48 @@ def _require_finite(params: object) -> None:
         value = getattr(params, field.name)
         if not math.isfinite(value):
             raise DomainError(f"{field.name} must be finite, got {value}")
+
+
+def _libm(fn, x):
+    """fn(x) for a float; for an array, fn of each element.
+
+    numpy's SIMD power, expm1 and log2 differ from the C library's in the
+    last ulp on some inputs, so arrays take the same per-element libm call
+    as floats.
+    """
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+    return fn(x)
+
+
+def _minimum(a, b):
+    """min(a, b), elementwise when b is an array."""
+    return np.minimum(a, b) if isinstance(b, np.ndarray) else min(a, b)
+
+
+def _require(ok, value, message: str) -> None:
+    """Raise DomainError(message.format(v)), v the first `value` where `ok` is false.
+
+    `ok` is a bool for a float `value` and a bool array of its shape for an
+    array `value`.
+    """
+    if ok is True:
+        return
+    if isinstance(ok, np.ndarray):
+        if ok.all():
+            return
+        value = float(value[~ok][0])
+    elif ok:
+        return
+    raise DomainError(message.format(value))
+
+
+_exp10 = partial(math.pow, 10.0)
+
+
+def _xlog2x(x: float) -> float:
+    """x * log2(x), continued to 0 at x = 0."""
+    return x * math.log2(x) if x > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -110,7 +160,7 @@ class KljnLineParams:
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Optical link budget at a fixed distance.
+    """Optical link budget at a fixed distance, or over a grid (float64 arrays).
 
     eta_sys: overall system transmittance
     q_mu:    expected photon gain per pulse (includes dark counts)
@@ -127,9 +177,9 @@ class LinkBudget:
 
 def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     """Overall system transmittance eta_sys = eta_D * 10^(-alpha*L/10)."""
-    if not (math.isfinite(distance_km) and distance_km >= 0):
-        raise DomainError(f"distance must be finite and >= 0 km, got {distance_km}")
-    return p.eta_d * 10.0 ** (-p.alpha * distance_km / 10.0)
+    _require((0.0 <= distance_km) & (distance_km < math.inf), distance_km,
+             "distance must be finite and >= 0 km, got {}")
+    return p.eta_d * _libm(_exp10, -p.alpha * distance_km / 10.0)
 
 
 def gain_and_qber(p: OpticalParams, distance_km: float) -> tuple[float, float]:
@@ -145,23 +195,19 @@ def gain_and_qber(p: OpticalParams, distance_km: float) -> tuple[float, float]:
 
 
 def _gain_and_qber(p: OpticalParams, eta_sys: float) -> tuple[float, float]:
-    optical_click = -math.expm1(-p.mu * eta_sys)  # 1 - exp(-mu*eta_sys)
+    optical_click = -_libm(math.expm1, -p.mu * eta_sys)  # 1 - exp(-mu*eta_sys)
     q_mu = optical_click + p.p_d
-    if q_mu == 0.0:
-        raise DomainError(
-            "q_mu is zero (p_d = 0 and mu*eta_sys = 0); QBER is undefined"
-        )
+    _require(q_mu != 0.0, q_mu,
+             "q_mu is zero (p_d = 0 and mu*eta_sys = 0); QBER is undefined")
     e_mu = (p.e_opt * optical_click + 0.5 * p.p_d) / q_mu
     return q_mu, e_mu
 
 
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) = -x*log2(x) - (1-x)*log2(1-x), h(0) = h(1) = 0."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"entropy argument must be in [0, 1], got {x}")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    _require((0.0 <= x) & (x <= 1.0), x, "entropy argument must be in [0, 1], got {}")
+    # 0.0 - a rather than -a: h(0) and h(1) come out +0.0, not -0.0
+    return 0.0 - _libm(_xlog2x, x) - _libm(_xlog2x, 1.0 - x)
 
 
 def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
@@ -169,7 +215,7 @@ def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
 
     gamma = min(1, (f_ec + 1) * h(E_mu)), clamped at unity (100% overhead).
     """
-    return min(1.0, (p.f_ec + 1.0) * binary_entropy(e_mu))
+    return _minimum(1.0, (p.f_ec + 1.0) * binary_entropy(e_mu))
 
 
 def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
@@ -180,11 +226,10 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     circuit. Diverges as L -> 0, so a distance whose bandwidth is not
     finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
-    b_w = line.v / (20.0 * distance_km) if distance_km > 0 else 0.0
-    if not 0.0 < b_w < math.inf:
-        raise DomainError(
-            f"distance {distance_km} km gives no finite, positive bandwidth v / (20 L)"
-        )
+    message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
+    _require(distance_km > 0.0, distance_km, message)
+    b_w = line.v / (20.0 * distance_km)
+    _require((0.0 < b_w) & (b_w < math.inf), distance_km, message)
     return b_w
 
 
@@ -198,7 +243,7 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
 
 
 def link_budget(p: OpticalParams, distance_km: float) -> LinkBudget:
-    """Evaluate the full optical budget at one distance."""
+    """Evaluate the full optical budget at one distance, or over an array of them."""
     eta_sys = system_transmittance(p, distance_km)
     q_mu, e_mu = _gain_and_qber(p, eta_sys)
     return LinkBudget(

@@ -10,6 +10,11 @@ carry a basis-derived bit regardless of optical loss. Absolute throughputs
 apply the hardware clocks: baseline BB84 runs unthrottled at f_qkd, the
 gated hybrid protocols at f_sys = min(f_qkd, R_kljn), and burst (buffered)
 operation transiently escapes the throttle at f_qkd.
+
+`throughputs` evaluates one distance; `sweep` evaluates a whole grid in one
+pass of the same formulas (`physics` takes arrays too) and matches
+`throughputs` point for point, bit for bit. The crossover and supremacy
+bound distances are roots found by Brent's method.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .physics import (
     KljnLineParams,
     LinkBudget,
     OpticalParams,
+    _minimum,
     kljn_bit_rate,
     link_budget,
 )
@@ -62,6 +68,9 @@ class RatePoint:
 
 RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 
+_EPS = math.ulp(1.0)
+_BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
+
 
 def normalized_rates(budget: LinkBudget) -> tuple[float, float]:
     """(R_BB84 = R_I, R_II,III) for a link budget.
@@ -76,30 +85,25 @@ def normalized_rates(budget: LinkBudget) -> tuple[float, float]:
     return r_p23 - 0.5, r_p23
 
 
+def _rate_columns(optical: OpticalParams, line: KljnLineParams, distance_km):
+    """The RatePoint fields in order, at a distance (float) or over a grid (float64 array)."""
+    budget = link_budget(optical, distance_km)
+    r_bb84, r_p23 = normalized_rates(budget)
+    r_kljn = kljn_bit_rate(line, distance_km)
+    f_sys = _minimum(optical.f_qkd, r_kljn)
+    t_bb84 = r_bb84 * optical.f_qkd
+    return (
+        distance_km, budget.q_mu, budget.e_mu, budget.gamma,
+        r_bb84, r_bb84, r_p23, r_kljn, f_sys,
+        t_bb84, r_bb84 * f_sys, r_p23 * f_sys, t_bb84, r_p23 * optical.f_qkd,
+    )
+
+
 def throughputs(
     optical: OpticalParams, line: KljnLineParams, distance_km: float
 ) -> RatePoint:
     """Evaluate every RatePoint field at one distance (> 0)."""
-    budget = link_budget(optical, distance_km)
-    r_bb84, r_p23 = normalized_rates(budget)
-    r_kljn = kljn_bit_rate(line, distance_km)
-    f_sys = min(optical.f_qkd, r_kljn)
-    return RatePoint(
-        distance_km=distance_km,
-        q_mu=budget.q_mu,
-        e_mu=budget.e_mu,
-        gamma=budget.gamma,
-        r_bb84=r_bb84,
-        r_p1=r_bb84,
-        r_p23=r_p23,
-        r_kljn=r_kljn,
-        f_sys=f_sys,
-        t_bb84=r_bb84 * optical.f_qkd,
-        t_p1=r_bb84 * f_sys,
-        t_p23=r_p23 * f_sys,
-        t_burst_p1=r_bb84 * optical.f_qkd,
-        t_burst_p2=r_p23 * optical.f_qkd,
-    )
+    return RatePoint(*_rate_columns(optical, line, distance_km))
 
 
 def sweep(
@@ -110,7 +114,11 @@ def sweep(
     n_points: int,
     spacing: str = "log",
 ) -> list[RatePoint]:
-    """RatePoints over [l_min, l_max] at linear or log spacing."""
+    """RatePoints over [l_min, l_max] at linear or log spacing.
+
+    The whole grid is evaluated in one pass; each point equals
+    `throughputs` at its distance bit for bit.
+    """
     if not 0 < l_min < l_max < math.inf:
         raise DomainError(
             f"sweep distances need 0 < l_min < l_max < inf km, got {l_min}, {l_max}"
@@ -123,39 +131,80 @@ def sweep(
         grid = np.geomspace(l_min, l_max, n_points)
     else:
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    return [throughputs(optical, line, float(d)) for d in grid]
+    with np.errstate(over="ignore"):  # an overflow to inf fails a domain check instead
+        columns = [column.tolist() for column in _rate_columns(optical, line, grid)]
+    return [RatePoint(*row) for row in zip(*columns)]
 
 
-def _bisect(
+def _brent(
     f: Callable[[float], float],
     lo: float,
     hi: float,
     xtol: float,
     what: str,
 ) -> float:
-    f_lo = f(lo)
-    f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
+    """A root of f in [lo, hi], within xtol (or the float resolution there).
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4): [b, c] always brackets the root and b is the end with the
+    smaller |f|. Each step tries inverse quadratic interpolation through
+    a, b and c (a secant when a == c) and falls back to bisection when the
+    step would not land well inside the bracket or would not be under half
+    the step before last. A step also bisects once interpolation has spent
+    its slack, so a solve never takes more than bisection's evaluations
+    plus _BRENT_SLACK.
+    """
+    a, b = lo, hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise SolverError(
             f"{what}: no sign change over bracket ({lo:g}, {hi:g}) km "
-            f"(f={f_lo:.6g} and {f_hi:.6g})"
+            f"(f={fa:.6g} and {fb:.6g})"
         )
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # float resolution reached
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if math.copysign(1.0, f_mid) == math.copysign(1.0, f_lo):
-            lo, f_lo = mid, f_mid
+    # Evaluations left: bisection's halvings from the bracket down to xtol, plus the slack.
+    log2_xtol = math.log2(xtol)
+    budget = max(0, math.ceil(math.log2(hi - lo) - log2_xtol)) + _BRENT_SLACK
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = max(0.5 * xtol, 2.0 * _EPS * abs(b))
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return b
+        # Interpolate only while bisecting after this step would still fit the budget.
+        if abs(e) >= tol and abs(fa) > abs(fb) and math.log2(abs(c - b)) - log2_xtol <= budget - 1:
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi)
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        budget -= 1
+        if fb == 0.0:
+            return b
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def crossover_distance(
@@ -166,9 +215,10 @@ def crossover_distance(
 ) -> float:
     """Distance where the hybrid throughput meets unthrottled BB84.
 
-    Bisection on T_II,III(L) - T_BB84(L); the bracket must straddle the
-    crossing. The default tolerance is far tighter than the 1e-4 km
-    contract so that the residual at the root is negligible.
+    Brent's method on T_II,III(L) - T_BB84(L); the bracket must straddle
+    the crossing, and the root is returned within `xtol` km. The default
+    tolerance is far tighter than the 1e-4 km contract so that the
+    residual at the root is negligible.
     """
     return short_haul_supremacy_bound(optical, line, factor=1.0, bracket=bracket, xtol=xtol)
 
@@ -183,11 +233,14 @@ def short_haul_supremacy_bound(
     """Largest distance with T_II,III >= factor * T_BB84.
 
     The throughput ratio decreases monotonically with distance, so this is
-    the root of T_II,III(L) - factor * T_BB84(L) over the bracket.
+    the root of T_II,III(L) - factor * T_BB84(L) over the bracket, found
+    by Brent's method to within `xtol` km (finite and > 0).
     With factor=1 this is exactly the crossover distance.
     """
     if not (math.isfinite(factor) and factor > 0):
         raise DomainError(f"factor must be finite and > 0, got {factor}")
+    if not (math.isfinite(xtol) and xtol > 0):
+        raise DomainError(f"xtol must be finite and > 0 km, got {xtol}")
     lo, hi = bracket
     if not 0 < lo < hi:
         raise DomainError(f"invalid bracket ({lo}, {hi})")
@@ -197,4 +250,4 @@ def short_haul_supremacy_bound(
         return point.t_p23 - factor * point.t_bb84
 
     what = "crossover" if factor == 1.0 else f"supremacy bound (factor {factor:g})"
-    return _bisect(gap, lo, hi, xtol, what)
+    return _brent(gap, lo, hi, xtol, what)

@@ -19,7 +19,7 @@ import workloads  # noqa: E402  (perfbench's own module, found through the path 
 
 SEED = 1
 DIGESTS = {
-    "rate_study": "a29428c967825242ea818e65972fb398f06344de5fe9db8dbccaf66e134fd629",
+    "rate_study": "b19d70d5c460abe817295ee2a464015f0311acc31037ec664709d72a82e6f094",
     "mc_gated": "668a669f368509feacb850cf48eca00053547c3ef299f4542499b0c19e8fab57",
     "mc_buffered": "7cf06c594f7256dc8b71361d16439b6030bfbd17b5b3c3a67d080bf65122fe13",
 }

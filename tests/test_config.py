@@ -8,7 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridkd import cli
+from hybridkd import cli, config
 from hybridkd.config import (
     KEYS,
     RunConfig,
@@ -21,6 +21,7 @@ from hybridkd.config import (
 from hybridkd.errors import ConfigError
 from hybridkd.protocol import Protocol
 from hybridkd.session import Timing
+from test_config_pin import CUSTOM_YAML, DEFAULT_YAML
 
 
 class TestDefaults:
@@ -170,6 +171,36 @@ class TestTable:
         assert len({(section, key) for section, key, _ in KEYS}) == len(KEYS)
 
     def test_readme_block_is_the_default_config(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        block = readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
-        assert yaml.safe_load(block) == config_to_mapping(default_config())
+        assert yaml.safe_load(_readme_block()) == config_to_mapping(default_config())
+
+
+def _readme_block() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    return readme.split("## Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+YAML_CLASSES = {
+    "pure": (yaml.SafeLoader, yaml.SafeDumper),
+    "libyaml": (getattr(yaml, "CSafeLoader", None), getattr(yaml, "CSafeDumper", None)),
+}
+
+
+class TestYamlClasses:
+    def test_libyaml_is_used_when_available(self):
+        expected = YAML_CLASSES["libyaml" if yaml.__with_libyaml__ else "pure"]
+        assert (config._LOADER, config._DUMPER) == expected
+
+    @pytest.mark.parametrize("classes", list(YAML_CLASSES))
+    def test_pinned_configs_and_readme_load_and_dump_alike(self, classes, monkeypatch, tmp_path):
+        if classes == "libyaml" and not yaml.__with_libyaml__:
+            pytest.skip("PyYAML is built without libyaml")
+        loader, dumper = YAML_CLASSES[classes]
+        monkeypatch.setattr(config, "_LOADER", loader)
+        monkeypatch.setattr(config, "_DUMPER", dumper)
+        path = tmp_path / "cfg.yaml"
+        # the README block is the default config with comments, so it dumps as DEFAULT_YAML
+        for text, dumped in ((DEFAULT_YAML, DEFAULT_YAML), (CUSTOM_YAML, CUSTOM_YAML),
+                             (_readme_block(), DEFAULT_YAML)):
+            path.write_text(text, encoding="utf-8")
+            dump_config(load_config(path), path)
+            assert path.read_text(encoding="utf-8") == dumped

@@ -253,3 +253,48 @@ class TestParamValidation:
     def test_non_finite_float_rejected(self, make, field, bad):
         with pytest.raises(DomainError, match=field):
             make(**{field: bad})
+
+
+def _scalar_message(fn, *args):
+    with pytest.raises(DomainError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+class TestArrayForm:
+    """A float64 array goes through the same formulas and checks as its elements."""
+
+    def test_budget_and_rate_match_elementwise_bit_for_bit(self, optical, line):
+        grid = np.geomspace(1e-3, 400.0, 2001)
+        budget = link_budget(optical, grid)
+        rate = kljn_bit_rate(line, grid)
+        for i, d in enumerate(grid.tolist()):
+            one = link_budget(optical, d)
+            got = (budget.eta_sys[i], budget.q_mu[i], budget.e_mu[i], budget.gamma[i], rate[i])
+            want = (one.eta_sys, one.q_mu, one.e_mu, one.gamma, kljn_bit_rate(line, d))
+            assert np.array(got).tobytes() == np.array(want).tobytes(), d
+
+    def test_entropy_endpoints_are_positive_zero(self):
+        h = binary_entropy(np.array([0.0, 0.5, 1.0]))
+        assert h.tolist() == [0.0, 1.0, 0.0]
+        assert not np.signbit(h).any()
+
+    @pytest.mark.parametrize(
+        "fn, make_args, values",
+        [
+            (system_transmittance, lambda d: (make_optical(), d), [1.0, -0.1, math.nan]),
+            (system_transmittance, lambda d: (make_optical(), d), [1.0, math.inf]),
+            (gain_and_qber, lambda d: (make_optical(p_d=0.0), d), [1.0, 1e6]),
+            (binary_entropy, lambda x: (x,), [0.2, 1.01, -0.01]),
+            (wave_limit_bandwidth, lambda d: (make_line(), d), [1.0, 0.0, 2.0]),
+            (wave_limit_bandwidth, lambda d: (make_line(), d), [1.0, 1e-320]),
+            (kljn_bit_rate, lambda d: (make_line(), d), [1.0, 1e308]),
+        ],
+        ids=["negative", "inf", "q_mu_zero", "entropy", "zero", "tiny", "huge"],
+    )
+    def test_check_names_the_first_bad_element(self, fn, make_args, values):
+        # values[1] is the first element that fails
+        message = _scalar_message(fn, *make_args(values[1]))
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
+            fn(*make_args(np.array(values)))
+        assert str(err.value) == message

@@ -1,8 +1,14 @@
 """Rate models, sweeps and the crossover solver."""
 
+import dataclasses
+import math
+import re
+from itertools import chain
+
 import numpy as np
 import pytest
 
+from hybridkd import rates
 from hybridkd.errors import DomainError, SolverError
 from hybridkd.physics import LinkBudget, link_budget
 from hybridkd.rates import (
@@ -120,6 +126,38 @@ class TestSweep:
         for p in sweep(optical, line, 0.02, 10.0, 60, "log"):
             assert p.f_sys == min(optical.f_qkd, p.r_kljn)
 
+    @pytest.mark.parametrize(
+        "l_min, l_max, n_points, spacing, optical_kw, reached",
+        [
+            (1e-3, 60.0, 100_000, "linear", {}, {}),
+            (1e-3, 60.0, 100_000, "log", {}, {}),
+            (1e-5, 1e300, 100_000, "log", {}, {"e_mu": 0.5, "gamma": 1.0}),
+            (1e-3, 60.0, 2_000, "log", {"e_opt": 0.0, "p_d": 0.0}, {"e_mu": 0.0, "gamma": 0.0}),
+        ],
+        ids=["linear", "log", "far", "h0"],
+    )
+    def test_rows_equal_pointwise_throughputs(
+        self, optical, line, l_min, l_max, n_points, spacing, optical_kw, reached
+    ):
+        optical = dataclasses.replace(optical, **optical_kw)
+        points = sweep(optical, line, l_min, l_max, n_points, spacing)
+        grid = np.linspace if spacing == "linear" else np.geomspace
+        direct = [throughputs(optical, line, d) for d in grid(l_min, l_max, n_points).tolist()]
+        # compared as bit patterns, so a last-ulp change or -0.0 for 0.0 shows
+        got, want = (np.fromiter(chain.from_iterable(vars(p).values() for p in pts), float)
+                     .view(np.int64) for pts in (points, direct))
+        assert (got != want).sum() == 0
+        for field, value in reached.items():  # the grid reaches the branch it is here for
+            assert any(getattr(p, field) == value for p in points), field
+
+    def test_zero_gain_raises_like_the_scalar_path(self, optical, line):
+        dark = dataclasses.replace(optical, p_d=0.0)
+        with pytest.raises(DomainError) as scalar:
+            throughputs(dark, line, 1e300)
+        with pytest.raises(DomainError) as swept:
+            sweep(dark, line, 1.0, 1e300, 50, "log")
+        assert str(swept.value) == str(scalar.value)
+
 
 class TestCrossover:
     def test_value_matches_oracle(self, optical, line):
@@ -133,7 +171,8 @@ class TestCrossover:
         assert abs(p.t_p23 - p.t_bb84) / p.t_bb84 < 1e-6
 
     def test_no_sign_change_raises(self, optical, line):
-        with pytest.raises(SolverError):
+        message = "crossover: no sign change over bracket (0.1, 0.2) km (f=1.97763e+06 and 970310)"
+        with pytest.raises(SolverError, match=re.escape(message)):
             crossover_distance(optical, line, bracket=(0.1, 0.2))
 
     def test_supremacy_factor_one_equals_crossover(self, optical, line):
@@ -161,3 +200,82 @@ class TestCrossover:
     def test_non_finite_factor(self, optical, line, factor):
         with pytest.raises(DomainError, match="factor"):
             short_haul_supremacy_bound(optical, line, factor=factor)
+
+    @pytest.mark.parametrize("xtol", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+    def test_bad_xtol(self, optical, line, xtol):
+        with pytest.raises(DomainError, match="xtol"):
+            crossover_distance(optical, line, xtol=xtol)
+
+    def test_loose_xtol_stays_in_bracket(self, optical, line):
+        assert 1.0 <= crossover_distance(optical, line, bracket=(1.0, 10.0), xtol=100.0) <= 10.0
+
+
+FACTORS = (1.0, 1.5, 2.0, 4.0)
+
+
+def _brackets(n=10):
+    rng = np.random.default_rng(20261018)
+    return [(rng.uniform(0.2, 1.0), rng.uniform(8.0, 20.0)) for _ in range(n)]
+
+
+def _bisection_evals(lo, hi, xtol):
+    return 2 + max(0, math.ceil(math.log2((hi - lo) / xtol)))
+
+
+class TestSolver:
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_root_within_xtol_of_brentq(self, optical, line, factor):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+
+        def gap(d):
+            p = throughputs(optical, line, d)
+            return p.t_p23 - factor * p.t_bb84
+
+        for lo, hi in _brackets():
+            root = short_haul_supremacy_bound(optical, line, factor, (lo, hi), xtol=1e-9)
+            assert abs(root - brentq(gap, lo, hi, xtol=1e-12)) <= 1e-9
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    def test_at_most_16_evaluations(self, optical, line, monkeypatch, factor):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return throughputs(*args)
+
+        monkeypatch.setattr(rates, "throughputs", counting)
+        for lo, hi in _brackets():
+            calls.clear()
+            short_haul_supremacy_bound(optical, line, factor, (lo, hi))
+            assert 0 < len(calls) <= 16
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            lambda x: -1.0 if x < 3.3 else 1.0,
+            lambda x: -1e-12 if x <= 3.3 else x - 3.3,
+            lambda x: (x - 3.3) ** 9,
+        ],
+        ids=["step", "plateau", "flat_root"],
+    )
+    def test_pathological_functions_cost_at_most_bisection_plus_4(self, f):
+        evals = []
+
+        def counted(x):
+            evals.append(x)
+            return f(x)
+
+        root = rates._brent(counted, 0.0, 10.0, 1e-9, "test")
+        assert abs(root - 3.3) <= 1e-9
+        assert len(evals) <= _bisection_evals(0.0, 10.0, 1e-9) + 4
+
+    @pytest.mark.parametrize("lo, hi, expected", [(2.0, 10.0, 2.0), (0.0, 2.0, 2.0)])
+    def test_exact_zero_at_an_end_is_returned(self, lo, hi, expected):
+        evals = []
+
+        def f(x):
+            evals.append(x)
+            return x - 2.0
+
+        assert rates._brent(f, lo, hi, 1e-9, "test") == expected
+        assert len(evals) == 2
