@@ -230,12 +230,13 @@ def short_haul_supremacy_bound(
     bracket: tuple[float, float] = (1.0, 10.0),
     xtol: float = 1e-9,
 ) -> float:
-    """Largest distance with T_II,III >= factor * T_BB84.
+    """Distance where T_II,III(L) - factor * T_BB84(L) changes sign in the bracket.
 
-    The throughput ratio decreases monotonically with distance, so this is
-    the root of T_II,III(L) - factor * T_BB84(L) over the bracket, found
-    by Brent's method to within `xtol` km (finite and > 0).
-    With factor=1 this is exactly the crossover distance.
+    Not monotone: BB84 falls exponentially, the wire-limited clock as 1/L, so
+    with default parameters the gap (factor 1) changes sign at 7.64 and again
+    at 45.46 km; a bracket holding both fails with "no sign change". Brent's
+    method finds the root to within `xtol` km (finite and > 0). With
+    factor=1 this is exactly the crossover distance.
     """
     if not (math.isfinite(factor) and factor > 0):
         raise DomainError(f"factor must be finite and > 0, got {factor}")

@@ -7,8 +7,8 @@ while the laser idles, then the laser drains the buffer in a burst at its
 native rate. Time is simulated, never wall-clock. Both modes only draw and
 count: a gated session draws its rounds with `protocol.draw_block` (the
 draws of `random_inputs` and `draw_round`, round for round), a buffered one
-block by block, and each hands its draws to `protocol.decide_block`, the one
-place the rules (`protocol._RULES`) are applied.
+in i.i.d. spans with `protocol.draw_span`, and each hands its draws to
+`protocol.decide_block`, the one place the rules (`protocol._RULES`) are applied.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -26,10 +26,10 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .kljn import variance_thresholds  # perfbench's tracer wraps this name here
+from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams, kljn_bit_rate
 from .physics import link_budget  # perfbench's tracer wraps this name here
-from .protocol import ChannelModel, Protocol, classify_block, decide_block, draw_block, fair_bits
+from .protocol import ChannelModel, Protocol, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 from .rates import normalized_rates
@@ -47,6 +47,7 @@ __all__ = [
 
 DEFAULT_BURST_BLOCK = 10_000
 DEFAULT_BUFFER_CAPACITY = 100_000
+_SPAN = 1 << 16  # rounds per `draw_span` call of a buffered session
 
 
 class Timing(enum.Enum):
@@ -125,7 +126,6 @@ class SessionStats:
     wall_time_s: float
     effective_throughput_bps: float
     cycles: int | None = None
-    kljn_bits_produced: int | None = None
     burst_throughput_model_bps: float | None = None
     burst_throughput_measured_bps: float | None = None
 
@@ -228,10 +228,10 @@ def run_buffered_session(
 
     Each cycle accumulates one burst block of wire decisions at R_kljn with
     the laser idle, then fires one pulse per buffered decision at f_qkd.
-    Basis-derived key bits (Protocol II) are credited when the buffered
-    decision is consumed; `protocol.decide_block` decides each block. Runs
-    whole cycles only, so the buffer is empty at the end and consumption
-    can never outrun production.
+    Runs whole cycles only, so the buffer is empty at the end and
+    consumption can never outrun production. Rounds are i.i.d., so cycle
+    edges do not matter: they are drawn in fixed spans, and the measured
+    burst rate, the mean of the per-cycle ones, is secure bits per drain second.
     """
     mode = mode or TimingMode.buffered()
     if mode.timing is not Timing.BUFFERED:
@@ -257,28 +257,15 @@ def run_buffered_session(
         budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
     )
     rng = np.random.default_rng(seed)
-    thresholds = None if ideal_classification else variance_thresholds(line, temperature_scale)
-    low = high = None
+    n_rounds = n_cycles * block
     counts: collections.Counter[str] = collections.Counter()
-    burst_rates: list[float] = []
-
-    for _ in range(n_cycles):
-        # Fill phase: one wire decision per buffered round.
-        alice_diag, bob_diag = fair_bits(rng, block), fair_bits(rng, block)
-        if not ideal_classification:
-            noise = rng.normal(0.0, 1.0, size=(block, line.n_samples))
-            low, high = classify_block(
-                protocol, alice_diag, bob_diag, channel, np.mean(noise * noise, axis=1), thresholds
-            )
+    for start in range(0, n_rounds, _SPAN):
+        alice_diag, bob_diag, detected, wrong, low, high = draw_span(
+            protocol, channel, rng, min(_SPAN, n_rounds - start))
         decided = decide_block(protocol, alice_diag, bob_diag, low, high)
+        counts.update(_tally(decided, detected, wrong))
 
-        # Drain phase: one pulse per buffered decision at the native rate.
-        detected = rng.random(block) < channel.detection_prob
-        flips = rng.random(block) < channel.flip_prob
-        cycle = _tally(decided, detected, flips)
-        counts.update(cycle)
-        burst_rates.append(_secure_bits(cycle, budget.gamma) / drain_time)
-
+    secure_bits = _secure_bits(counts, budget.gamma)
     wall_time = n_cycles * cycle_time
     r_p1, r_p23 = normalized_rates(budget)
     r_norm = r_p23 if protocol is Protocol.P2 else r_p1
@@ -288,15 +275,14 @@ def run_buffered_session(
         timing=Timing.BUFFERED.value,
         distance_km=distance_km,
         seed=seed,
-        rounds_executed=n_cycles * block,
+        rounds_executed=n_rounds,
         **counts,
         gamma=budget.gamma,
         wall_time_s=wall_time,
-        effective_throughput_bps=_secure_bits(counts, budget.gamma) / wall_time,
+        effective_throughput_bps=secure_bits / wall_time,
         cycles=n_cycles,
-        kljn_bits_produced=n_cycles * block,
         burst_throughput_model_bps=r_norm * optical.f_qkd,
-        burst_throughput_measured_bps=float(np.mean(burst_rates)),
+        burst_throughput_measured_bps=secure_bits / (n_cycles * drain_time),
     )
 
 

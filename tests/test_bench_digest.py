@@ -21,7 +21,7 @@ SEED = 1
 DIGESTS = {
     "rate_study": "b19d70d5c460abe817295ee2a464015f0311acc31037ec664709d72a82e6f094",
     "mc_gated": "668a669f368509feacb850cf48eca00053547c3ef299f4542499b0c19e8fab57",
-    "mc_buffered": "7cf06c594f7256dc8b71361d16439b6030bfbd17b5b3c3a67d080bf65122fe13",
+    "mc_buffered": "d79509c994130ada9cb3a0bb3a68343a648cd73c8096278d80347686786291b0",
 }
 
 

@@ -99,13 +99,10 @@ def test_sampled_gated_session_summary(protocol):
 BUFFERED_COUNTS = {  # rounds_executed=9000 in 9 cycles of 1000, distance_km=2.0, seed=609
     # (protocol, ideal): (qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded,
     #                     flagged, effective_throughput_bps, burst_throughput_measured_bps)
-    # Under sampled classification the buffered path scores only optical
-    # flips as QKD errors, never the 50% errors of a misclassified round with
-    # mismatched bases (ROADMAP item 2); these counts pin that as it is.
-    (Protocol.P1, True): (48, 0, 1, 0, 8952, 0, 785.9112208505425, 40081.47226337766),
-    (Protocol.P1, False): (34, 0, 1, 0, 8588, 378, 556.6871147691343, 28391.042853225845),
-    (Protocol.P2, True): (48, 4438, 1, 0, 4562, 0, 97474.36437989192, 4971192.583374489),
-    (Protocol.P2, False): (34, 4221, 1, 109, 4401, 378, 92517.47142849462, 4718391.042853225),
+    (Protocol.P1, True): (41, 0, 0, 0, 8959, 0, 671.2991678098383, 34236.25755830175),
+    (Protocol.P1, False): (42, 0, 1, 0, 8565, 393, 687.6723182442247, 35071.28823045546),
+    (Protocol.P2, True): (41, 4509, 0, 0, 4491, 0, 98906.59328545688, 5044236.257558301),
+    (Protocol.P2, False): (42, 4228, 1, 112, 4379, 393, 92800.9620785928, 4732849.0660082325),
 }
 BURST_MODEL_BPS = {Protocol.P1: 34151.843105942884, Protocol.P2: 5034151.843105943}
 
@@ -139,7 +136,6 @@ def test_buffered_session_summary(protocol, ideal):
         "wall_time_s": 0.0459,
         "effective_throughput_bps": throughput,
         "cycles": 9,
-        "kljn_bits_produced": 9_000,
         "burst_throughput_model_bps": BURST_MODEL_BPS[protocol],
         "burst_throughput_measured_bps": burst_measured,
     }
@@ -147,5 +143,5 @@ def test_buffered_session_summary(protocol, ideal):
         "protocol", "timing", "distance_km", "seed", "rounds_executed", "qkd_bits",
         "kljn_bits", "qkd_errors", "kljn_errors", "discarded_rounds", "flagged_rounds",
         "gamma", "wall_time_s", "effective_throughput_bps", "cycles",
-        "kljn_bits_produced", "burst_throughput_model_bps", "burst_throughput_measured_bps",
+        "burst_throughput_model_bps", "burst_throughput_measured_bps",
     ]

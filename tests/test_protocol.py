@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 import hybridkd.protocol as protocol_module
+import hybridkd.session as session_module
 from hybridkd.cli import bundled_fixture_text
 from hybridkd.errors import DomainError
 from hybridkd.kljn import (
     LineObservation,
     NoiseLevel,
     ResistorChoice,
-    classify_level,
-    line_variance,
     variance_thresholds,
 )
 from hybridkd.physics import KljnLineParams
@@ -25,9 +24,9 @@ from hybridkd.protocol import (
     Polarization,
     Protocol,
     RoundInputs,
-    classify_block,
     draw_block,
     draw_round,
+    draw_span,
     extract_key,
     fair_bits,
     map_basis_to_resistor_cross,
@@ -38,6 +37,8 @@ from hybridkd.protocol import (
     render_trace,
     run_round,
 )
+
+from outcome_oracle import P_3SIGMA, fit_p_value, oracle_round
 
 RECT, DIAG = Basis.RECTILINEAR, Basis.DIAGONAL
 RL, RH = ResistorChoice.LOW, ResistorChoice.HIGH
@@ -315,43 +316,9 @@ class TestFlaggedRounds:
             )
 
 
-# The scalar form of the wire rule, kept here as the oracle for
-# `decide_block`: for each wire protocol, the classified levels at which a
-# detected pulse keeps its optical bit and whether a mid level yields a
-# wire bit.
-ORACLE_RULES = {
-    Protocol.P1: ((NoiseLevel.INTERMEDIATE,), False),
-    Protocol.P2: ((NoiseLevel.INTERMEDIATE,), True),
-    Protocol.P3: ((NoiseLevel.LOW, NoiseLevel.HIGH), True),
-}
-
-
-def _level_impossible_for(level, own_resistor):
-    # A party holding RL can never see a true high level (both resistors
-    # would have to be RH), and symmetrically for RH/low.
-    if own_resistor is RL:
-        return level is NoiseLevel.HIGH
-    return level is NoiseLevel.LOW
-
-
-def oracle_round(protocol, alice_res, bob_res, level, bob_bit):
-    """(flagged, qkd bit, Alice's wire bit, Bob's wire bit) of one round."""
-    optical_levels, mid_wire_bit = ORACLE_RULES[protocol]
-    flagged = _level_impossible_for(level, alice_res) or _level_impossible_for(level, bob_res)
-    qkd = alice_kljn = bob_kljn = None
-    if not flagged:
-        if level in optical_levels:
-            qkd = bob_bit
-        if level is NoiseLevel.INTERMEDIATE and mid_wire_bit:
-            # Alice's bit is "I hold RH", Bob's "I hold RL"; they agree on a
-            # truly mixed pair and disagree on a misclassified one.
-            alice_kljn = int(alice_res is RH)
-            bob_kljn = int(bob_res is RL)
-    return flagged, qkd, alice_kljn, bob_kljn
-
-
 class TestBlockRule:
-    """`run_round`, deciding through `decide_block`, follows the scalar rule."""
+    """`run_round`, deciding through `decide_block`, follows the scalar rule
+    (`outcome_oracle.oracle_round`)."""
 
     @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
                              ids=lambda p: p.value)
@@ -374,27 +341,6 @@ class TestBlockRule:
         assert (r.flagged, r.qkd_key_bit, r.kljn_key_bit, r.bob_kljn_bit) == oracle_round(
             protocol, r.alice_resistor, r.bob_resistor, level, 1
         )
-
-
-class TestClassifyBlock:
-    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P3], ids=lambda p: p.value)
-    @pytest.mark.parametrize("scale", [1.0, 2.7])
-    def test_bands_like_classify_level(self, line, protocol, scale):
-        rng = np.random.default_rng(17)
-        alice_diag, bob_diag = rng.integers(0, 2, size=(2, 400)).astype(bool)
-        mean_squares = rng.chisquare(3, size=400) / 3  # wide, so every band is hit
-        channel = ChannelModel(line=line, temperature_scale=scale, ideal_classification=False)
-        low, high = classify_block(protocol, alice_diag, bob_diag, channel, mean_squares,
-                                   variance_thresholds(line, scale))
-        levels = []
-        for a, b, ms in zip(alice_diag, bob_diag, mean_squares):
-            inputs = RoundInputs(DIAG if a else RECT, 0, DIAG if b else RECT, detected=False)
-            r = run_round(protocol, inputs, ChannelModel(temperature_scale=scale), 0)
-            variance = line_variance(line, r.alice_resistor, r.bob_resistor, scale)
-            levels.append(classify_level(variance * ms, line, scale))
-        assert list(low) == [lv is NoiseLevel.LOW for lv in levels]
-        assert list(high) == [lv is NoiseLevel.HIGH for lv in levels]
-        assert {NoiseLevel.LOW, NoiseLevel.INTERMEDIATE, NoiseLevel.HIGH} <= set(levels)
 
 
 class TestFairBits:
@@ -473,6 +419,49 @@ class TestDrawBlock:
             _, _, obs = draw_round(protocol, random_inputs(slow), channel, slow)
             estimates.append(obs.estimated_variance)
         assert edges[0].seen == estimates
+
+
+class TestDrawSpan:
+    """`draw_span` draws `draw_block`'s masks from the same distribution."""
+
+    NOISY = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+    SPAN = session_module._SPAN
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    @pytest.mark.parametrize("n", [1, 1000, SPAN, SPAN + 1])
+    def test_masks_shape_subset_and_seed(self, protocol, ideal, n):
+        channel = ChannelModel(0.7, 0.1, self.NOISY, 2.7, ideal)
+        masks = draw_span(protocol, channel, 3, n)
+        *drawn, low, high = masks
+        sampled = protocol is not Protocol.BB84 and not ideal
+        assert (low is not None) == sampled and (high is not None) == sampled
+        for mask in drawn + ([low, high] if sampled else []):
+            assert mask.dtype == bool and mask.shape == (n,)
+        detected, wrong = drawn[2:]
+        assert not (wrong & ~detected).any()
+        if sampled:
+            assert not (low & high).any()
+        again = draw_span(protocol, channel, np.random.default_rng(3), n)
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(masks, again))
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.1, 0.9])
+    def test_click_and_error_frequencies(self, q, flip_prob):
+        # One outcome per basis pair: no click, a click read right, one read
+        # wrong, at q, flip_prob on matched bases and 1/2 on mismatched ones.
+        n = 40_000
+        alice_diag, bob_diag, detected, wrong, _, _ = draw_span(
+            Protocol.P2, ChannelModel(q, flip_prob), 11, n)
+        codes = 3 * (2 * alice_diag + bob_diag) + detected + wrong
+        counts = dict(zip(*np.unique(codes, return_counts=True)))
+        probs = {}
+        for pair in range(4):
+            p_wrong = flip_prob if pair in (0, 3) else 0.5
+            for outcome, p in enumerate((1 - q, q * (1 - p_wrong), q * p_wrong)):
+                if p > 0:
+                    probs[3 * pair + outcome] = p / 4
+        assert fit_p_value(counts, probs) >= P_3SIGMA
 
 
 class TestChannelModel:

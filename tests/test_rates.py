@@ -8,7 +8,7 @@ from itertools import chain
 import numpy as np
 import pytest
 
-from hybridkd import rates
+from hybridkd import cli, rates
 from hybridkd.errors import DomainError, SolverError
 from hybridkd.physics import LinkBudget, link_budget
 from hybridkd.rates import (
@@ -174,6 +174,15 @@ class TestCrossover:
         message = "crossover: no sign change over bracket (0.1, 0.2) km (f=1.97763e+06 and 970310)"
         with pytest.raises(SolverError, match=re.escape(message)):
             crossover_distance(optical, line, bracket=(0.1, 0.2))
+
+    def test_gap_changes_sign_again_far_out(self, optical, line):
+        # BB84 falls exponentially and the wire only as 1/L, so the hybrid
+        # gain returns far out; a bracket holding both roots has none.
+        far = crossover_distance(optical, line, bracket=(10.0, 100.0))
+        assert far == pytest.approx(45.46047757, abs=1e-6)
+        with pytest.raises(SolverError, match="no sign change"):
+            crossover_distance(optical, line, bracket=(1.0, 100.0))
+        assert cli.main(["crossover", "--bracket", "1", "100"]) == cli.EXIT_SOLVER
 
     def test_supremacy_factor_one_equals_crossover(self, optical, line):
         assert short_haul_supremacy_bound(optical, line, factor=1.0) == crossover_distance(

@@ -1,14 +1,16 @@
 """Gated and buffered Monte Carlo sessions."""
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import hybridkd.session as session_module
 from hybridkd.errors import ConfigError, DomainError
 from hybridkd.physics import KljnLineParams, kljn_bit_rate, link_budget
-from hybridkd.protocol import ChannelModel, Protocol, random_inputs, run_round
+from hybridkd.protocol import ChannelModel, Protocol, draw_span, random_inputs, run_round
 from hybridkd.rates import normalized_rates, throughputs
 from hybridkd.session import (
     SessionStats,
@@ -19,6 +21,8 @@ from hybridkd.session import (
     run_gated_session,
     spawn_seeds,
 )
+
+from outcome_oracle import observed_outcomes, session_counts
 
 
 class TestTimingMode:
@@ -222,8 +226,25 @@ class TestBufferedSession:
     def test_conservation(self, optical, line):
         stats = self.run(Protocol.P2, optical, line)
         # one buffered decision consumed per pulse; whole cycles only
-        assert stats.rounds_executed == stats.kljn_bits_produced
-        assert stats.kljn_bits <= stats.kljn_bits_produced
+        assert stats.rounds_executed == stats.cycles * 2_000
+        assert stats.kljn_bits <= stats.rounds_executed
+
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_rounds_are_drawn_in_spans(self, optical, line, ideal):
+        # One cycle of one round more than a span: a full span, then one round.
+        block = session_module._SPAN + 1
+        cycle_s = block / kljn_bit_rate(line, 2.0) + block / optical.f_qkd
+        stats = self.run(Protocol.P2, optical, line, duration_s=1.5 * cycle_s, seed=5,
+                         mode=TimingMode.buffered(block, block), ideal_classification=ideal)
+        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt, line, 1.0, ideal)
+        rng = np.random.default_rng(5)
+        counts = collections.Counter()
+        for n in (block - 1, 1):
+            counts.update(session_counts(observed_outcomes(
+                Protocol.P2, draw_span(Protocol.P2, channel, rng, n))))
+        assert {name: getattr(stats, name) for name in counts} == counts
+        secure = stats.qkd_bits * (1.0 - stats.gamma) + stats.kljn_bits
+        assert stats.burst_throughput_measured_bps == secure / (block / optical.f_qkd)
 
     def test_burst_rate_matches_model(self, optical, line):
         point = throughputs(optical, line, 2.0)
