@@ -24,6 +24,8 @@ entries of their rule in `_RULES`:
 place the rules are applied, decides a block of drawn rounds as masks;
 `run_round` is the two on one row; `draw_block` draws rounds exactly as
 `random_inputs` and `draw_round` would, `draw_span` i.i.d. an array at a time.
+Fair bits are the top bits of 32-bit generator halves (`fair_bits`); with no
+spare half pending, `draw_span` reads them straight from raw 64-bit words.
 Rounds are pure given a generator; golden traces can force the outcomes.
 """
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,6 +257,8 @@ def fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray |
 
     Each takes the same 32-bit half of a generator word (a spare half carries
     to the next call): Lemire's bounded-integer method returns its top bit.
+    Halves go low first, so with none pending 2k bits are the top bits of
+    `random_raw(k)` as little-endian uint32 (not MT19937: its words are 32-bit).
     """
     return gen.random(size, dtype=np.float32) >= 0.5
 
@@ -315,6 +320,11 @@ def draw_round(
 _CHUNK = 128  # rounds per vectorized step of `draw_block`
 
 
+def _check_rounds(n_rounds: int, least: int = 0) -> None:
+    if not isinstance(n_rounds, (int, np.integer)) or n_rounds < least:
+        raise DomainError(f"n_rounds must be an integer >= {least}, got {n_rounds!r}")
+
+
 def _pair_variances(protocol: Protocol, line: KljnLineParams, scale: float) -> list[float]:
     """Line variance of each resistor pair, at 2 * (Alice diagonal) + (Bob diagonal)."""
     return [line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)), scale)
@@ -328,6 +338,7 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
     classified low and high (None unless the line is sampled, chunk by chunk).
     """
+    _check_rounds(n_rounds)
     gen = np.random.default_rng(rng)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
     sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
@@ -369,13 +380,21 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
               n_rounds: int) -> tuple[np.ndarray | None, ...]:
     """n_rounds i.i.d. rounds as `draw_block`'s masks: its law, not its stream.
 
+    Alice's then Bob's bases are `fair_bits(gen, n_rounds)` twice, read at
+    half the cost from n_rounds raw words when the generator flags no spare
+    half pending on a little-endian host: the same bits and later draws.
     One uniform u per round decides the click (u < q) and, given one, Bob's
     error (u/q is then uniform): below q * flip_prob on matched bases, q / 2
     on mismatched ones. A sampled variance estimate is the pair's variance
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
+    _check_rounds(n_rounds)
     gen = np.random.default_rng(rng)
-    alice_diag, bob_diag = fair_bits(gen, n_rounds), fair_bits(gen, n_rounds)
+    if sys.byteorder == "little" and gen.bit_generator.state.get("has_uint32") == 0:
+        halves = gen.bit_generator.random_raw(n_rounds).view(np.uint32) >= 1 << 31
+        alice_diag, bob_diag = halves[:n_rounds], halves[n_rounds:]
+    else:
+        alice_diag, bob_diag = fair_bits(gen, n_rounds), fair_bits(gen, n_rounds)
     u, q = gen.random(n_rounds), channel.detection_prob
     matched = alice_diag == bob_diag
     wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))

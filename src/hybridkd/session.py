@@ -29,7 +29,7 @@ from .errors import ConfigError, DomainError
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams, kljn_bit_rate
 from .physics import link_budget  # perfbench's tracer wraps this name here
-from .protocol import ChannelModel, Protocol, decide_block, draw_block, draw_span
+from .protocol import ChannelModel, Protocol, _check_rounds, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 from .rates import normalized_rates
@@ -67,8 +67,8 @@ class TimingMode:
         if self.timing is Timing.BUFFERED:
             for name in ("buffer_capacity", "burst_block"):
                 value = getattr(self, name)
-                if value is None or value < 1:
-                    raise ConfigError(f"buffered mode needs {name} >= 1, got {value}")
+                if not isinstance(value, (int, np.integer)) or value < 1:
+                    raise ConfigError(f"buffered mode needs an integer {name} >= 1, got {value!r}")
             if self.burst_block > self.buffer_capacity:
                 raise ConfigError(
                     f"burst_block ({self.burst_block}) exceeds buffer capacity "
@@ -135,8 +135,15 @@ class SessionStats:
         return {k: v for k, v in out.items() if v is not None}
 
 
+def _check_seed(seed: int | np.random.SeedSequence) -> None:
+    """Name a negative integer seed, which numpy's SeedSequence refuses."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+
+
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     """Deterministic independent child seeds for parallel workers."""
+    _check_seed(seed)
     return np.random.SeedSequence(seed).spawn(n)
 
 
@@ -185,8 +192,8 @@ def run_gated_session(
     all at once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
     unthrottled at f_qkd).
     """
-    if n_rounds < 1:
-        raise DomainError(f"n_rounds must be >= 1, got {n_rounds}")
+    _check_rounds(n_rounds, 1)
+    _check_seed(seed)
     budget = link_budget(optical, distance_km)
     channel = ChannelModel(
         budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
@@ -239,6 +246,7 @@ def run_buffered_session(
     mode.check_protocol(protocol)
     if not (math.isfinite(duration_s) and duration_s > 0):
         raise DomainError(f"duration_s must be finite and > 0, got {duration_s}")
+    _check_seed(seed)
 
     budget = link_budget(optical, distance_km)
     r_kljn = kljn_bit_rate(line, distance_km)
@@ -288,7 +296,7 @@ def run_buffered_session(
 
 def estimate_per_pulse_yield(stats: SessionStats, n_rounds: int) -> float:
     """Expected secure bits per optical pulse implied by session counts."""
-    if n_rounds <= 0:
+    if not n_rounds > 0:
         raise DomainError(f"n_rounds must be > 0, got {n_rounds}")
     return _secure_bits(stats.to_dict(), stats.gamma) / n_rounds
 

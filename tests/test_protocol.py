@@ -463,6 +463,78 @@ class TestDrawSpan:
                     probs[3 * pair + outcome] = p / 4
         assert fit_p_value(counts, probs) >= P_3SIGMA
 
+    @staticmethod
+    def fair_bits_span(protocol, channel, gen, n):
+        """`draw_span` with its bases drawn by two `fair_bits` calls, the reference."""
+        alice_diag, bob_diag = fair_bits(gen, n), fair_bits(gen, n)
+        u, q = gen.random(n), channel.detection_prob
+        matched = alice_diag == bob_diag
+        wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
+        low = high = None
+        if not channel.ideal_classification:
+            line, scale = channel.line, channel.temperature_scale
+            variances = np.array(protocol_module._pair_variances(protocol, line, scale))
+            estimates = variances[2 * alice_diag + bob_diag] * gen.chisquare(line.n_samples, n)
+            estimates /= line.n_samples
+            t_low, t_high = variance_thresholds(line, scale)
+            low, high = estimates < t_low, estimates > t_high
+        return alice_diag, bob_diag, u < q, wrong, low, high
+
+    @staticmethod
+    def live_state(gen):
+        """The generator's state without a spare half that is no longer pending.
+
+        With `has_uint32` at 0, `uinteger` is overwritten before it is next read.
+        """
+        state = gen.bit_generator.state
+        if state.get("has_uint32") == 0:
+            del state["uinteger"]
+        return state
+
+    @classmethod
+    def same_state(cls, a, b):
+        if isinstance(a, dict):
+            return a.keys() == b.keys() and all(cls.same_state(a[k], b[k]) for k in a)
+        return np.array_equal(a, b)
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("n", [1, 3, 1000, SPAN + 1])
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_bases_equal_two_fair_bits_calls(self, bit_generator, spare, n, ideal):
+        # Raw 32-bit halves stand in for `fair_bits` only where they are the
+        # same bits; everywhere else `draw_span` must still draw these.
+        channel = ChannelModel(0.7, 0.1, self.NOISY, 2.7, ideal)
+        gen, twin = (np.random.Generator(bit_generator(13)) for _ in range(2))
+        if spare:
+            fair_bits(gen)
+            fair_bits(twin)
+        masks = draw_span(Protocol.P2, channel, gen, n)
+        expected = self.fair_bits_span(Protocol.P2, channel, twin, n)
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(masks, expected))
+        assert self.same_state(self.live_state(gen), self.live_state(twin))
+        assert np.array_equal(fair_bits(gen, 3), fair_bits(twin, 3))
+        assert np.array_equal(gen.bit_generator.random_raw(2), twin.bit_generator.random_raw(2))
+
+
+class TestRoundCounts:
+    """`draw_block` and `draw_span` take a whole number of rounds, none included."""
+
+    CHANNEL = ChannelModel(0.5, 0.1, TestDrawSpan.NOISY, 1.0, False)
+
+    @pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("n", [-1, 2.5, math.nan], ids=["negative", "fraction", "nan"])
+    def test_bad_count_names_n_rounds(self, draw, n):
+        with pytest.raises(DomainError, match="n_rounds"):
+            draw(Protocol.P2, self.CHANNEL, 0, n)
+
+    @pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda f: f.__name__)
+    def test_zero_rounds_give_empty_masks(self, draw):
+        masks = draw(Protocol.P2, self.CHANNEL, 0, 0)
+        assert all(mask.dtype == bool and mask.shape == (0,) for mask in masks)
+
 
 class TestChannelModel:
     @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])

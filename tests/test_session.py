@@ -32,6 +32,11 @@ class TestTimingMode:
         with pytest.raises(ConfigError):
             TimingMode.buffered(buffer_capacity=100, burst_block=200)
 
+    @pytest.mark.parametrize("capacity, block", [(10.5, 5.5), (10, 5.5), (10.5, 5), (10.0, 5)])
+    def test_geometry_must_be_whole_numbers(self, capacity, block):
+        with pytest.raises(ConfigError, match="buffered mode needs an integer"):
+            TimingMode.buffered(buffer_capacity=capacity, burst_block=block)
+
     def test_p3_rejected_in_buffered(self):
         for protocol in (Protocol.P3, Protocol.BB84):
             with pytest.raises(ConfigError, match="p1/p2 only"):
@@ -49,6 +54,11 @@ class TestGatedSession:
     def test_rounds_precondition(self, optical, line):
         with pytest.raises(DomainError):
             run_gated_session(Protocol.P1, optical, line, 2.0, 0, seed=1)
+
+    @pytest.mark.parametrize("n", [2.5, math.nan])
+    def test_round_count_must_be_whole(self, optical, line, n):
+        with pytest.raises(DomainError, match="n_rounds"):
+            run_gated_session(Protocol.P1, optical, line, 2.0, n, seed=1)
 
     @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
     def test_temperature_scale_must_be_positive(self, optical, line, scale):
@@ -185,6 +195,11 @@ class TestYieldHelpers:
         with pytest.raises(DomainError):
             estimate_per_pulse_yield(stats, 0)
 
+    def test_estimate_rejects_nan_rounds(self, optical, line):
+        stats = run_gated_session(Protocol.P1, optical, line, 2.0, 200, seed=10)
+        with pytest.raises(DomainError, match="n_rounds"):
+            estimate_per_pulse_yield(stats, math.nan)
+
     def test_zero_activity_yields_zero(self, optical, line):
         # at an extreme distance the optical gain is dark-count level and
         # protocol I essentially never produces a bit in a short session
@@ -288,3 +303,24 @@ class TestSeedSpawning:
         b = [np.random.default_rng(s).random() for s in spawn_seeds(1, 4)]
         assert a == b
         assert len(set(a)) == 4
+
+    def test_negative_seed_is_named(self, optical, line):
+        mode = TimingMode.buffered(buffer_capacity=2_000, burst_block=2_000)
+        calls = (
+            lambda: run_gated_session(Protocol.P1, optical, line, 2.0, 100, seed=-1),
+            lambda: run_buffered_session(Protocol.P1, optical, line, 2.0, 1.3, -1, mode),
+            lambda: spawn_seeds(-1, 2),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+                call()
+
+    def test_spawned_seeds_run_sessions(self, optical, line):
+        mode = TimingMode.buffered(buffer_capacity=2_000, burst_block=2_000)
+        runs = [
+            [dataclasses.replace(stats, seed=0) for stats in (
+                run_gated_session(Protocol.P2, optical, line, 2.0, 500, seed=child),
+                run_buffered_session(Protocol.P2, optical, line, 2.0, 1.3, child, mode))]
+            for child in (spawn_seeds(3, 2)[1], spawn_seeds(3, 2)[1])
+        ]
+        assert runs[0] == runs[1]
