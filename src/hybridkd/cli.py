@@ -31,7 +31,7 @@ from . import rates, session
 from .config import RunConfig
 from .errors import ConfigError, DomainError, SolverError
 from .protocol import Protocol
-from .session import Timing
+from .session import Timing, TimingMode
 
 __all__ = ["main", "build_parser", "bundled_fixture_text"]
 
@@ -62,10 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="rates and throughputs versus distance")
     common(p_sweep)
-    p_sweep.add_argument("--distance-min", type=float, help="sweep start [km]")
-    p_sweep.add_argument("--distance-max", type=float, help="sweep end [km]")
-    p_sweep.add_argument("--points", type=int, help="number of sweep points")
-    p_sweep.add_argument("--spacing", choices=cfgmod.SPACINGS, help="grid spacing")
+    p_sweep.add_argument("--distance-min", type=float, dest="sweep.distance_min_km",
+                         metavar="KM", help="sweep start [km]")
+    p_sweep.add_argument("--distance-max", type=float, dest="sweep.distance_max_km",
+                         metavar="KM", help="sweep end [km]")
+    p_sweep.add_argument("--points", type=int, dest="sweep.points", metavar="N",
+                         help="number of sweep points")
+    p_sweep.add_argument("--spacing", choices=cfgmod.SPACINGS, dest="sweep.spacing",
+                         help="grid spacing")
 
     p_trace = sub.add_parser("trace", help="round-by-round protocol trace")
     common(p_trace)
@@ -80,14 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo session vs analytic model")
     common(p_sim)
     p_sim.add_argument("--protocol", choices=[p.value for p in Protocol])
-    p_sim.add_argument("--mode", choices=[t.value for t in Timing])
-    p_sim.add_argument("--distance", type=float, help="link distance [km]")
+    p_sim.add_argument("--mode", choices=[t.value for t in Timing], dest="timing")
+    p_sim.add_argument("--distance", type=float, dest="distance_km", metavar="KM",
+                       help="link distance [km]")
     p_sim.add_argument("--rounds", type=int, help="gated-mode round count")
-    p_sim.add_argument("--duration", type=float, help="buffered-mode duration [s]")
-    p_sim.add_argument("--burst-block", type=int, help="buffered burst size [bits]")
-    p_sim.add_argument("--buffer-capacity", type=int, help="buffer capacity [bits]")
+    p_sim.add_argument("--duration", type=float, dest="duration_s", metavar="S",
+                       help="buffered-mode duration [s]")
+    p_sim.add_argument("--burst-block", type=int, help="bits per buffered fill/drain cycle")
     p_sim.add_argument("--classification", choices=("ideal", "sampled"),
-                       help="wire level classification model")
+                       dest="ideal_classification", help="wire level classification model")
 
     p_cross = sub.add_parser("crossover", help="hybrid/baseline throughput crossover")
     common(p_cross)
@@ -99,42 +104,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flag dest -> RunConfig field path (a dot reaches into a record)
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "out": "out",
-    "format": "format",
-    "protocol": "protocol",
-    "mode": "timing",
-    "distance": "distance_km",
-    "rounds": "rounds",
-    "duration": "duration_s",
-    "burst_block": "burst_block",
-    "buffer_capacity": "buffer_capacity",
-    "classification": "ideal_classification",
-    "bracket": "bracket",
-    "factor": "factor",
-    "distance_min": "sweep.distance_min_km",
-    "distance_max": "sweep.distance_max_km",
-    "points": "sweep.points",
-    "spacing": "sweep.spacing",
-}
-
-# flags whose parsed value is not yet the field's value
+# fields whose flag's parsed value is not yet the field's value
 _FLAG_VALUES = {
     "protocol": Protocol,
-    "mode": Timing,
-    "classification": lambda choice: choice == "ideal",
+    "timing": Timing,
+    "ideal_classification": lambda choice: choice == "ideal",
     "bracket": tuple,
 }
 
 
 def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
+    """`cfg` with the flags given; a flag's dest is its RunConfig field path."""
     updates = {}
-    for dest, field in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
+    for _, _, field in cfgmod.KEYS:
+        value = getattr(args, field, None)
         if value is not None:
-            updates[field] = _FLAG_VALUES.get(dest, lambda v: v)(value)
+            updates[field] = _FLAG_VALUES.get(field, lambda v: v)(value)
     return cfgmod.with_fields(cfg, updates)
 
 
@@ -221,7 +206,8 @@ def cmd_simulate(cfg: RunConfig) -> str:
             cfg.distance_km,
             cfg.duration_s,
             cfg.seed,
-            mode=cfg.timing_mode(),
+            # a run of whole fill/drain cycles never holds more than one block
+            mode=TimingMode.buffered(cfg.burst_block, cfg.burst_block),
             ideal_classification=cfg.ideal_classification,
             temperature_scale=cfg.temperature_scale,
         )

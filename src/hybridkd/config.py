@@ -22,14 +22,10 @@ from typing import Any
 import yaml
 
 from .errors import ConfigError, DomainError
+from .kljn import check_temperature_scale
 from .physics import KljnLineParams, OpticalParams
 from .protocol import Protocol
-from .session import (
-    DEFAULT_BUFFER_CAPACITY,
-    DEFAULT_BURST_BLOCK,
-    Timing,
-    TimingMode,
-)
+from .session import DEFAULT_BURST_BLOCK, Timing, _check_seed
 
 __all__ = [
     "SweepSpec",
@@ -90,7 +86,6 @@ class RunConfig:
     protocol: Protocol = Protocol.P2
     timing: Timing = Timing.GATED
     burst_block: int = DEFAULT_BURST_BLOCK
-    buffer_capacity: int = DEFAULT_BUFFER_CAPACITY
     distance_km: float = 2.0
     rounds: int = 100_000
     duration_s: float = 2.0
@@ -102,15 +97,11 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.temperature_scale <= 0:
-            raise ConfigError(f"temperature_scale must be > 0, got {self.temperature_scale}")
-
-    def timing_mode(self) -> TimingMode:
-        if self.timing is Timing.GATED:
-            return TimingMode.gated()
-        return TimingMode.buffered(self.buffer_capacity, self.burst_block)
+        try:
+            _check_seed(self.seed)
+            check_temperature_scale(self.temperature_scale)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def default_config() -> RunConfig:
@@ -143,7 +134,6 @@ KEYS = (
     ("run", "rounds", "rounds"),
     ("run", "duration_s", "duration_s"),
     ("run", "burst_block", "burst_block"),
-    ("run", "buffer_capacity", "buffer_capacity"),
     ("run", "ideal_classification", "ideal_classification"),
     ("run", "seed", "seed"),
     ("run", "bracket", "bracket"),

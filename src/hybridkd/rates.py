@@ -123,8 +123,8 @@ def sweep(
         raise DomainError(
             f"sweep distances need 0 < l_min < l_max < inf km, got {l_min}, {l_max}"
         )
-    if n_points < 2:
-        raise DomainError(f"need at least 2 sweep points, got {n_points}")
+    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
+        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
     if spacing == "linear":
         grid = np.linspace(l_min, l_max, n_points)
     elif spacing == "log":

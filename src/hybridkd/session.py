@@ -20,6 +20,7 @@ from __future__ import annotations
 import collections
 import enum
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -57,34 +58,28 @@ class Timing(enum.Enum):
 
 @dataclass(frozen=True)
 class TimingMode:
-    """Timing mode plus the buffer geometry used in buffered operation."""
+    """The buffer geometry of buffered operation (Protocols I/II only)."""
 
-    timing: Timing
-    buffer_capacity: int | None = None
-    burst_block: int | None = None
+    buffer_capacity: int
+    burst_block: int
 
     def __post_init__(self) -> None:
-        if self.timing is Timing.BUFFERED:
-            for name in ("buffer_capacity", "burst_block"):
-                value = getattr(self, name)
-                if not isinstance(value, (int, np.integer)) or value < 1:
-                    raise ConfigError(f"buffered mode needs an integer {name} >= 1, got {value!r}")
-            if self.burst_block > self.buffer_capacity:
-                raise ConfigError(
-                    f"burst_block ({self.burst_block}) exceeds buffer capacity "
-                    f"({self.buffer_capacity})"
-                )
-
-    @staticmethod
-    def gated() -> "TimingMode":
-        return TimingMode(Timing.GATED)
+        for name in ("burst_block", "buffer_capacity"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ConfigError(f"buffered mode needs an integer {name} >= 1, got {value!r}")
+        if self.burst_block > self.buffer_capacity:
+            raise ConfigError(
+                f"burst_block ({self.burst_block}) exceeds buffer capacity "
+                f"({self.buffer_capacity})"
+            )
 
     @staticmethod
     def buffered(
         buffer_capacity: int = DEFAULT_BUFFER_CAPACITY,
         burst_block: int = DEFAULT_BURST_BLOCK,
     ) -> "TimingMode":
-        return TimingMode(Timing.BUFFERED, buffer_capacity, burst_block)
+        return TimingMode(buffer_capacity, burst_block)
 
     def check_protocol(self, protocol: Protocol) -> None:
         """Buffered mode runs Protocols I/II only.
@@ -92,7 +87,7 @@ class TimingMode:
         Protocol III reveals bases and must run gated, in real time; BB84
         has no wire to fill a buffer with.
         """
-        if self.timing is Timing.BUFFERED and protocol not in (Protocol.P1, Protocol.P2):
+        if protocol not in (Protocol.P1, Protocol.P2):
             raise ConfigError(
                 f"buffered mode supports p1/p2 only, got {protocol.value} (run it gated)"
             )
@@ -136,9 +131,11 @@ class SessionStats:
 
 
 def _check_seed(seed: int | np.random.SeedSequence) -> None:
-    """Name a negative integer seed, which numpy's SeedSequence refuses."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    """Name a seed numpy would refuse (-1, 1.5) or misread (True as 1, None as fresh entropy)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
@@ -241,11 +238,9 @@ def run_buffered_session(
     burst rate, the mean of the per-cycle ones, is secure bits per drain second.
     """
     mode = mode or TimingMode.buffered()
-    if mode.timing is not Timing.BUFFERED:
-        raise ConfigError("run_buffered_session requires a buffered TimingMode")
     mode.check_protocol(protocol)
-    if not (math.isfinite(duration_s) and duration_s > 0):
-        raise DomainError(f"duration_s must be finite and > 0, got {duration_s}")
+    if not (isinstance(duration_s, numbers.Real) and math.isfinite(duration_s) and duration_s > 0):
+        raise DomainError(f"duration_s must be finite and > 0, got {duration_s!r}")
     _check_seed(seed)
 
     budget = link_budget(optical, distance_km)

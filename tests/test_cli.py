@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
+import argparse
 import json
 import os
 import re
@@ -224,9 +225,6 @@ BAD_CONFIG = [
     pytest.param(["trace", "--seed", "-1"], "seed", id="trace"),
     pytest.param(BUFFERED_P1 + ["--burst-block", "-5"], "burst_block", id="burst_block_negative"),
     pytest.param(BUFFERED_P1 + ["--burst-block", "0"], "burst_block", id="burst_block_zero"),
-    pytest.param(
-        BUFFERED_P1 + ["--buffer-capacity", "-1"], "buffer_capacity", id="buffer_capacity_negative"
-    ),
 ]
 
 
@@ -254,6 +252,22 @@ class TestConfigHandling:
         cfg.write_text("sweep:\n  pints: 5\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG
 
+    def test_buffer_capacity_is_not_a_setting(self, tmp_path, capsys):
+        # one burst block is the whole buffer, so there is no capacity to set
+        with pytest.raises(SystemExit) as exc:
+            cli.main(BUFFERED_P1 + ["--buffer-capacity", "5"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("run:\n  buffer_capacity: 5\n")
+        assert cli.main(BUFFERED_P1 + ["--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "buffer_capacity" in capsys.readouterr().err
+
+    def test_burst_block_is_not_capped(self, capsys):
+        argv = BUFFERED_P1 + ["--burst-block", "200000", "--duration", "2.5", "--seed", "3"]
+        code, text = run_cli(argv, capsys)
+        assert code == 0
+        assert json.loads(text)["stats"]["rounds_executed"] % 200_000 == 0
+
     def test_dump_config_roundtrip(self, tmp_path):
         dumped = tmp_path / "effective.yaml"
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -266,24 +280,29 @@ class TestConfigHandling:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+def _subcommands() -> dict:
+    """Subcommand name -> its argparse parser."""
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 class TestFlagsMatchYaml:
-    # flag dest -> (command, flag argv, YAML value of the flag's config key)
+    # RunConfig field -> (command, flag argv, YAML value of the field's config key)
     CASES = {
         "seed": ("sweep", ["--seed", "5"], 5),
         "out": ("sweep", ["--out", "run.out"], "run.out"),
         "format": ("sweep", ["--format", "records"], "records"),
-        "distance_min": ("sweep", ["--distance-min", "0.5"], 0.5),
-        "distance_max": ("sweep", ["--distance-max", "5"], 5.0),
-        "points": ("sweep", ["--points", "7"], 7),
-        "spacing": ("sweep", ["--spacing", "linear"], "linear"),
+        "sweep.distance_min_km": ("sweep", ["--distance-min", "0.5"], 0.5),
+        "sweep.distance_max_km": ("sweep", ["--distance-max", "5"], 5.0),
+        "sweep.points": ("sweep", ["--points", "7"], 7),
+        "sweep.spacing": ("sweep", ["--spacing", "linear"], "linear"),
         "protocol": ("trace", ["--protocol", "p3"], "p3"),
-        "mode": ("simulate", ["--mode", "buffered"], "buffered"),
-        "distance": ("simulate", ["--distance", "3"], 3.0),
+        "timing": ("simulate", ["--mode", "buffered"], "buffered"),
+        "distance_km": ("simulate", ["--distance", "3"], 3.0),
         "rounds": ("simulate", ["--rounds", "30"], 30),
-        "duration": ("simulate", ["--duration", "0.5"], 0.5),
+        "duration_s": ("simulate", ["--duration", "0.5"], 0.5),
         "burst_block": ("simulate", ["--burst-block", "2000"], 2000),
-        "buffer_capacity": ("simulate", ["--buffer-capacity", "50000"], 50000),
-        "classification": ("simulate", ["--classification", "sampled"], False),
+        "ideal_classification": ("simulate", ["--classification", "sampled"], False),
         "bracket": ("crossover", ["--bracket", "2", "9"], [2.0, 9.0]),
         "factor": ("crossover", ["--factor", "1.5"], 1.5),
     }
@@ -291,15 +310,15 @@ class TestFlagsMatchYaml:
     CHEAP = {"simulate": {"--rounds": "20", "--duration": "0.01"}}
 
     def test_every_flag_has_a_case(self):
-        assert set(self.CASES) == set(cli._FLAG_FIELDS)
+        fields = {field for _, _, field in KEYS}
+        dests = {action.dest for parser in _subcommands().values() for action in parser._actions}
+        assert set(self.CASES) == dests & fields
 
-    @pytest.mark.parametrize("dest", sorted(CASES))
-    def test_flag_dumps_like_yaml_key(self, dest, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_flag_dumps_like_yaml_key(self, field, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        command, flag, value = self.CASES[dest]
-        section, key = next(
-            (section, key) for section, key, field in KEYS if field == cli._FLAG_FIELDS[dest]
-        )
+        command, flag, value = self.CASES[field]
+        section, key = next((section, key) for section, key, f in KEYS if f == field)
         yaml_path = tmp_path / "cfg.yaml"
         yaml_path.write_text(yaml.safe_dump({section: {key: value}}))
         cheap = self.CHEAP.get(command, {}).items()
@@ -315,6 +334,14 @@ class TestFlagsMatchYaml:
         dumped = tmp_path / "cfg.yaml"
         assert cli.main(["trace", "--rounds", "3", "--dump-config", str(dumped)]) == 0
         assert yaml.safe_load(dumped.read_text())["run"]["rounds"] == 100_000
+
+
+def test_readme_documents_every_flag():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = {flag for parser in _subcommands().values() for action in parser._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    assert sorted(flag for flag in flags if flag not in section) == []
 
 
 class TestDeterminism:

@@ -90,6 +90,14 @@ class TestIngestion:
             with pytest.raises(ConfigError):
                 config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "7"),
+        ("temperature_scale", float("nan")), ("temperature_scale", float("inf")),
+    ])
+    def test_run_config_checks_its_own_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            RunConfig(**{field: value})
+
     def test_numeric_strings_and_integral_floats_are_accepted(self):
         # YAML 1.1 reads 1e-5 (no dot) as a string
         cfg = yaml.safe_load("optical: {p_d: 1e-5}\nrun: {rounds: 1.0e+4, seed: 7}\n")

@@ -41,7 +41,6 @@ run:
   rounds: 100000
   duration_s: 2.0
   burst_block: 10000
-  buffer_capacity: 100000
   ideal_classification: true
   seed: 20260810
   bracket:
@@ -67,7 +66,6 @@ run:
   rounds: 100000
   duration_s: 2.0
   burst_block: 2500
-  buffer_capacity: 100000
   ideal_classification: true
   seed: 7
   bracket:
@@ -86,7 +84,7 @@ DEFAULT_REPR = (
     "n_pairs=1000, n_samples=50, r_low=10000.0, r_high=100000.0), "
     "temperature_scale=1.0, sweep=SweepSpec(distance_min_km=0.1, "
     "distance_max_km=10.0, points=200, spacing='log'), protocol=<Protocol.P2: 'p2'>, "
-    "timing=<Timing.GATED: 'gated'>, burst_block=10000, buffer_capacity=100000, "
+    "timing=<Timing.GATED: 'gated'>, burst_block=10000, "
     "distance_km=2.0, rounds=100000, duration_s=2.0, ideal_classification=True, "
     "seed=20260810, bracket=(1.0, 10.0), factor=1.0, out=None, format='csv')"
 )

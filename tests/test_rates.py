@@ -113,6 +113,11 @@ class TestSweep:
         with pytest.raises(DomainError):
             sweep(optical, line, spacing="linear", **args)
 
+    @pytest.mark.parametrize("n", [10.5, 10.0, "10", True])
+    def test_point_count_must_be_an_integer(self, optical, line, n):
+        with pytest.raises(DomainError, match="n_points"):
+            sweep(optical, line, 0.1, 1.0, n, "linear")
+
     def test_invalid_spacing(self, optical, line):
         with pytest.raises(DomainError):
             sweep(optical, line, 0.1, 1.0, 10, "cubic")

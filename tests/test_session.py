@@ -41,7 +41,6 @@ class TestTimingMode:
         for protocol in (Protocol.P3, Protocol.BB84):
             with pytest.raises(ConfigError, match="p1/p2 only"):
                 TimingMode.buffered().check_protocol(protocol)
-        TimingMode.gated().check_protocol(Protocol.P3)  # fine
         TimingMode.buffered().check_protocol(Protocol.P2)  # fine
 
 
@@ -233,6 +232,11 @@ class TestBufferedSession:
         with pytest.raises(DomainError):
             self.run(Protocol.P1, optical, line, duration_s=0.0)
 
+    @pytest.mark.parametrize("duration", ["2", None, [2.0]])
+    def test_duration_must_be_a_number(self, optical, line, duration):
+        with pytest.raises(DomainError, match="duration_s"):
+            self.run(Protocol.P1, optical, line, duration_s=duration)
+
     @pytest.mark.parametrize("scale", [-1.0, 0.0, math.nan, math.inf])
     def test_temperature_scale_must_be_positive(self, optical, line, scale):
         with pytest.raises(DomainError, match="temperature_scale"):
@@ -304,15 +308,16 @@ class TestSeedSpawning:
         assert a == b
         assert len(set(a)) == 4
 
-    def test_negative_seed_is_named(self, optical, line):
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, math.nan, True, "7", None])
+    def test_bad_seed_is_named(self, optical, line, seed):
         mode = TimingMode.buffered(buffer_capacity=2_000, burst_block=2_000)
         calls = (
-            lambda: run_gated_session(Protocol.P1, optical, line, 2.0, 100, seed=-1),
-            lambda: run_buffered_session(Protocol.P1, optical, line, 2.0, 1.3, -1, mode),
-            lambda: spawn_seeds(-1, 2),
+            lambda: run_gated_session(Protocol.P1, optical, line, 2.0, 100, seed=seed),
+            lambda: run_buffered_session(Protocol.P1, optical, line, 2.0, 1.3, seed, mode),
+            lambda: spawn_seeds(seed, 2),
         )
         for call in calls:
-            with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+            with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {seed!r}"):
                 call()
 
     def test_spawned_seeds_run_sessions(self, optical, line):
