@@ -29,7 +29,7 @@ from . import config as cfgmod
 from . import protocol as proto
 from . import rates, session
 from .config import RunConfig
-from .errors import ConfigError, DomainError, SolverError
+from .errors import ConfigError, DomainError, SolverError, check_int
 from .protocol import Protocol
 from .session import Timing, TimingMode
 
@@ -160,8 +160,7 @@ def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
         text = bundled_fixture_text() if fixture == "bundled" else Path(fixture).read_text("utf-8")
         inputs = proto.parse_trace_fixture(text)
     else:
-        if n_rounds < 1:
-            raise ConfigError(f"trace rounds must be >= 1, got {n_rounds}")
+        check_int(n_rounds, "trace rounds", ge=1)
         rng = np.random.default_rng(cfg.seed)
         inputs = [proto.random_inputs(rng) for _ in range(n_rounds)]
     # Traces illustrate protocol logic on an ideal channel: every pulse
@@ -187,7 +186,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
             temperature_scale=cfg.temperature_scale,
         )
         mean, var = session.per_pulse_yield_moments(cfg.protocol, point.q_mu, point.gamma)
-        observed = session.estimate_per_pulse_yield(stats, stats.rounds_executed)
+        observed = session.estimate_per_pulse_yield(stats)
         sigma = math.sqrt(var / stats.rounds_executed)
         analytic = {
             "expected_yield_per_pulse": mean,

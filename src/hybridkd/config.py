@@ -21,8 +21,7 @@ from typing import Any
 
 import yaml
 
-from .errors import ConfigError, DomainError
-from .kljn import check_temperature_scale
+from .errors import ConfigError, DomainError, check_real
 from .physics import KljnLineParams, OpticalParams
 from .protocol import Protocol
 from .session import DEFAULT_BURST_BLOCK, Timing, _check_seed
@@ -99,7 +98,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         try:
             _check_seed(self.seed)
-            check_temperature_scale(self.temperature_scale)
+            check_real(self.temperature_scale, "temperature_scale", gt=0)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -257,7 +256,7 @@ def load_config(path: str | os.PathLike | None) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = yaml.load(text, Loader=_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if data is None:
         return default_config()

@@ -1,9 +1,15 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of numeric arguments.
 
 The CLI maps each class to a distinct process exit code, so library code
 should raise these rather than bare ValueError/RuntimeError wherever the
-failure is a user-facing condition.
+failure is a user-facing condition. A mistyped, bool, fractional, non-finite
+or oversized library argument is a DomainError naming it (a ConfigError from
+`TimingMode`, `RunConfig` and YAML).
 """
+
+import numpy as np
+
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 
 class DomainError(ValueError):
@@ -16,3 +22,23 @@ class SolverError(RuntimeError):
 
 class ConfigError(ValueError):
     """Invalid configuration or an inconsistent combination of options."""
+
+
+def check_int(value, name: str, ge: int = 0) -> None:
+    """DomainError naming `name` unless `value` is an int (not a bool) in [ge, 2**63)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < ge:
+        raise DomainError(f"{name} must be an integer >= {ge}, got {value!r}")
+    if value >= 2**63:
+        raise DomainError(f"{name} must be < 2**63, got >= 2**{int(value).bit_length() - 1}")
+
+
+def check_real(value, name: str, *, gt=-np.inf, ge=-np.inf, lt=np.inf, le=np.inf) -> None:
+    """DomainError naming `name` unless `value` is a finite real (not a bool) within the bounds."""
+    if isinstance(value, np.generic):  # compare a numpy scalar as the Python number it holds
+        value = value.item()
+    if (isinstance(value, (float, int)) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX and gt < value < lt and ge <= value <= le):
+        return
+    bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
+    limits = " and ".join(f"{op} {bound}" for op, bound in bounds if -np.inf < bound < np.inf)
+    raise DomainError(f"{name} must be a finite number {limits}".rstrip() + f", got {value!r}")

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import check_real
 from .physics import KljnLineParams
 
 __all__ = [
     "ResistorChoice",
     "NoiseLevel",
     "LineObservation",
-    "check_temperature_scale",
     "line_variance",
     "variance_thresholds",
     "classify_level",
@@ -76,12 +75,6 @@ def ground_truth_level(a: ResistorChoice, b: ResistorChoice) -> NoiseLevel:
     return NoiseLevel.INTERMEDIATE
 
 
-def check_temperature_scale(temperature_scale: float) -> None:
-    """Reject a temperature scale that is not finite and > 0 (nan included)."""
-    if not 0.0 < temperature_scale < np.inf:
-        raise DomainError(f"temperature_scale must be finite and > 0, got {temperature_scale}")
-
-
 def line_variance(
     line: KljnLineParams,
     a: ResistorChoice,
@@ -93,7 +86,7 @@ def line_variance(
     Proportional to the parallel resistance Ra*Rb/(Ra+Rb); symmetric in
     (a, b), so the two mixed selections are indistinguishable by variance.
     """
-    check_temperature_scale(temperature_scale)
+    check_real(temperature_scale, "temperature_scale", gt=0)
     ra = a.ohms(line)
     rb = b.ohms(line)
     return temperature_scale * (ra * rb) / (ra + rb)
@@ -122,8 +115,7 @@ def classify_level(
 
     Band edges belong to the intermediate band.
     """
-    if not estimated_variance >= 0:  # negative or nan
-        raise DomainError(f"variance estimate must be >= 0, got {estimated_variance}")
+    check_real(estimated_variance, "variance estimate", ge=0)
     t_low, t_high = variance_thresholds(line, temperature_scale)
     if estimated_variance < t_low:
         return NoiseLevel.LOW

@@ -18,12 +18,12 @@ through `_libm`, and each domain check names the first offending element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int, check_real
 
 __all__ = [
     "OpticalParams",
@@ -37,13 +37,6 @@ __all__ = [
     "kljn_bit_rate",
     "link_budget",
 ]
-
-
-def _require_finite(params: object) -> None:
-    for field in fields(params):
-        value = getattr(params, field.name)
-        if not math.isfinite(value):
-            raise DomainError(f"{field.name} must be finite, got {value}")
 
 
 def _libm(fn, x):
@@ -80,6 +73,13 @@ def _require(ok, value, message: str) -> None:
     raise DomainError(message.format(value))
 
 
+def _check_distance_type(distance_km) -> None:
+    """Reject a distance that is no real number or array; concrete types, as this is hot."""
+    if not isinstance(distance_km, _DISTANCE_TYPES) or distance_km.__class__ is bool:
+        raise DomainError(f"distance must be a number or a float64 array, got {distance_km!r}")
+
+
+_DISTANCE_TYPES = (float, int, np.floating, np.integer, np.ndarray)
 _exp10 = partial(math.pow, 10.0)
 
 
@@ -110,21 +110,13 @@ class OpticalParams:
     f_qkd: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.alpha < 0:
-            raise DomainError(f"alpha must be >= 0 dB/km, got {self.alpha}")
-        if self.mu <= 0:
-            raise DomainError(f"mu must be > 0, got {self.mu}")
-        if not 0 < self.eta_d <= 1:
-            raise DomainError(f"eta_d must be in (0, 1], got {self.eta_d}")
-        if not 0 <= self.p_d < 1:
-            raise DomainError(f"p_d must be in [0, 1), got {self.p_d}")
-        if not 0 <= self.e_opt < 0.5:
-            raise DomainError(f"e_opt must be in [0, 0.5), got {self.e_opt}")
-        if self.f_ec < 1:
-            raise DomainError(f"f_ec must be >= 1, got {self.f_ec}")
-        if self.f_qkd <= 0:
-            raise DomainError(f"f_qkd must be > 0 Hz, got {self.f_qkd}")
+        check_real(self.alpha, "alpha", ge=0)
+        check_real(self.mu, "mu", gt=0)
+        check_real(self.eta_d, "eta_d", gt=0, le=1)
+        check_real(self.p_d, "p_d", ge=0, lt=1)
+        check_real(self.e_opt, "e_opt", ge=0, lt=0.5)
+        check_real(self.f_ec, "f_ec", ge=1)
+        check_real(self.f_qkd, "f_qkd", gt=0)
 
 
 @dataclass(frozen=True)
@@ -145,17 +137,11 @@ class KljnLineParams:
     r_high: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.v <= 0:
-            raise DomainError(f"v must be > 0 km/s, got {self.v}")
-        if self.n_pairs < 1:
-            raise DomainError(f"n_pairs must be >= 1, got {self.n_pairs}")
-        if self.n_samples < 1:
-            raise DomainError(f"n_samples must be >= 1, got {self.n_samples}")
-        if not 0 < self.r_low < self.r_high:
-            raise DomainError(
-                f"resistors must satisfy 0 < r_low < r_high, got {self.r_low}, {self.r_high}"
-            )
+        check_real(self.v, "v", gt=0)
+        check_int(self.n_pairs, "n_pairs", ge=1)
+        check_int(self.n_samples, "n_samples", ge=1)
+        check_real(self.r_low, "r_low", gt=0)
+        check_real(self.r_high, "r_high", gt=self.r_low)
 
 
 @dataclass(frozen=True)
@@ -177,6 +163,7 @@ class LinkBudget:
 
 def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     """Overall system transmittance eta_sys = eta_D * 10^(-alpha*L/10)."""
+    _check_distance_type(distance_km)
     _require((0.0 <= distance_km) & (distance_km < math.inf), distance_km,
              "distance must be finite and >= 0 km, got {}")
     return p.eta_d * _libm(_exp10, -p.alpha * distance_km / 10.0)
@@ -226,6 +213,7 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     circuit. Diverges as L -> 0, so a distance whose bandwidth is not
     finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
+    _check_distance_type(distance_km)
     message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
     _require(distance_km > 0.0, distance_km, message)
     b_w = line.v / (20.0 * distance_km)

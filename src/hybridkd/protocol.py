@@ -38,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .kljn import (LineObservation, NoiseLevel, ResistorChoice, check_temperature_scale,
-                   ground_truth_level, line_variance, sample_line, variance_thresholds)
+from .errors import DomainError, check_int, check_real
+from .kljn import (LineObservation, NoiseLevel, ResistorChoice, ground_truth_level,
+                   line_variance, sample_line, variance_thresholds)
 from .physics import KljnLineParams
 
 __all__ = [
@@ -172,11 +172,9 @@ class ChannelModel:
     ideal_classification: bool = True
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.detection_prob <= 1.0:
-            raise DomainError(f"detection_prob must be in [0, 1], got {self.detection_prob}")
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise DomainError(f"flip_prob must be in [0, 1], got {self.flip_prob}")
-        check_temperature_scale(self.temperature_scale)
+        check_real(self.detection_prob, "detection_prob", ge=0, le=1)
+        check_real(self.flip_prob, "flip_prob", ge=0, le=1)
+        check_real(self.temperature_scale, "temperature_scale", gt=0)
         if not self.ideal_classification and self.line is None:
             raise DomainError("sampled classification requires line parameters")
 
@@ -320,11 +318,6 @@ def draw_round(
 _CHUNK = 128  # rounds per vectorized step of `draw_block`
 
 
-def _check_rounds(n_rounds: int, least: int = 0) -> None:
-    if not isinstance(n_rounds, (int, np.integer)) or n_rounds < least:
-        raise DomainError(f"n_rounds must be an integer >= {least}, got {n_rounds!r}")
-
-
 def _pair_variances(protocol: Protocol, line: KljnLineParams, scale: float) -> list[float]:
     """Line variance of each resistor pair, at 2 * (Alice diagonal) + (Bob diagonal)."""
     return [line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)), scale)
@@ -338,7 +331,7 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
     classified low and high (None unless the line is sampled, chunk by chunk).
     """
-    _check_rounds(n_rounds)
+    check_int(n_rounds, "n_rounds")
     gen = np.random.default_rng(rng)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
     sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
@@ -388,7 +381,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     on mismatched ones. A sampled variance estimate is the pair's variance
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
-    _check_rounds(n_rounds)
+    check_int(n_rounds, "n_rounds")
     gen = np.random.default_rng(rng)
     if sys.byteorder == "little" and gen.bit_generator.state.get("has_uint32") == 0:
         halves = gen.bit_generator.random_raw(n_rounds).view(np.uint32) >= 1 << 31

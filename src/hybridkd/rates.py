@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, check_int, check_real
 from .physics import (
     KljnLineParams,
     LinkBudget,
@@ -119,12 +119,9 @@ def sweep(
     The whole grid is evaluated in one pass; each point equals
     `throughputs` at its distance bit for bit.
     """
-    if not 0 < l_min < l_max < math.inf:
-        raise DomainError(
-            f"sweep distances need 0 < l_min < l_max < inf km, got {l_min}, {l_max}"
-        )
-    if not isinstance(n_points, (int, np.integer)) or n_points < 2:
-        raise DomainError(f"n_points must be an integer >= 2, got {n_points!r}")
+    check_real(l_min, "sweep distance l_min", gt=0)
+    check_real(l_max, "sweep distance l_max", gt=l_min)
+    check_int(n_points, "n_points", ge=2)
     if spacing == "linear":
         grid = np.linspace(l_min, l_max, n_points)
     elif spacing == "log":
@@ -238,13 +235,11 @@ def short_haul_supremacy_bound(
     method finds the root to within `xtol` km (finite and > 0). With
     factor=1 this is exactly the crossover distance.
     """
-    if not (math.isfinite(factor) and factor > 0):
-        raise DomainError(f"factor must be finite and > 0, got {factor}")
-    if not (math.isfinite(xtol) and xtol > 0):
-        raise DomainError(f"xtol must be finite and > 0 km, got {xtol}")
+    check_real(factor, "factor", gt=0)
+    check_real(xtol, "xtol", gt=0)
     lo, hi = bracket
-    if not 0 < lo < hi:
-        raise DomainError(f"invalid bracket ({lo}, {hi})")
+    check_real(lo, "bracket distance lo", gt=0)
+    check_real(hi, "bracket distance hi", gt=lo)
 
     def gap(distance: float) -> float:
         point = throughputs(optical, line, distance)

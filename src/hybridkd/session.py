@@ -19,18 +19,16 @@ from __future__ import annotations
 
 import collections
 import enum
-import math
-import numbers
 from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int, check_real
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams, kljn_bit_rate
 from .physics import link_budget  # perfbench's tracer wraps this name here
-from .protocol import ChannelModel, Protocol, _check_rounds, decide_block, draw_block, draw_span
+from .protocol import ChannelModel, Protocol, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 from .rates import normalized_rates
@@ -66,8 +64,11 @@ class TimingMode:
     def __post_init__(self) -> None:
         for name in ("burst_block", "buffer_capacity"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"buffered mode needs an integer {name} >= 1, got {value!r}")
+            try:
+                check_int(value, name, ge=1)
+            except DomainError:
+                raise ConfigError(
+                    f"buffered mode needs an integer {name} >= 1, got {value!r}") from None
         if self.burst_block > self.buffer_capacity:
             raise ConfigError(
                 f"burst_block ({self.burst_block}) exceeds buffer capacity "
@@ -132,15 +133,14 @@ class SessionStats:
 
 def _check_seed(seed: int | np.random.SeedSequence) -> None:
     """Name a seed numpy would refuse (-1, 1.5) or misread (True as 1, None as fresh entropy)."""
-    if isinstance(seed, np.random.SeedSequence):
-        return
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be an integer >= 0, got {seed!r}")
+    if not isinstance(seed, np.random.SeedSequence):
+        check_int(seed, "seed")
 
 
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     """Deterministic independent child seeds for parallel workers."""
     _check_seed(seed)
+    check_int(n, "n")
     return np.random.SeedSequence(seed).spawn(n)
 
 
@@ -189,7 +189,7 @@ def run_gated_session(
     all at once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
     unthrottled at f_qkd).
     """
-    _check_rounds(n_rounds, 1)
+    check_int(n_rounds, "n_rounds", ge=1)
     _check_seed(seed)
     budget = link_budget(optical, distance_km)
     channel = ChannelModel(
@@ -239,8 +239,7 @@ def run_buffered_session(
     """
     mode = mode or TimingMode.buffered()
     mode.check_protocol(protocol)
-    if not (isinstance(duration_s, numbers.Real) and math.isfinite(duration_s) and duration_s > 0):
-        raise DomainError(f"duration_s must be finite and > 0, got {duration_s!r}")
+    check_real(duration_s, "duration_s", gt=0)
     _check_seed(seed)
 
     budget = link_budget(optical, distance_km)
@@ -289,11 +288,9 @@ def run_buffered_session(
     )
 
 
-def estimate_per_pulse_yield(stats: SessionStats, n_rounds: int) -> float:
+def estimate_per_pulse_yield(stats: SessionStats) -> float:
     """Expected secure bits per optical pulse implied by session counts."""
-    if not n_rounds > 0:
-        raise DomainError(f"n_rounds must be > 0, got {n_rounds}")
-    return _secure_bits(stats.to_dict(), stats.gamma) / n_rounds
+    return _secure_bits(stats.to_dict(), stats.gamma) / stats.rounds_executed
 
 
 def per_pulse_yield_moments(

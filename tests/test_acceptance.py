@@ -166,7 +166,7 @@ def test_criterion_5_monte_carlo_vs_analytic(optical, line):
             stats = run_gated_session(
                 protocol, optical, line, distance, n, seed, ideal_classification=True
             )
-            observed = estimate_per_pulse_yield(stats, n)
+            observed = estimate_per_pulse_yield(stats)
             mean, var = _yield_moments(protocol, budget.q_mu, budget.gamma)
             sigma = math.sqrt(var / n)
             deviation = abs(observed - mean) / sigma

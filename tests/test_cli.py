@@ -236,6 +236,30 @@ def test_negative_seed_is_config_error(argv, field, capsys):
     assert field in captured.err
 
 
+@pytest.mark.parametrize("key", ["n_pairs", "n_samples"])
+def test_oversized_yaml_count_is_config_error(key, tmp_path, capsys):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text(f"kljn:\n  {key}: {10**400}\n")
+    assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"kljn: {key} must be" in captured.err
+
+
+def test_yaml_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "huge.yaml"
+    cfg.write_text("kljn:\n  n_pairs: " + "1" * 5000 + "\n")  # Python parses at most 4300 digits
+    assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().out == ""
+
+
+def test_oversized_round_count_is_domain_error(capsys):
+    assert cli.main(["simulate", "--rounds", str(10**30)]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_rounds must be" in captured.err
+
+
 class TestConfigHandling:
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.yaml"

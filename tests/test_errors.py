@@ -1,0 +1,88 @@
+"""Argument checks: a bad number at a library entry point is a named DomainError or ConfigError."""
+
+import re
+
+import numpy as np
+import pytest
+
+from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL, RunConfig
+from hybridkd.errors import ConfigError, DomainError, check_int, check_real
+from hybridkd.kljn import ResistorChoice, line_variance
+from hybridkd.physics import KljnLineParams, OpticalParams
+from hybridkd.protocol import ChannelModel, Protocol
+from hybridkd.rates import short_haul_supremacy_bound, throughputs
+from hybridkd.session import TimingMode, run_buffered_session, run_gated_session, spawn_seeds
+
+OPTICAL = vars(DEFAULT_OPTICAL)
+LINE = vars(DEFAULT_KLJN)
+
+
+def _gated(**kw):
+    args = dict(distance_km=2.0, n_rounds=100, seed=1) | kw
+    return run_gated_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, **args)
+
+
+def _bound(**kw):
+    return short_haul_supremacy_bound(DEFAULT_OPTICAL, DEFAULT_KLJN, **kw)
+
+
+# (call, the error it must raise, the argument its message must name)
+BAD_ARGUMENTS = {
+    "gated_distance_str": (lambda: _gated(distance_km="2"), DomainError, "distance"),
+    "gated_distance_bool": (lambda: _gated(distance_km=True), DomainError, "distance"),
+    "gated_rounds_bool": (lambda: _gated(n_rounds=True), DomainError, "n_rounds"),
+    "throughputs_distance_str": (
+        lambda: throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, "2"), DomainError, "distance"),
+    "line_variance_scale_str": (
+        lambda: line_variance(DEFAULT_KLJN, ResistorChoice.LOW, ResistorChoice.HIGH, "2"),
+        DomainError, "temperature_scale"),
+    "run_config_scale_str": (
+        lambda: RunConfig(temperature_scale="2"), ConfigError, "temperature_scale"),
+    "bound_factor_str": (lambda: _bound(factor="2"), DomainError, "factor"),
+    "bound_xtol_str": (lambda: _bound(xtol="1"), DomainError, "xtol"),
+    "bound_bracket_str": (lambda: _bound(bracket=("1", 5.0)), DomainError, "bracket"),
+    "spawn_count_fraction": (lambda: spawn_seeds(1, 2.5), DomainError, "n"),
+    "timing_mode_bools": (lambda: TimingMode.buffered(True, True), ConfigError, "burst_block"),
+    "line_samples_fraction": (
+        lambda: KljnLineParams(**LINE | {"n_samples": 2.5}), DomainError, "n_samples"),
+    "line_pairs_huge": (
+        lambda: KljnLineParams(**LINE | {"n_pairs": 10**400}), DomainError, "n_pairs"),
+    "optical_mu_str": (lambda: OpticalParams(**OPTICAL | {"mu": "0.1"}), DomainError, "mu"),
+    "optical_mu_huge": (lambda: OpticalParams(**OPTICAL | {"mu": 10**400}), DomainError, "mu"),
+    "channel_prob_str": (lambda: ChannelModel("0.5"), DomainError, "detection_prob"),
+    "buffered_duration_bool": (
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, True, 1),
+        DomainError, "duration_s"),
+}
+
+
+@pytest.mark.parametrize("call, error, name", BAD_ARGUMENTS.values(), ids=BAD_ARGUMENTS)
+def test_bad_argument_is_named(call, error, name):
+    # pytest.raises lets any other exception (TypeError, OverflowError) fail the test
+    with pytest.raises(error) as info:
+        call()
+    assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("value", [0, 7, 2**63 - 1, np.int64(3), np.uint8(3)])
+def test_check_int_accepts_integers(value):
+    check_int(value, "n")
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 2.0, "3", None, -1, 2**63, 10**400,
+                                   np.uint64(2**63)])
+def test_check_int_rejects(value):
+    with pytest.raises(DomainError, match="^n must be"):
+        check_int(value, "n")
+
+
+@pytest.mark.parametrize("value", [0.5, 1, np.float32(0.25), np.float64(1.0), np.int64(1)])
+def test_check_real_accepts_numbers_in_range(value):
+    check_real(value, "p", gt=0, le=1)
+
+
+@pytest.mark.parametrize("value", [0, 1.5, False, "0.5", None, float("nan"), float("inf"),
+                                   np.float32(np.inf), 10**400, np.array(0.5)])
+def test_check_real_rejects(value):
+    with pytest.raises(DomainError, match=r"^p must be a finite number > 0 and <= 1, got"):
+        check_real(value, "p", gt=0, le=1)

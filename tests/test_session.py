@@ -81,7 +81,7 @@ class TestGatedSession:
         stats = run_gated_session(Protocol.P2, optical, line, 2.0, n, seed=6)
         point = throughputs(optical, line, 2.0)
         mean, var = per_pulse_yield_moments(Protocol.P2, point.q_mu, point.gamma)
-        observed = estimate_per_pulse_yield(stats, n)
+        observed = estimate_per_pulse_yield(stats)
         assert abs(observed - mean) < 3 * math.sqrt(var / n)
 
     def test_bit_count_invariant(self, optical, line):
@@ -190,20 +190,13 @@ class TestYieldHelpers:
             wall_time_s=1.0,
             effective_throughput_bps=11.5,
         )
-        assert estimate_per_pulse_yield(stats, 100) == pytest.approx((10 * 0.75 + 4) / 100)
-        with pytest.raises(DomainError):
-            estimate_per_pulse_yield(stats, 0)
-
-    def test_estimate_rejects_nan_rounds(self, optical, line):
-        stats = run_gated_session(Protocol.P1, optical, line, 2.0, 200, seed=10)
-        with pytest.raises(DomainError, match="n_rounds"):
-            estimate_per_pulse_yield(stats, math.nan)
+        assert estimate_per_pulse_yield(stats) == pytest.approx((10 * 0.75 + 4) / 100)
 
     def test_zero_activity_yields_zero(self, optical, line):
         # at an extreme distance the optical gain is dark-count level and
         # protocol I essentially never produces a bit in a short session
         stats = run_gated_session(Protocol.P1, optical, line, 500.0, 200, seed=10)
-        assert estimate_per_pulse_yield(stats, 200) == 0.0
+        assert estimate_per_pulse_yield(stats) == 0.0
 
 
 class TestBufferedSession:
