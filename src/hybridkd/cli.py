@@ -17,8 +17,10 @@ error, 3 domain error, 4 solver failure, 5 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import operator
 import sys
 from importlib import resources
 from pathlib import Path
@@ -43,6 +45,7 @@ EXIT_IO = 5
 
 # one sweep csv row: scientific, 10 significant digits, stable for diffs
 _CSV_ROW = ",".join(["%.9e"] * len(rates.RATE_POINT_FIELDS))
+_ROW = operator.attrgetter(*rates.RATE_POINT_FIELDS)  # a RatePoint's fields as a tuple
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,12 +149,11 @@ def cmd_sweep(cfg: RunConfig) -> str:
     spec, fields = cfg.sweep, rates.RATE_POINT_FIELDS
     points = rates.sweep(cfg.optical, cfg.kljn, spec.distance_min_km, spec.distance_max_km,
                          spec.points, spec.spacing)
-    # vars(p) holds a RatePoint's fields in declaration order, the order of `fields`
+    # json.dumps, not a %r template: it writes a non-finite value as Infinity
     if cfg.format == "csv":
-        rows = [",".join(fields)]
-        rows += [_CSV_ROW % tuple(vars(p).values()) for p in points]
+        rows = [",".join(fields), *(_CSV_ROW % row for row in map(_ROW, points))]
     else:
-        rows = [json.dumps(vars(p)) for p in points]
+        rows = [json.dumps(dict(zip(fields, row))) for row in map(_ROW, points)]
     return "\n".join(rows) + "\n"
 
 
@@ -237,9 +239,11 @@ def cmd_crossover(cfg: RunConfig) -> str:
     )
 
 
+_parser = functools.cache(build_parser)  # one parser per process: parsing does not change it
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = cfgmod.load_config(args.config)
         cfg = _apply_overrides(cfg, args)

@@ -24,12 +24,19 @@ class ConfigError(ValueError):
     """Invalid configuration or an inconsistent combination of options."""
 
 
+def _shown(value) -> str:
+    """repr(value), but an int past int64 as >= 2**k or <= -2**k (repr fails past 4,300 digits)."""
+    if isinstance(value, int) and not -(2**63) <= value < 2**63:
+        return f"{'<= -' if value < 0 else '>= '}2**{abs(value).bit_length() - 1}"
+    return repr(value)
+
+
 def check_int(value, name: str, ge: int = 0) -> None:
     """DomainError naming `name` unless `value` is an int (not a bool) in [ge, 2**63)."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < ge:
-        raise DomainError(f"{name} must be an integer >= {ge}, got {value!r}")
+        raise DomainError(f"{name} must be an integer >= {ge}, got {_shown(value)}")
     if value >= 2**63:
-        raise DomainError(f"{name} must be < 2**63, got >= 2**{int(value).bit_length() - 1}")
+        raise DomainError(f"{name} must be < 2**63, got {_shown(int(value))}")
 
 
 def check_real(value, name: str, *, gt=-np.inf, ge=-np.inf, lt=np.inf, le=np.inf) -> None:
@@ -41,4 +48,5 @@ def check_real(value, name: str, *, gt=-np.inf, ge=-np.inf, lt=np.inf, le=np.inf
         return
     bounds = ((">", gt), (">=", ge), ("<", lt), ("<=", le))
     limits = " and ".join(f"{op} {bound}" for op, bound in bounds if -np.inf < bound < np.inf)
-    raise DomainError(f"{name} must be a finite number {limits}".rstrip() + f", got {value!r}")
+    message = f"{name} must be a finite number {limits}".rstrip()
+    raise DomainError(f"{message}, got {_shown(value)}")

@@ -73,13 +73,13 @@ def _require(ok, value, message: str) -> None:
     raise DomainError(message.format(value))
 
 
-def _check_distance_type(distance_km) -> None:
-    """Reject a distance that is no real number or array; concrete types, as this is hot."""
-    if not isinstance(distance_km, _DISTANCE_TYPES) or distance_km.__class__ is bool:
-        raise DomainError(f"distance must be a number or a float64 array, got {distance_km!r}")
+def _check_type(value, name: str) -> None:
+    """Reject a value that is no real number or array; concrete types, as this is hot."""
+    if not isinstance(value, _REAL_TYPES) or value.__class__ is bool:
+        raise DomainError(f"{name} must be a number or a float64 array, got {value!r}")
 
 
-_DISTANCE_TYPES = (float, int, np.floating, np.integer, np.ndarray)
+_REAL_TYPES = (float, int, np.floating, np.integer, np.ndarray)
 _exp10 = partial(math.pow, 10.0)
 
 
@@ -163,7 +163,7 @@ class LinkBudget:
 
 def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     """Overall system transmittance eta_sys = eta_D * 10^(-alpha*L/10)."""
-    _check_distance_type(distance_km)
+    _check_type(distance_km, "distance")
     _require((0.0 <= distance_km) & (distance_km < math.inf), distance_km,
              "distance must be finite and >= 0 km, got {}")
     return p.eta_d * _libm(_exp10, -p.alpha * distance_km / 10.0)
@@ -192,6 +192,7 @@ def _gain_and_qber(p: OpticalParams, eta_sys: float) -> tuple[float, float]:
 
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) = -x*log2(x) - (1-x)*log2(1-x), h(0) = h(1) = 0."""
+    _check_type(x, "entropy argument")
     _require((0.0 <= x) & (x <= 1.0), x, "entropy argument must be in [0, 1], got {}")
     # 0.0 - a rather than -a: h(0) and h(1) come out +0.0, not -0.0
     return 0.0 - _libm(_xlog2x, x) - _libm(_xlog2x, 1.0 - x)
@@ -213,7 +214,7 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     circuit. Diverges as L -> 0, so a distance whose bandwidth is not
     finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
-    _check_distance_type(distance_km)
+    _check_type(distance_km, "distance")
     message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
     _require(distance_km > 0.0, distance_km, message)
     b_w = line.v / (20.0 * distance_km)
@@ -225,9 +226,12 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
     """Aggregate decision-bit rate R = n_pairs * f_s / n_samples in bps.
 
     The per-pair sampling rate is Nyquist at the wave limit, f_s = 2 * B_W.
+    A distance whose rate overflows the float range is rejected.
     """
     f_s = 2.0 * wave_limit_bandwidth(line, distance_km)
-    return line.n_pairs * f_s / line.n_samples
+    rate = line.n_pairs * f_s / line.n_samples
+    _require(rate < math.inf, distance_km, "distance {} km gives a wire bit rate that overflows")
+    return rate
 
 
 def link_budget(p: OpticalParams, distance_km: float) -> LinkBudget:

@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen: a frozen __init__ costs 14 object.__setattr__ calls a row
 class RatePoint:
     """All rate quantities evaluated at one distance."""
 

@@ -1,6 +1,7 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -253,6 +254,18 @@ def test_yaml_integer_past_the_digit_limit_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [["sweep"], ["simulate", "--distance", "0.1"]],
+                         ids=["sweep", "simulate"])
+def test_wire_rate_overflow_is_domain_error(argv, tmp_path, capsys):
+    # finite line parameters whose wire bit rate at 0.1 km overflows to inf
+    cfg = tmp_path / "fast.yaml"
+    cfg.write_text("kljn:\n  v_km_per_s: 1.0e+307\n  n_pairs: 1000\n  n_samples: 1\n")
+    assert cli.main(argv + ["--config", str(cfg)]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "distance 0.1 km gives a wire bit rate" in captured.err
+
+
 def test_oversized_round_count_is_domain_error(capsys):
     assert cli.main(["simulate", "--rounds", str(10**30)]) == cli.EXIT_DOMAIN
     captured = capsys.readouterr()
@@ -368,6 +381,45 @@ def test_readme_documents_every_flag():
     assert sorted(flag for flag in flags if flag not in section) == []
 
 
+# sha256 of the default `sweep` output: the bytes must not change with how rows are built
+SWEEP_SHA256 = {
+    "csv": "1f68722b2b6a9219e268cb874e613fcfc2a57ac21b2229a3ac864850d0500229",
+    "records": "f3c0f6ddd44ec659a544c1f82b54330b008a42546bd0eef984a3f8785139b231",
+}
+
+
+def _child_env() -> dict:
+    """The environment for a `python -m hybridkd` child that imports this package."""
+    package_root = str(Path(hybridkd.__file__).resolve().parent.parent)
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
+    env.pop(CONFIG_ENV_VAR, None)
+    return env
+
+
+@pytest.mark.parametrize("fmt", SWEEP_SHA256)
+def test_default_sweep_bytes_are_pinned(fmt, tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "sweep.out"
+    assert cli.main(["sweep", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[fmt]
+
+
+def test_parser_is_reused_across_calls(monkeypatch, capsys):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    cli._parser.cache_clear()
+    assert cli.main(["sweep", "--points", "7"]) == 0
+    with pytest.raises(SystemExit) as bad:
+        cli.main(["sweep", "--no-such-flag"])
+    assert bad.value.code == 2  # argparse's usage error
+    assert cli.main(["sweep"]) == 0
+    reused = capsys.readouterr().out.split("\n", 8)[8]  # past the 7-point table
+    assert cli._parser.cache_info().misses == 1
+    fresh = subprocess.run([sys.executable, "-m", "hybridkd", "sweep"], capture_output=True,
+                           text=True, env=_child_env(), check=True)
+    assert reused == fresh.stdout
+
+
 class TestDeterminism:
     COMMANDS = [
         ["sweep", "--points", "50"],
@@ -390,14 +442,11 @@ class TestDeterminism:
 def test_module_entry_point(tmp_path):
     out = tmp_path / "x.csv"
     # the child imports the same package as this test, installed or not
-    package_root = str(Path(hybridkd.__file__).resolve().parent.parent)
-    inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, inherited])))
     proc = subprocess.run(
         [sys.executable, "-m", "hybridkd", "sweep", "--points", "3", "--out", str(out)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 4

@@ -1,5 +1,6 @@
 """Argument checks: a bad number at a library entry point is a named DomainError or ConfigError."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -85,4 +86,36 @@ def test_check_real_accepts_numbers_in_range(value):
                                    np.float32(np.inf), 10**400, np.array(0.5)])
 def test_check_real_rejects(value):
     with pytest.raises(DomainError, match=r"^p must be a finite number > 0 and <= 1, got"):
+        check_real(value, "p", gt=0, le=1)
+
+
+
+# repr of an int past 4,300 digits raises ValueError, and a 400-digit one floods the message
+@pytest.mark.parametrize("mu, shown", [(10**5000, ">= 2**16609"), (-(10**400), "<= -2**1328")],
+                         ids=["10**5000", "-10**400"])
+def test_huge_int_mu_is_a_short_domain_error(mu, shown):
+    with pytest.raises(DomainError) as info:
+        dataclasses.replace(DEFAULT_OPTICAL, mu=mu)
+    assert str(info.value) == f"mu must be a finite number > 0, got {shown}"
+    assert len(str(info.value)) < 50
+
+
+HUGE_INTS = [(10**5000, ">= 2**16609"), (-(10**400), "<= -2**1328"),
+             (2**63, ">= 2**63"), (-(2**63) - 1, "<= -2**63")]
+
+
+@pytest.mark.parametrize("value, shown", HUGE_INTS, ids=[shown for _, shown in HUGE_INTS])
+def test_int_past_int64_is_shown_as_a_power_of_two(value, shown):
+    with pytest.raises(DomainError) as real:
+        check_real(value, "p", gt=0, le=1)
+    assert str(real.value) == f"p must be a finite number > 0 and <= 1, got {shown}"
+    with pytest.raises(DomainError) as count:
+        check_int(value, "n", ge=1)
+    want = "n must be < 2**63" if value > 0 else "n must be an integer >= 1"
+    assert str(count.value) == f"{want}, got {shown}"
+
+
+@pytest.mark.parametrize("value", [-(2**63), 2**63 - 1])
+def test_int64_range_is_shown_whole(value):
+    with pytest.raises(DomainError, match=rf", got {value}$"):
         check_real(value, "p", gt=0, le=1)

@@ -129,6 +129,12 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(bad)
 
+    @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None, [0.5]],
+                             ids=["str", "True", "False", "np_True", "None", "list"])
+    def test_non_number_rejected(self, bad):
+        with pytest.raises(DomainError, match="^entropy argument must be a number"):
+            binary_entropy(bad)
+
 
 class TestPenalty:
     def test_zero_entropy(self, optical):
@@ -176,6 +182,13 @@ class TestWireLine:
             wave_limit_bandwidth(line, extreme)
         with pytest.raises(DomainError, match="distance"):
             kljn_bit_rate(line, extreme)
+
+    def test_rate_past_the_float_range_rejected(self):
+        # 2 * B_W = 1e307 at 0.1 km is finite; times 1,000 pairs it overflows to inf
+        fast = make_line(v=1e307, n_pairs=1000, n_samples=1)
+        with pytest.raises(DomainError, match=r"^distance 0\.1 km gives a wire bit rate"):
+            kljn_bit_rate(fast, 0.1)
+        assert kljn_bit_rate(fast, 1e3) == pytest.approx(1e306, rel=1e-15)
 
     def test_bit_rate_values(self, line):
         assert kljn_bit_rate(line, 1.0) == 4.0e5
@@ -283,8 +296,10 @@ class TestArrayForm:
             (wave_limit_bandwidth, lambda d: (make_line(), d), [1.0, 0.0, 2.0]),
             (wave_limit_bandwidth, lambda d: (make_line(), d), [1.0, 1e-320]),
             (kljn_bit_rate, lambda d: (make_line(), d), [1.0, 1e308]),
+            (kljn_bit_rate, lambda d: (make_line(v=1e307, n_pairs=1000, n_samples=1), d),
+             [1e3, 0.1, 0.2]),
         ],
-        ids=["negative", "inf", "q_mu_zero", "entropy", "zero", "tiny", "huge"],
+        ids=["negative", "inf", "q_mu_zero", "entropy", "zero", "tiny", "huge", "rate_overflow"],
     )
     def test_check_names_the_first_bad_element(self, fn, make_args, values):
         # values[1] is the first element that fails

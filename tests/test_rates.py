@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import operator
 import re
 from itertools import chain
 
@@ -10,7 +11,7 @@ import pytest
 
 from hybridkd import cli, rates
 from hybridkd.errors import DomainError, SolverError
-from hybridkd.physics import LinkBudget, link_budget
+from hybridkd.physics import KljnLineParams, LinkBudget, link_budget
 from hybridkd.rates import (
     RATE_POINT_FIELDS,
     crossover_distance,
@@ -24,6 +25,8 @@ from hybridkd.rates import (
 R_BB84_0 = 0.0037456636959275029
 CROSSOVER_KM = 7.6448382310318187
 T_P23_10KM = 20094.305758053588
+
+ROW = operator.attrgetter(*RATE_POINT_FIELDS)  # a RatePoint's fields as a tuple
 
 
 class TestNormalizedRates:
@@ -127,6 +130,12 @@ class TestSweep:
         for f in RATE_POINT_FIELDS:
             assert hasattr(p, f)
 
+    def test_rate_point_is_a_slots_dataclass(self, optical, line):
+        # the benchmark serializes rows with dataclasses.astuple; slots make rows cheap to build
+        p = throughputs(optical, line, 1.0)
+        assert dataclasses.astuple(p) == ROW(p)
+        assert not hasattr(p, "__dict__")
+
     def test_f_sys_is_exact_min_clamp(self, optical, line):
         for p in sweep(optical, line, 0.02, 10.0, 60, "log"):
             assert p.f_sys == min(optical.f_qkd, p.r_kljn)
@@ -149,11 +158,18 @@ class TestSweep:
         grid = np.linspace if spacing == "linear" else np.geomspace
         direct = [throughputs(optical, line, d) for d in grid(l_min, l_max, n_points).tolist()]
         # compared as bit patterns, so a last-ulp change or -0.0 for 0.0 shows
-        got, want = (np.fromiter(chain.from_iterable(vars(p).values() for p in pts), float)
+        got, want = (np.fromiter(chain.from_iterable(map(ROW, pts)), float)
                      .view(np.int64) for pts in (points, direct))
         assert (got != want).sum() == 0
         for field, value in reached.items():  # the grid reaches the branch it is here for
             assert any(getattr(p, field) == value for p in points), field
+
+    def test_wire_rate_past_the_float_range_is_a_domain_error(self, optical):
+        fast = KljnLineParams(v=1e307, n_pairs=1000, n_samples=1, r_low=1e4, r_high=1e5)
+        with pytest.raises(DomainError, match=r"^distance 0\.1 km gives a wire bit rate"):
+            throughputs(optical, fast, 0.1)
+        with pytest.raises(DomainError, match=r"^distance 0\.1 km gives a wire bit rate"):
+            sweep(optical, fast, 0.1, 10.0, 5, "log")
 
     def test_zero_gain_raises_like_the_scalar_path(self, optical, line):
         dark = dataclasses.replace(optical, p_d=0.0)
