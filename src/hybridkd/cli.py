@@ -175,6 +175,7 @@ def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
 
 def cmd_simulate(cfg: RunConfig) -> str:
     point = rates.throughputs(cfg.optical, cfg.kljn, cfg.distance_km)
+    t_gated = {Protocol.BB84: point.t_bb84, Protocol.P1: point.t_p1}.get(cfg.protocol, point.t_p23)
 
     if cfg.timing is Timing.GATED:
         stats = session.run_gated_session(
@@ -195,9 +196,7 @@ def cmd_simulate(cfg: RunConfig) -> str:
             "observed_yield_per_pulse": observed,
             "sigma_per_pulse": sigma,
             "deviation_sigma": (observed - mean) / sigma if sigma > 0 else 0.0,
-            "throughput_bps": {Protocol.BB84: point.t_bb84, Protocol.P1: point.t_p1}.get(
-                cfg.protocol, point.t_p23
-            ),
+            "throughput_bps": t_gated,
         }
     else:
         stats = session.run_buffered_session(
@@ -212,11 +211,10 @@ def cmd_simulate(cfg: RunConfig) -> str:
             ideal_classification=cfg.ideal_classification,
             temperature_scale=cfg.temperature_scale,
         )
-        gated_bound = point.t_p1 if cfg.protocol is Protocol.P1 else point.t_p23
         analytic = {
-            "gated_bound_bps": gated_bound,
+            "gated_bound_bps": t_gated,
             "burst_throughput_bps": stats.burst_throughput_model_bps,
-            "long_run_ratio_to_bound": stats.effective_throughput_bps / gated_bound,
+            "long_run_ratio_to_bound": stats.effective_throughput_bps / t_gated,
         }
 
     return _json_report({"stats": stats.to_dict(), "analytic": analytic})

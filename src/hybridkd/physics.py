@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real
+from .errors import _FLOAT_MAX, DomainError, _shown, check_int, check_real
 
 __all__ = [
     "OpticalParams",
@@ -74,9 +74,16 @@ def _require(ok, value, message: str) -> None:
 
 
 def _check_type(value, name: str) -> None:
-    """Reject a value that is no real number or array; concrete types, as this is hot."""
+    """Reject a value that is no real number or array, or an int past the float range.
+
+    Concrete types first, as this is hot: a float returns at once.
+    """
+    if value.__class__ is float:
+        return
     if not isinstance(value, _REAL_TYPES) or value.__class__ is bool:
         raise DomainError(f"{name} must be a number or a float64 array, got {value!r}")
+    if isinstance(value, int) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        raise DomainError(f"{name} must be within the float range, got {_shown(value)}")
 
 
 _REAL_TYPES = (float, int, np.floating, np.integer, np.ndarray)
@@ -217,7 +224,11 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     _check_type(distance_km, "distance")
     message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
     _require(distance_km > 0.0, distance_km, message)
-    b_w = line.v / (20.0 * distance_km)
+    if distance_km.__class__ is float:
+        b_w = line.v / (20.0 * distance_km)
+    else:  # numpy warns where a float overflows to inf quietly; the check below names it
+        with np.errstate(over="ignore"):
+            b_w = line.v / (20.0 * distance_km)
     _require((0.0 < b_w) & (b_w < math.inf), distance_km, message)
     return b_w
 
@@ -228,8 +239,12 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
     The per-pair sampling rate is Nyquist at the wave limit, f_s = 2 * B_W.
     A distance whose rate overflows the float range is rejected.
     """
-    f_s = 2.0 * wave_limit_bandwidth(line, distance_km)
-    rate = line.n_pairs * f_s / line.n_samples
+    b_w = wave_limit_bandwidth(line, distance_km)
+    if b_w.__class__ is float:
+        rate = line.n_pairs * (2.0 * b_w) / line.n_samples
+    else:  # numpy warns where a float overflows to inf quietly; the check below names it
+        with np.errstate(over="ignore"):
+            rate = line.n_pairs * (2.0 * b_w) / line.n_samples
     _require(rate < math.inf, distance_km, "distance {} km gives a wire bit rate that overflows")
     return rate
 

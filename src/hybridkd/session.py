@@ -4,11 +4,14 @@ Gated mode runs one wire decision per optical pulse, so the pulse clock is
 f_sys = min(f_qkd, R_kljn). Buffered mode (Protocols I/II only) alternates
 two phases: the wire fills a buffer of basis-coordination bits at R_kljn
 while the laser idles, then the laser drains the buffer in a burst at its
-native rate. Time is simulated, never wall-clock. Both modes only draw and
-count: a gated session draws its rounds with `protocol.draw_block` (the
-draws of `random_inputs` and `draw_round`, round for round), a buffered one
-in i.i.d. spans with `protocol.draw_span`, and each hands its draws to
-`protocol.decide_block`, the one place the rules (`protocol._RULES`) are applied.
+native rate. Time is simulated, never wall-clock. Both modes read every
+rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
+`rates.throughputs` call, and only draw and count: a gated session draws
+its rounds with `protocol.draw_block` (the draws of `random_inputs` and
+`draw_round`, round for round), a buffered one in i.i.d. spans with
+`protocol.draw_span`, and each hands its draws to `protocol.decide_block`,
+the one place the rules (`protocol._RULES`) are applied. The analytic yield
+moments come from `decide_block` too.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -24,14 +27,14 @@ from typing import Any
 
 import numpy as np
 
+from . import rates
 from .errors import ConfigError, DomainError, check_int, check_real
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
-from .physics import KljnLineParams, OpticalParams, kljn_bit_rate
-from .physics import link_budget  # perfbench's tracer wraps this name here
+from .physics import KljnLineParams, OpticalParams
+from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import ChannelModel, Protocol, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
-from .rates import normalized_rates
 
 __all__ = [
     "Timing",
@@ -187,22 +190,15 @@ def run_gated_session(
     `protocol.draw_block` draws every round, exactly as `random_inputs` and
     `draw_round` would one by one; `protocol.decide_block` then decides them
     all at once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
-    unthrottled at f_qkd).
+    unthrottled at f_qkd; its distance must still give a wire rate).
     """
     check_int(n_rounds, "n_rounds", ge=1)
     _check_seed(seed)
-    budget = link_budget(optical, distance_km)
-    channel = ChannelModel(
-        budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
-    )
+    point = rates.throughputs(optical, line, distance_km)
+    channel = ChannelModel(point.q_mu, optical.e_opt, line, temperature_scale, ideal_classification)
     alice_diag, bob_diag, detected, wrong, low, high = draw_block(protocol, channel, seed, n_rounds)
     counts = _tally(decide_block(protocol, alice_diag, bob_diag, low, high), detected, wrong)
-
-    if protocol is Protocol.BB84:
-        f_clock = optical.f_qkd
-    else:
-        f_clock = min(optical.f_qkd, kljn_bit_rate(line, distance_km))
-    wall_time = n_rounds / f_clock
+    wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
 
     return SessionStats(
         protocol=protocol.value,
@@ -211,9 +207,9 @@ def run_gated_session(
         seed=seed,
         rounds_executed=n_rounds,
         **counts,
-        gamma=budget.gamma,
+        gamma=point.gamma,
         wall_time_s=wall_time,
-        effective_throughput_bps=_secure_bits(counts, budget.gamma) / wall_time,
+        effective_throughput_bps=_secure_bits(counts, point.gamma) / wall_time,
     )
 
 
@@ -242,10 +238,9 @@ def run_buffered_session(
     check_real(duration_s, "duration_s", gt=0)
     _check_seed(seed)
 
-    budget = link_budget(optical, distance_km)
-    r_kljn = kljn_bit_rate(line, distance_km)
+    point = rates.throughputs(optical, line, distance_km)
     block = mode.burst_block
-    fill_time = block / r_kljn
+    fill_time = block / point.r_kljn
     drain_time = block / optical.f_qkd
     cycle_time = fill_time + drain_time
     n_cycles = int(duration_s // cycle_time)
@@ -255,9 +250,7 @@ def run_buffered_session(
             f"({cycle_time:.6g} s)"
         )
 
-    channel = ChannelModel(
-        budget.q_mu, optical.e_opt, line, temperature_scale, ideal_classification
-    )
+    channel = ChannelModel(point.q_mu, optical.e_opt, line, temperature_scale, ideal_classification)
     rng = np.random.default_rng(seed)
     n_rounds = n_cycles * block
     counts: collections.Counter[str] = collections.Counter()
@@ -267,10 +260,8 @@ def run_buffered_session(
         decided = decide_block(protocol, alice_diag, bob_diag, low, high)
         counts.update(_tally(decided, detected, wrong))
 
-    secure_bits = _secure_bits(counts, budget.gamma)
+    secure_bits = _secure_bits(counts, point.gamma)
     wall_time = n_cycles * cycle_time
-    r_p1, r_p23 = normalized_rates(budget)
-    r_norm = r_p23 if protocol is Protocol.P2 else r_p1
 
     return SessionStats(
         protocol=protocol.value,
@@ -279,11 +270,12 @@ def run_buffered_session(
         seed=seed,
         rounds_executed=n_rounds,
         **counts,
-        gamma=budget.gamma,
+        gamma=point.gamma,
         wall_time_s=wall_time,
         effective_throughput_bps=secure_bits / wall_time,
         cycles=n_cycles,
-        burst_throughput_model_bps=r_norm * optical.f_qkd,
+        burst_throughput_model_bps=(
+            point.t_burst_p2 if protocol is Protocol.P2 else point.t_burst_p1),
         burst_throughput_measured_bps=secure_bits / (n_cycles * drain_time),
     )
 
@@ -298,26 +290,15 @@ def per_pulse_yield_moments(
 ) -> tuple[float, float]:
     """(mean, variance) of the one-round secure-bit yield.
 
-    Derived from the round distribution under uniform bases, detection
-    probability q_mu and ideal classification; the optical contribution is
-    weighted by (1 - gamma). Used to express Monte Carlo deviations in
-    sigma units.
+    The four equally likely basis pairs go through `decide_block` under ideal
+    classification: a kept optical bit is worth 1 - gamma and arrives with
+    probability q_mu, a wire bit is worth 1. Used to express Monte Carlo
+    deviations in sigma units.
     """
-    w = 1.0 - gamma
-    if protocol in (Protocol.BB84, Protocol.P1):
-        p = 0.5 * q_mu
-        mean = w * p
-        var = w * w * p * (1.0 - p)
-    elif protocol is Protocol.P2:
-        # per round: 0 w.p. 1/2; 1 w.p. (1-q)/2; 1+w w.p. q/2
-        mean = 0.5 * (1.0 + q_mu * w)
-        second = 0.5 * (1.0 - q_mu) + 0.5 * q_mu * (1.0 + w) ** 2
-        var = second - mean * mean
-    elif protocol is Protocol.P3:
-        # per round: 1 w.p. 1/2; w w.p. q/2; 0 w.p. (1-q)/2
-        mean = 0.5 + 0.5 * q_mu * w
-        second = 0.5 + 0.5 * q_mu * w * w
-        var = second - mean * mean
-    else:  # pragma: no cover
-        raise DomainError(f"unknown protocol {protocol}")
-    return mean, var
+    alice_diag, bob_diag = np.array([[False, False, True, True], [False, True, False, True]])
+    _, keeps, wire, _ = decide_block(protocol, alice_diag, bob_diag)
+    no_click = np.zeros(4) if wire is None else wire.astype(float)
+    yields = np.concatenate((no_click, no_click + (1.0 - gamma) * keeps))
+    probs = np.repeat((0.25 * (1.0 - q_mu), 0.25 * q_mu), 4)
+    mean = float(yields @ probs)
+    return mean, float((yields - mean) ** 2 @ probs)

@@ -9,7 +9,8 @@ import pytest
 from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL, RunConfig
 from hybridkd.errors import ConfigError, DomainError, check_int, check_real
 from hybridkd.kljn import ResistorChoice, line_variance
-from hybridkd.physics import KljnLineParams, OpticalParams
+from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
+                              system_transmittance, wave_limit_bandwidth)
 from hybridkd.protocol import ChannelModel, Protocol
 from hybridkd.rates import short_haul_supremacy_bound, throughputs
 from hybridkd.session import TimingMode, run_buffered_session, run_gated_session, spawn_seeds
@@ -32,8 +33,20 @@ BAD_ARGUMENTS = {
     "gated_distance_str": (lambda: _gated(distance_km="2"), DomainError, "distance"),
     "gated_distance_bool": (lambda: _gated(distance_km=True), DomainError, "distance"),
     "gated_rounds_bool": (lambda: _gated(n_rounds=True), DomainError, "n_rounds"),
+    "gated_bb84_distance_zero": (
+        lambda: run_gated_session(Protocol.BB84, DEFAULT_OPTICAL, DEFAULT_KLJN, 0.0, 100, 1),
+        DomainError, "distance"),
     "throughputs_distance_str": (
         lambda: throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, "2"), DomainError, "distance"),
+    "throughputs_distance_huge": (
+        lambda: throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, 10**400), DomainError, "distance"),
+    "transmittance_distance_huge": (
+        lambda: system_transmittance(DEFAULT_OPTICAL, -(10**400)), DomainError, "distance"),
+    "bandwidth_distance_huge": (
+        lambda: wave_limit_bandwidth(DEFAULT_KLJN, 10**400), DomainError, "distance"),
+    "bit_rate_distance_huge": (
+        lambda: kljn_bit_rate(DEFAULT_KLJN, 10**400), DomainError, "distance"),
+    "entropy_argument_huge": (lambda: binary_entropy(10**5000), DomainError, "entropy argument"),
     "line_variance_scale_str": (
         lambda: line_variance(DEFAULT_KLJN, ResistorChoice.LOW, ResistorChoice.HIGH, "2"),
         DomainError, "temperature_scale"),
@@ -63,6 +76,17 @@ def test_bad_argument_is_named(call, error, name):
     with pytest.raises(error) as info:
         call()
     assert re.search(rf"\b{name}\b", str(info.value)), str(info.value)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, 10**400), ">= 2**1328"),
+    (lambda: system_transmittance(DEFAULT_OPTICAL, -(10**400)), "<= -2**1328"),
+    (lambda: wave_limit_bandwidth(DEFAULT_KLJN, 2**1024), ">= 2**1024"),
+    (lambda: binary_entropy(10**5000), ">= 2**16609"),
+], ids=["throughputs", "transmittance", "bandwidth", "entropy"])
+def test_int_past_the_float_range_is_shown_by_its_bit_length(call, shown):
+    with pytest.raises(DomainError, match=re.escape(f"float range, got {shown}")):
+        call()
 
 
 @pytest.mark.parametrize("value", [0, 7, 2**63 - 1, np.int64(3), np.uint8(3)])

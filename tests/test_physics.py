@@ -298,13 +298,17 @@ class TestArrayForm:
             (kljn_bit_rate, lambda d: (make_line(), d), [1.0, 1e308]),
             (kljn_bit_rate, lambda d: (make_line(v=1e307, n_pairs=1000, n_samples=1), d),
              [1e3, 0.1, 0.2]),
+            (kljn_bit_rate, lambda d: (make_line(v=1.7e308, n_pairs=1, n_samples=1), d),
+             [1e3, 0.05, 0.2]),
         ],
-        ids=["negative", "inf", "q_mu_zero", "entropy", "zero", "tiny", "huge", "rate_overflow"],
+        ids=["negative", "inf", "q_mu_zero", "entropy", "zero", "tiny", "huge", "rate_overflow",
+             "nyquist_overflow"],
     )
     def test_check_names_the_first_bad_element(self, fn, make_args, values):
-        # values[1] is the first element that fails
+        # values[1] is the first element that fails; the array raises without numpy's
+        # overflow RuntimeWarning, which pyproject.toml turns into an error
         with pytest.raises(DomainError) as scalar:
             fn(*make_args(values[1]))
-        with np.errstate(over="ignore"), pytest.raises(DomainError) as array:
+        with pytest.raises(DomainError) as array:
             fn(*make_args(np.array(values)))
         assert str(array.value) == str(scalar.value)

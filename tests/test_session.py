@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from hybridkd.session import (
 )
 
 from outcome_oracle import observed_outcomes, session_counts
+from test_acceptance import _yield_moments
 
 
 class TestTimingMode:
@@ -172,6 +174,14 @@ class TestYieldHelpers:
             mean, var = per_pulse_yield_moments(proto, budget.q_mu, budget.gamma)
             assert mean == pytest.approx(expect, rel=1e-12)
             assert var > 0.0
+        # criterion 5's closed forms, written out per protocol in test_acceptance
+        grid = (0.0, 1e-12, 0.008, 0.5, 1.0)
+        for proto, q_mu, gamma in itertools.product(Protocol, grid, grid):
+            mean, var = per_pulse_yield_moments(proto, q_mu, gamma)
+            want_mean, want_var = _yield_moments(proto, q_mu, gamma)
+            assert abs(mean - want_mean) <= 1e-15, (proto, q_mu, gamma)
+            assert abs(var - want_var) <= 1e-15, (proto, q_mu, gamma)
+            assert var >= 0.0, (proto, q_mu, gamma)
 
     def test_estimate_formula(self):
         stats = SessionStats(
