@@ -158,8 +158,13 @@ def cmd_sweep(cfg: RunConfig) -> str:
 
 
 def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
-    if fixture is not None:
-        text = bundled_fixture_text() if fixture == "bundled" else Path(fixture).read_text("utf-8")
+    if fixture == "bundled":
+        inputs = proto.parse_trace_fixture(bundled_fixture_text())
+    elif fixture is not None:
+        try:
+            text = Path(fixture).read_text("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"fixture {fixture} is not UTF-8 text: {exc}") from exc
         inputs = proto.parse_trace_fixture(text)
     else:
         check_int(n_rounds, "trace rounds", ge=1)
@@ -186,7 +191,6 @@ def cmd_simulate(cfg: RunConfig) -> str:
             cfg.rounds,
             cfg.seed,
             ideal_classification=cfg.ideal_classification,
-            temperature_scale=cfg.temperature_scale,
         )
         mean, var = session.per_pulse_yield_moments(cfg.protocol, point.q_mu, point.gamma)
         observed = session.estimate_per_pulse_yield(stats)
@@ -209,7 +213,6 @@ def cmd_simulate(cfg: RunConfig) -> str:
             # a run of whole fill/drain cycles never holds more than one block
             mode=TimingMode.buffered(cfg.burst_block, cfg.burst_block),
             ideal_classification=cfg.ideal_classification,
-            temperature_scale=cfg.temperature_scale,
         )
         analytic = {
             "gated_bound_bps": t_gated,

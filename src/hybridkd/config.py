@@ -21,10 +21,10 @@ from typing import Any
 
 import yaml
 
-from .errors import ConfigError, DomainError, check_real
+from .errors import ConfigError, DomainError, check_seed
 from .physics import KljnLineParams, OpticalParams
 from .protocol import Protocol
-from .session import DEFAULT_BURST_BLOCK, Timing, _check_seed
+from .session import DEFAULT_BURST_BLOCK, Timing
 
 __all__ = [
     "SweepSpec",
@@ -80,7 +80,6 @@ class SweepSpec:
 class RunConfig:
     optical: OpticalParams = DEFAULT_OPTICAL
     kljn: KljnLineParams = DEFAULT_KLJN
-    temperature_scale: float = 1.0
     sweep: SweepSpec = SweepSpec()
     protocol: Protocol = Protocol.P2
     timing: Timing = Timing.GATED
@@ -97,8 +96,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         try:
-            _check_seed(self.seed)
-            check_real(self.temperature_scale, "temperature_scale", gt=0)
+            check_seed(self.seed)
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -137,7 +135,6 @@ KEYS = (
     ("run", "seed", "seed"),
     ("run", "bracket", "bracket"),
     ("run", "factor", "factor"),
-    ("run", "temperature_scale", "temperature_scale"),
     ("output", "path", "out"),
     ("output", "format", "format"),
 )
@@ -253,10 +250,9 @@ def load_config(path: str | os.PathLike | None) -> RunConfig:
         path = os.environ.get(CONFIG_ENV_VAR) or None
     if path is None:
         return default_config()
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = yaml.load(text, Loader=_LOADER)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
+    try:  # ValueError: a file that is not UTF-8, or an int past Python's digit limit
+        data = yaml.load(Path(path).read_text(encoding="utf-8"), Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if data is None:
         return default_config()

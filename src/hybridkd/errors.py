@@ -4,8 +4,10 @@ The CLI maps each class to a distinct process exit code, so library code
 should raise these rather than bare ValueError/RuntimeError wherever the
 failure is a user-facing condition. A mistyped, bool, fractional, non-finite
 or oversized library argument is a DomainError naming it (a ConfigError from
-`TimingMode`, `RunConfig` and YAML).
+`TimingMode`, `RunConfig` and YAML); so is a seed numpy would refuse or misread.
 """
+
+from __future__ import annotations
 
 import numpy as np
 
@@ -50,3 +52,20 @@ def check_real(value, name: str, *, gt=-np.inf, ge=-np.inf, lt=np.inf, le=np.inf
     limits = " and ".join(f"{op} {bound}" for op, bound in bounds if -np.inf < bound < np.inf)
     message = f"{name} must be a finite number {limits}".rstrip()
     raise DomainError(f"{message}, got {_shown(value)}")
+
+
+def check_seed(seed) -> None:
+    """DomainError naming `seed` unless it is a SeedSequence or an int in [0, 2**63).
+
+    numpy would refuse -1 or 1.5 with its own bare error, and misread True
+    as 1 and None as a request for fresh entropy.
+    """
+    if not isinstance(seed, np.random.SeedSequence):
+        check_int(seed, "seed")
+
+
+def generator(rng) -> np.random.Generator:
+    """`rng` itself if it is a Generator, else a new one seeded by `rng` (see `check_seed`)."""
+    if not isinstance(rng, np.random.Generator):
+        check_seed(rng)
+    return np.random.default_rng(rng)

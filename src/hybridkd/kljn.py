@@ -1,10 +1,11 @@
 """Sample-level simulation of the noise-based wire channel.
 
 Each decision interval, Alice and Bob connect one of two resistors to the
-shared line. The line voltage is zero-mean Gaussian noise whose variance is
-proportional to the parallel combination of the two connected resistors
-(Johnson noise in normalized units: Boltzmann constant, temperature and
-bandwidth are folded into a single `temperature_scale` factor).
+shared line. The line voltage is zero-mean Gaussian Johnson noise of
+variance 4kTB times the parallel resistance of the two connected resistors,
+in units where 4kTB = 1. There is no temperature knob: the band thresholds
+come from the same analytic variances, so any common factor scales the
+estimates and the thresholds alike and cancels out of every classification.
 
 Both legitimate parties and the eavesdropper observe the same N samples;
 the only statistic that matters is the estimated variance, classified into
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_real
+from .errors import check_real, generator
 from .physics import KljnLineParams
 
 __all__ = [
@@ -75,48 +76,35 @@ def ground_truth_level(a: ResistorChoice, b: ResistorChoice) -> NoiseLevel:
     return NoiseLevel.INTERMEDIATE
 
 
-def line_variance(
-    line: KljnLineParams,
-    a: ResistorChoice,
-    b: ResistorChoice,
-    temperature_scale: float = 1.0,
-) -> float:
-    """Mean-square line voltage for a resistor pair, in normalized units.
+def line_variance(line: KljnLineParams, a: ResistorChoice, b: ResistorChoice) -> float:
+    """Mean-square line voltage for a resistor pair, in units of 4kTB.
 
-    Proportional to the parallel resistance Ra*Rb/(Ra+Rb); symmetric in
-    (a, b), so the two mixed selections are indistinguishable by variance.
+    The parallel resistance Ra*Rb/(Ra+Rb); symmetric in (a, b), so the two
+    mixed selections are indistinguishable by variance.
     """
-    check_real(temperature_scale, "temperature_scale", gt=0)
-    ra = a.ohms(line)
-    rb = b.ohms(line)
-    return temperature_scale * (ra * rb) / (ra + rb)
+    ra, rb = a.ohms(line), b.ohms(line)
+    return (ra * rb) / (ra + rb)
 
 
-def variance_thresholds(
-    line: KljnLineParams, temperature_scale: float = 1.0
-) -> tuple[float, float]:
+def variance_thresholds(line: KljnLineParams) -> tuple[float, float]:
     """Decision thresholds between the three variance bands.
 
     Placed at the geometric means of adjacent analytic variances, which
     equalizes the classification margins in the log domain.
     """
-    v_low = line_variance(line, ResistorChoice.LOW, ResistorChoice.LOW, temperature_scale)
-    v_mid = line_variance(line, ResistorChoice.LOW, ResistorChoice.HIGH, temperature_scale)
-    v_high = line_variance(line, ResistorChoice.HIGH, ResistorChoice.HIGH, temperature_scale)
+    v_low = line_variance(line, ResistorChoice.LOW, ResistorChoice.LOW)
+    v_mid = line_variance(line, ResistorChoice.LOW, ResistorChoice.HIGH)
+    v_high = line_variance(line, ResistorChoice.HIGH, ResistorChoice.HIGH)
     return float(np.sqrt(v_low * v_mid)), float(np.sqrt(v_mid * v_high))
 
 
-def classify_level(
-    estimated_variance: float,
-    line: KljnLineParams,
-    temperature_scale: float = 1.0,
-) -> NoiseLevel:
+def classify_level(estimated_variance: float, line: KljnLineParams) -> NoiseLevel:
     """Map a variance estimate to a noise level. Total and deterministic.
 
     Band edges belong to the intermediate band.
     """
     check_real(estimated_variance, "variance estimate", ge=0)
-    t_low, t_high = variance_thresholds(line, temperature_scale)
+    t_low, t_high = variance_thresholds(line)
     if estimated_variance < t_low:
         return NoiseLevel.LOW
     if estimated_variance > t_high:
@@ -129,7 +117,6 @@ def sample_line(
     a: ResistorChoice,
     b: ResistorChoice,
     rng: np.random.Generator | int,
-    temperature_scale: float = 1.0,
 ) -> LineObservation:
     """Draw N voltage samples for one decision interval and classify them.
 
@@ -138,14 +125,14 @@ def sample_line(
     zero). Deterministic for a fixed integer seed; a Generator may be
     passed instead to continue an existing stream.
     """
-    gen = np.random.default_rng(rng)
-    sigma2 = line_variance(line, a, b, temperature_scale)
+    gen = generator(rng)
+    sigma2 = line_variance(line, a, b)
     samples = gen.normal(0.0, np.sqrt(sigma2), size=line.n_samples)
     estimate = float(np.mean(samples * samples))
     return LineObservation(
         samples=samples,
         estimated_variance=estimate,
-        classified_level=classify_level(estimate, line, temperature_scale),
+        classified_level=classify_level(estimate, line),
         ground_truth_level=ground_truth_level(a, b),
     )
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real
+from .errors import DomainError, check_int, check_real, generator
 from .kljn import (LineObservation, NoiseLevel, ResistorChoice, ground_truth_level,
                    line_variance, sample_line, variance_thresholds)
 from .physics import KljnLineParams
@@ -168,13 +168,11 @@ class ChannelModel:
     detection_prob: float = 1.0
     flip_prob: float = 0.0
     line: KljnLineParams | None = None
-    temperature_scale: float = 1.0
     ideal_classification: bool = True
 
     def __post_init__(self) -> None:
         check_real(self.detection_prob, "detection_prob", ge=0, le=1)
         check_real(self.flip_prob, "flip_prob", ge=0, le=1)
-        check_real(self.temperature_scale, "temperature_scale", gt=0)
         if not self.ideal_classification and self.line is None:
             raise DomainError("sampled classification requires line parameters")
 
@@ -240,9 +238,9 @@ def measure_photon(
     No click -> None. Matched bases -> Alice's bit, flipped with
     probability `flip_prob`. Mismatched bases -> uniformly random bit.
     """
+    gen = generator(rng)
     if not detected:
         return None
-    gen = np.random.default_rng(rng)
     if alice_basis is bob_basis:
         if flip_prob > 0.0 and gen.random() < flip_prob:
             return 1 - alice_bit
@@ -300,7 +298,7 @@ def draw_round(
     Forced inputs skip their draws; only wire protocols under sampled
     classification sample the line.
     """
-    gen = np.random.default_rng(rng)
+    gen = generator(rng)
     detected = inputs.detected
     if detected is None:
         detected = bool(gen.random() < channel.detection_prob)
@@ -312,15 +310,15 @@ def draw_round(
     if protocol is Protocol.BB84 or channel.ideal_classification:
         return detected, bob_bit, None
     resistors = _resistors(protocol, inputs)
-    return detected, bob_bit, sample_line(channel.line, *resistors, gen, channel.temperature_scale)
+    return detected, bob_bit, sample_line(channel.line, *resistors, gen)
 
 
 _CHUNK = 128  # rounds per vectorized step of `draw_block`
 
 
-def _pair_variances(protocol: Protocol, line: KljnLineParams, scale: float) -> list[float]:
+def _pair_variances(protocol: Protocol, line: KljnLineParams) -> list[float]:
     """Line variance of each resistor pair, at 2 * (Alice diagonal) + (Bob diagonal)."""
-    return [line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)), scale)
+    return [line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)))
             for a in Basis for b in Basis]
 
 
@@ -332,16 +330,16 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     classified low and high (None unless the line is sampled, chunk by chunk).
     """
     check_int(n_rounds, "n_rounds")
-    gen = np.random.default_rng(rng)
+    gen = generator(rng)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
     sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
     flags = bytearray(4 * n_rounds)
     drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)
     low = high = None
     if sampled:
-        line, scale = channel.line, channel.temperature_scale
-        sigma = np.sqrt(_pair_variances(protocol, line, scale))
-        t_low, t_high = variance_thresholds(line, scale)
+        line = channel.line
+        sigma = np.sqrt(_pair_variances(protocol, line))
+        t_low, t_high = variance_thresholds(line)
         noise = np.empty((_CHUNK, line.n_samples))
         low, high = np.empty(n_rounds, dtype=bool), np.empty(n_rounds, dtype=bool)
     for start in range(0, n_rounds, _CHUNK):
@@ -382,7 +380,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
     check_int(n_rounds, "n_rounds")
-    gen = np.random.default_rng(rng)
+    gen = generator(rng)
     if sys.byteorder == "little" and gen.bit_generator.state.get("has_uint32") == 0:
         halves = gen.bit_generator.random_raw(n_rounds).view(np.uint32) >= 1 << 31
         alice_diag, bob_diag = halves[:n_rounds], halves[n_rounds:]
@@ -393,12 +391,12 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
     low = high = None
     if protocol is not Protocol.BB84 and not channel.ideal_classification:
-        line, scale = channel.line, channel.temperature_scale
-        variances = np.array(_pair_variances(protocol, line, scale))
+        line = channel.line
+        variances = np.array(_pair_variances(protocol, line))
         estimates = variances[alice_diag * np.uint8(2) + bob_diag]
         estimates *= gen.chisquare(line.n_samples, n_rounds)
         estimates /= line.n_samples
-        t_low, t_high = variance_thresholds(line, scale)
+        t_low, t_high = variance_thresholds(line)
         low, high = estimates < t_low, estimates > t_high
     return alice_diag, bob_diag, u < q, wrong, low, high
 
@@ -505,7 +503,7 @@ def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
 
 def random_inputs(rng: np.random.Generator | int) -> RoundInputs:
     """Uniform independent basis and bit choices for one round."""
-    draws = fair_bits(np.random.default_rng(rng), 3)
+    draws = fair_bits(generator(rng), 3)
     return RoundInputs(
         alice_basis=Basis.DIAGONAL if draws[0] else Basis.RECTILINEAR,
         alice_bit=int(draws[1]),

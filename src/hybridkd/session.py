@@ -28,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from . import rates
-from .errors import ConfigError, DomainError, check_int, check_real
+from .errors import ConfigError, DomainError, check_int, check_real, check_seed
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams
 from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
@@ -134,15 +134,9 @@ class SessionStats:
         return {k: v for k, v in out.items() if v is not None}
 
 
-def _check_seed(seed: int | np.random.SeedSequence) -> None:
-    """Name a seed numpy would refuse (-1, 1.5) or misread (True as 1, None as fresh entropy)."""
-    if not isinstance(seed, np.random.SeedSequence):
-        check_int(seed, "seed")
-
-
 def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
     """Deterministic independent child seeds for parallel workers."""
-    _check_seed(seed)
+    check_seed(seed)
     check_int(n, "n")
     return np.random.SeedSequence(seed).spawn(n)
 
@@ -183,7 +177,6 @@ def run_gated_session(
     n_rounds: int,
     seed: int,
     ideal_classification: bool = True,
-    temperature_scale: float = 1.0,
 ) -> SessionStats:
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
@@ -193,9 +186,9 @@ def run_gated_session(
     unthrottled at f_qkd; its distance must still give a wire rate).
     """
     check_int(n_rounds, "n_rounds", ge=1)
-    _check_seed(seed)
+    check_seed(seed)
     point = rates.throughputs(optical, line, distance_km)
-    channel = ChannelModel(point.q_mu, optical.e_opt, line, temperature_scale, ideal_classification)
+    channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
     alice_diag, bob_diag, detected, wrong, low, high = draw_block(protocol, channel, seed, n_rounds)
     counts = _tally(decide_block(protocol, alice_diag, bob_diag, low, high), detected, wrong)
     wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
@@ -222,7 +215,6 @@ def run_buffered_session(
     seed: int,
     mode: TimingMode | None = None,
     ideal_classification: bool = True,
-    temperature_scale: float = 1.0,
 ) -> SessionStats:
     """Simulate fill/drain cycles for as long as fits in duration_s.
 
@@ -236,7 +228,7 @@ def run_buffered_session(
     mode = mode or TimingMode.buffered()
     mode.check_protocol(protocol)
     check_real(duration_s, "duration_s", gt=0)
-    _check_seed(seed)
+    check_seed(seed)
 
     point = rates.throughputs(optical, line, distance_km)
     block = mode.burst_block
@@ -250,7 +242,7 @@ def run_buffered_session(
             f"({cycle_time:.6g} s)"
         )
 
-    channel = ChannelModel(point.q_mu, optical.e_opt, line, temperature_scale, ideal_classification)
+    channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
     rng = np.random.default_rng(seed)
     n_rounds = n_cycles * block
     counts: collections.Counter[str] = collections.Counter()
@@ -295,6 +287,8 @@ def per_pulse_yield_moments(
     probability q_mu, a wire bit is worth 1. Used to express Monte Carlo
     deviations in sigma units.
     """
+    check_real(q_mu, "q_mu", ge=0, le=1)
+    check_real(gamma, "gamma", ge=0, le=1)
     alice_diag, bob_diag = np.array([[False, False, True, True], [False, True, False, True]])
     _, keeps, wire, _ = decide_block(protocol, alice_diag, bob_diag)
     no_click = np.zeros(4) if wire is None else wire.astype(float)

@@ -69,10 +69,10 @@ def _resistors(protocol, alice_diag, bob_diag):
     return (RH if alice_diag else RL), (RH if bob_rh else RL)
 
 
-def band_probabilities(line, scale=1.0):
+def band_probabilities(line):
     """3x3 matrix: row = true level, column = classified level (low, mid, high)."""
     def parallel(ra, rb):
-        return scale * ra * rb / (ra + rb)
+        return ra * rb / (ra + rb)
 
     variances = (parallel(line.r_low, line.r_low), parallel(line.r_low, line.r_high),
                  parallel(line.r_high, line.r_high))
@@ -91,9 +91,9 @@ def _state(bit, reference):
     return None if bit is None else ("right" if bit == reference else "wrong")
 
 
-def outcome_distribution(protocol, q, flip_prob, line=None, scale=1.0):
+def outcome_distribution(protocol, q, flip_prob, line=None):
     """{outcome: probability} of one round; `line` None means ideal classification."""
-    bands = None if line is None else band_probabilities(line, scale)
+    bands = None if line is None else band_probabilities(line)
     dist = collections.Counter()
     for alice_diag in (False, True):
         for bob_diag in (False, True):

@@ -112,6 +112,14 @@ class TestTrace:
         fixture.write_text("+ 1 q 1\n")
         assert cli.main(["trace", "--fixture", str(fixture)]) == cli.EXIT_DOMAIN
 
+    def test_non_utf8_fixture_is_domain_error(self, tmp_path, capsys):
+        fixture = tmp_path / "latin1.txt"
+        fixture.write_bytes("+ 1 + 1  # r\xe9sum\xe9\n".encode("latin-1"))
+        assert cli.main(["trace", "--fixture", str(fixture)]) == cli.EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"domain error: fixture {fixture} is not UTF-8 text" in captured.err
+
     def test_random_trace_reproducible(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out in (a, b):
@@ -288,6 +296,26 @@ class TestConfigHandling:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("sweep:\n  pints: 5\n")
         assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+    def test_non_utf8_config_is_config_error(self, via_env, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "latin1.yaml"
+        cfg.write_bytes("# r\xe9sum\xe9\nsweep:\n  points: 5\n".encode("latin-1"))
+        if via_env:
+            monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
+        assert cli.main(["sweep"] + ([] if via_env else ["--config", str(cfg)])) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"configuration error: cannot parse config {cfg}: 'utf-8' codec" in captured.err
+
+    def test_temperature_scale_is_not_a_setting(self, tmp_path, capsys):
+        # the band thresholds scale with the variances, so no temperature changes an outcome
+        cfg = tmp_path / "old.yaml"
+        cfg.write_text("run:\n  temperature_scale: 1.0\n")
+        assert cli.main(["simulate", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key(s) in 'run': ['temperature_scale']" in captured.err
 
     def test_buffer_capacity_is_not_a_setting(self, tmp_path, capsys):
         # one burst block is the whole buffer, so there is no capacity to set

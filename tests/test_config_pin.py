@@ -47,7 +47,6 @@ run:
   - 1.0
   - 10.0
   factor: 1.0
-  temperature_scale: 1.0
 output:
   path: null
   format: csv
@@ -72,7 +71,6 @@ run:
   - 0.5
   - 12.25
   factor: 1.0
-  temperature_scale: 1.0
 output:
   path: keys/run.csv
   format: records
@@ -82,7 +80,7 @@ DEFAULT_REPR = (
     "RunConfig(optical=OpticalParams(alpha=0.2, mu=0.1, eta_d=0.1, p_d=1e-05, "
     "e_opt=0.015, f_ec=1.15, f_qkd=10000000.0), kljn=KljnLineParams(v=200000.0, "
     "n_pairs=1000, n_samples=50, r_low=10000.0, r_high=100000.0), "
-    "temperature_scale=1.0, sweep=SweepSpec(distance_min_km=0.1, "
+    "sweep=SweepSpec(distance_min_km=0.1, "
     "distance_max_km=10.0, points=200, spacing='log'), protocol=<Protocol.P2: 'p2'>, "
     "timing=<Timing.GATED: 'gated'>, burst_block=10000, "
     "distance_km=2.0, rounds=100000, duration_s=2.0, ideal_classification=True, "

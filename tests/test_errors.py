@@ -1,19 +1,22 @@
 """Argument checks: a bad number at a library entry point is a named DomainError or ConfigError."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
 
-from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL, RunConfig
-from hybridkd.errors import ConfigError, DomainError, check_int, check_real
-from hybridkd.kljn import ResistorChoice, line_variance
+from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL
+from hybridkd.errors import ConfigError, DomainError, check_int, check_real, generator
+from hybridkd.kljn import ResistorChoice, sample_line
 from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
                               system_transmittance, wave_limit_bandwidth)
-from hybridkd.protocol import ChannelModel, Protocol
+from hybridkd.protocol import (Basis, ChannelModel, Protocol, RoundInputs, draw_block,
+                               draw_round, draw_span, measure_photon, random_inputs, run_round)
 from hybridkd.rates import short_haul_supremacy_bound, throughputs
-from hybridkd.session import TimingMode, run_buffered_session, run_gated_session, spawn_seeds
+from hybridkd.session import (TimingMode, per_pulse_yield_moments, run_buffered_session,
+                              run_gated_session, spawn_seeds)
 
 OPTICAL = vars(DEFAULT_OPTICAL)
 LINE = vars(DEFAULT_KLJN)
@@ -26,6 +29,11 @@ def _gated(**kw):
 
 def _bound(**kw):
     return short_haul_supremacy_bound(DEFAULT_OPTICAL, DEFAULT_KLJN, **kw)
+
+
+SAMPLED = ChannelModel(0.5, 0.1, DEFAULT_KLJN, False)
+ROUND = RoundInputs(Basis.RECTILINEAR, 1, Basis.DIAGONAL)
+L, H = ResistorChoice.LOW, ResistorChoice.HIGH
 
 
 # (call, the error it must raise, the argument its message must name)
@@ -47,11 +55,26 @@ BAD_ARGUMENTS = {
     "bit_rate_distance_huge": (
         lambda: kljn_bit_rate(DEFAULT_KLJN, 10**400), DomainError, "distance"),
     "entropy_argument_huge": (lambda: binary_entropy(10**5000), DomainError, "entropy argument"),
-    "line_variance_scale_str": (
-        lambda: line_variance(DEFAULT_KLJN, ResistorChoice.LOW, ResistorChoice.HIGH, "2"),
-        DomainError, "temperature_scale"),
-    "run_config_scale_str": (
-        lambda: RunConfig(temperature_scale="2"), ConfigError, "temperature_scale"),
+    "yield_moments_q_mu_above_one": (
+        lambda: per_pulse_yield_moments(Protocol.P1, 2.0, 0.0), DomainError, "q_mu"),
+    "yield_moments_q_mu_nan": (
+        lambda: per_pulse_yield_moments(Protocol.P2, math.nan, 0.0), DomainError, "q_mu"),
+    "yield_moments_gamma_negative": (
+        lambda: per_pulse_yield_moments(Protocol.P3, 0.5, -3.0), DomainError, "gamma"),
+    "draw_block_seed_negative": (
+        lambda: draw_block(Protocol.P2, SAMPLED, -1, 5), DomainError, "seed"),
+    "draw_span_seed_bool": (
+        lambda: draw_span(Protocol.P2, SAMPLED, True, 5), DomainError, "seed"),
+    "draw_round_seed_none": (
+        lambda: draw_round(Protocol.P2, ROUND, SAMPLED, None), DomainError, "seed"),
+    "run_round_seed_fraction": (
+        lambda: run_round(Protocol.P3, ROUND, SAMPLED, 2.5), DomainError, "seed"),
+    "measure_photon_seed_str": (
+        lambda: measure_photon(1, Basis.RECTILINEAR, Basis.DIAGONAL, True, "7"),
+        DomainError, "seed"),
+    "random_inputs_seed_huge": (lambda: random_inputs(2**63), DomainError, "seed"),
+    "sample_line_seed_fraction": (
+        lambda: sample_line(DEFAULT_KLJN, L, H, 1.5), DomainError, "seed"),
     "bound_factor_str": (lambda: _bound(factor="2"), DomainError, "factor"),
     "bound_xtol_str": (lambda: _bound(xtol="1"), DomainError, "xtol"),
     "bound_bracket_str": (lambda: _bound(bracket=("1", 5.0)), DomainError, "bracket"),
@@ -143,3 +166,12 @@ def test_int_past_int64_is_shown_as_a_power_of_two(value, shown):
 def test_int64_range_is_shown_whole(value):
     with pytest.raises(DomainError, match=rf", got {value}$"):
         check_real(value, "p", gt=0, le=1)
+
+
+def test_generator_passes_unchanged():
+    gen = np.random.default_rng(3)
+    assert generator(gen) is gen
+
+
+def test_seed_sequence_seeds_a_generator():
+    assert generator(np.random.SeedSequence(3)).random() == np.random.default_rng(3).random()

@@ -39,24 +39,6 @@ class TestLineVariance:
         assert line_variance(line, H, H) == pytest.approx(5e4, rel=1e-12)
         assert line_variance(line, L, H) == pytest.approx(1e4 * 1e5 / 1.1e5, rel=1e-12)
 
-    def test_temperature_scale_is_linear(self, line):
-        assert line_variance(line, L, H, 3.5) == pytest.approx(
-            3.5 * line_variance(line, L, H), rel=1e-12
-        )
-
-    def test_scale_must_be_positive(self, line):
-        with pytest.raises(DomainError):
-            line_variance(line, L, L, 0.0)
-
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_scale_must_be_finite_and_positive(self, line, scale):
-        for call in (lambda: line_variance(line, L, H, scale),
-                     lambda: variance_thresholds(line, scale),
-                     lambda: sample_line(line, L, H, 0, scale),
-                     lambda: classify_level(1.0, line, scale)):
-            with pytest.raises(DomainError, match="temperature_scale"):
-                call()
-
     def test_ordering_for_random_resistor_pairs(self):
         # brute-force parallel-resistance evaluation over random pairs
         rng = np.random.default_rng(99)

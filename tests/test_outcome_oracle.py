@@ -38,7 +38,7 @@ def _oracle(protocol, ideal, optical=BRIGHT, line=NOISY, distance=DISTANCE):
 
 
 def _channel(ideal):
-    return ChannelModel(link_budget(BRIGHT, DISTANCE).q_mu, BRIGHT.e_opt, NOISY, 1.0, ideal)
+    return ChannelModel(link_budget(BRIGHT, DISTANCE).q_mu, BRIGHT.e_opt, NOISY, ideal)
 
 
 def _counts(stats):

@@ -370,7 +370,7 @@ class TestDrawBlock:
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3000])
     def test_rows_match_round_by_round_draws(self, protocol, ideal, flip_prob, n):
         noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
-        channel = ChannelModel(0.7, flip_prob, noisy, 2.7, ideal)
+        channel = ChannelModel(0.7, flip_prob, noisy, ideal)
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
         *drawn, low, high = draw_block(protocol, channel, fast, n)
         rows = []
@@ -393,7 +393,7 @@ class TestDrawBlock:
     def test_estimates_equal_sample_line_bit_for_bit(self, monkeypatch, protocol, n_samples):
         # The banding sees each variance estimate, not just its band, so a
         # last-bit difference shows: another sum order, or another rounding
-        # of the line variance, as ts*ra*rb/(ra+rb) rounds here for RL/RL.
+        # of a pair's standard deviation (all three are inexact here).
         class Edge:
             __array_ufunc__ = None  # `estimates < edge` calls `edge > estimates`
 
@@ -411,7 +411,7 @@ class TestDrawBlock:
         monkeypatch.setattr(protocol_module, "variance_thresholds",
                             lambda *a: edges.extend(map(Edge, variance_thresholds(*a))) or edges)
         line = KljnLineParams(v=2e5, n_pairs=1000, n_samples=n_samples, r_low=4.7e3, r_high=1e5)
-        channel = ChannelModel(0.7, 0.1, line, 1.1, False)
+        channel = ChannelModel(0.7, 0.1, line, False)
         n, slow = 2 * self.CHUNK + 3, np.random.default_rng(8)
         draw_block(protocol, channel, 8, n)
         estimates = []
@@ -431,7 +431,7 @@ class TestDrawSpan:
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     @pytest.mark.parametrize("n", [1, 1000, SPAN, SPAN + 1])
     def test_masks_shape_subset_and_seed(self, protocol, ideal, n):
-        channel = ChannelModel(0.7, 0.1, self.NOISY, 2.7, ideal)
+        channel = ChannelModel(0.7, 0.1, self.NOISY, ideal)
         masks = draw_span(protocol, channel, 3, n)
         *drawn, low, high = masks
         sampled = protocol is not Protocol.BB84 and not ideal
@@ -472,11 +472,11 @@ class TestDrawSpan:
         wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
         low = high = None
         if not channel.ideal_classification:
-            line, scale = channel.line, channel.temperature_scale
-            variances = np.array(protocol_module._pair_variances(protocol, line, scale))
+            line = channel.line
+            variances = np.array(protocol_module._pair_variances(protocol, line))
             estimates = variances[2 * alice_diag + bob_diag] * gen.chisquare(line.n_samples, n)
             estimates /= line.n_samples
-            t_low, t_high = variance_thresholds(line, scale)
+            t_low, t_high = variance_thresholds(line)
             low, high = estimates < t_low, estimates > t_high
         return alice_diag, bob_diag, u < q, wrong, low, high
 
@@ -506,7 +506,7 @@ class TestDrawSpan:
     def test_bases_equal_two_fair_bits_calls(self, bit_generator, spare, n, ideal):
         # Raw 32-bit halves stand in for `fair_bits` only where they are the
         # same bits; everywhere else `draw_span` must still draw these.
-        channel = ChannelModel(0.7, 0.1, self.NOISY, 2.7, ideal)
+        channel = ChannelModel(0.7, 0.1, self.NOISY, ideal)
         gen, twin = (np.random.Generator(bit_generator(13)) for _ in range(2))
         if spare:
             fair_bits(gen)
@@ -522,7 +522,7 @@ class TestDrawSpan:
 class TestRoundCounts:
     """`draw_block` and `draw_span` take a whole number of rounds, none included."""
 
-    CHANNEL = ChannelModel(0.5, 0.1, TestDrawSpan.NOISY, 1.0, False)
+    CHANNEL = ChannelModel(0.5, 0.1, TestDrawSpan.NOISY, False)
 
     @pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [-1, 2.5, math.nan], ids=["negative", "fraction", "nan"])
@@ -534,13 +534,6 @@ class TestRoundCounts:
     def test_zero_rounds_give_empty_masks(self, draw):
         masks = draw(Protocol.P2, self.CHANNEL, 0, 0)
         assert all(mask.dtype == bool and mask.shape == (0,) for mask in masks)
-
-
-class TestChannelModel:
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0])
-    def test_temperature_scale_must_be_finite_and_positive(self, line, scale):
-        with pytest.raises(DomainError, match="temperature_scale"):
-            ChannelModel(line=line, temperature_scale=scale)
 
 
 class TestExtractKey:
