@@ -61,6 +61,12 @@ BAD_ARGUMENTS = {
         lambda: per_pulse_yield_moments(Protocol.P2, math.nan, 0.0), DomainError, "q_mu"),
     "yield_moments_gamma_negative": (
         lambda: per_pulse_yield_moments(Protocol.P3, 0.5, -3.0), DomainError, "gamma"),
+    "yield_moments_q_mu_negative": (
+        lambda: per_pulse_yield_moments(Protocol.BB84, -0.1, 0.0), DomainError, "q_mu"),
+    "yield_moments_gamma_above_one": (
+        lambda: per_pulse_yield_moments(Protocol.P2, 0.5, 1.5), DomainError, "gamma"),
+    "yield_moments_gamma_nan": (
+        lambda: per_pulse_yield_moments(Protocol.P1, 0.5, math.nan), DomainError, "gamma"),
     "draw_block_seed_negative": (
         lambda: draw_block(Protocol.P2, SAMPLED, -1, 5), DomainError, "seed"),
     "draw_span_seed_bool": (

@@ -74,6 +74,16 @@ class TestClassification:
             np.sqrt(line_variance(line, L, H) * line_variance(line, H, H)), rel=1e-12
         )
 
+    @pytest.mark.parametrize("factor", [1e-3, 0.31, 2.7, 7.3e5])
+    def test_common_factor_cancels(self, line, factor):
+        # A temperature, a bandwidth or a resistance unit multiplies every
+        # variance and both thresholds alike, so no level changes.
+        scaled = make_line(r_low=factor * line.r_low, r_high=factor * line.r_high)
+        estimates = line_variance(line, H, H) * np.random.default_rng(4).uniform(0, 2, 2000)
+        assert [classify_level(factor * x, scaled) for x in estimates] == [
+            classify_level(x, line) for x in estimates
+        ]
+
     def test_negative_estimate_rejected(self, line):
         with pytest.raises(DomainError):
             classify_level(-1.0, line)

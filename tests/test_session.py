@@ -101,20 +101,27 @@ class TestGatedSession:
 
     @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_counts_match_round_by_round_replay(self, optical, protocol, ideal):
+        # another resistor pair: sqrt(2350), sqrt(4488.9...) and sqrt(50000)
+        # round differently from the default pair's deviations
+        assert_counts_match_replay(optical, protocol, ideal, 3_000, r_low=4.7e3)
+
+    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     # Sessions that end just before, on and just after a multiple of 128
     # rounds, and a long one.
     @pytest.mark.parametrize("n", [127, 128, 129, 3_000])
-    def test_counts_match_round_by_round_replay(self, optical, protocol, ideal, n):
+    def test_counts_match_replay_across_sizes(self, optical, protocol, ideal, n):
         assert_counts_match_replay(optical, protocol, ideal, n)
 
 
-def assert_counts_match_replay(optical, protocol, ideal, n):
+def assert_counts_match_replay(optical, protocol, ideal, n, r_low=1e4):
     # A bright, misaligned source loses and flips pulses often, and three
     # samples per decision misclassify levels often enough to flag rounds.
-    # The pair deviations sqrt(5000), sqrt(9090.9...) and sqrt(50000) are
-    # inexact, so sigma * z must round as sample_line's normal(0, sigma).
+    # The default pair deviations sqrt(5000), sqrt(9090.9...) and sqrt(50000)
+    # are inexact, so sigma * z must round as sample_line's normal(0, sigma).
     bright = dataclasses.replace(optical, mu=2.0, eta_d=1.0, e_opt=0.1)
-    noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+    noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=r_low, r_high=1e5)
     distance, seed = 3.0, 77
     stats = run_gated_session(protocol, bright, noisy, distance, n, seed,
                               ideal_classification=ideal)
