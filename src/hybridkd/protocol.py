@@ -48,6 +48,7 @@ __all__ = [
     "Polarization",
     "Party",
     "Protocol",
+    "check_protocol",
     "RoundInputs",
     "ChannelModel",
     "ProtocolRound",
@@ -114,6 +115,12 @@ class Protocol(enum.Enum):
     P3 = "p3"
 
 
+def check_protocol(protocol) -> None:
+    """DomainError naming `protocol` unless it is a `Protocol` member (its value is not)."""
+    if not isinstance(protocol, Protocol):
+        raise DomainError(f"protocol must be a Protocol member, got {protocol!r}")
+
+
 def _resistor(basis: Basis, for_rect: ResistorChoice) -> ResistorChoice:
     if basis is Basis.RECTILINEAR:
         return for_rect
@@ -149,6 +156,17 @@ class RoundInputs:
     bob_basis: Basis
     detected: bool | None = None
     forced_bob_bit: int | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("alice_basis", "bob_basis"):
+            if not isinstance(getattr(self, name), Basis):
+                raise DomainError(f"{name} must be a Basis, got {getattr(self, name)!r}")
+        for name in ("alice_bit", "forced_bob_bit"):
+            bit = getattr(self, name)
+            if bit is not None or name == "alice_bit":
+                check_int(bit, name)
+                if bit > 1:
+                    raise DomainError(f"{name} must be 0 or 1, got {bit}")
 
 
 @dataclass(frozen=True)
@@ -238,6 +256,7 @@ def measure_photon(
     No click -> None. Matched bases -> Alice's bit, flipped with
     probability `flip_prob`. Mismatched bases -> uniformly random bit.
     """
+    check_real(flip_prob, "flip_prob", ge=0, le=1)
     gen = generator(rng)
     if not detected:
         return None
@@ -255,8 +274,10 @@ def fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray |
     to the next call): Lemire's bounded-integer method returns its top bit.
     Halves go low first, so with none pending 2k bits are the top bits of
     `random_raw(k)` as little-endian uint32 (not MT19937: its words are 32-bit).
+    The dtype is the instance `_F32`: given the `np.float32` class, numpy
+    resolves a dtype on every call, a large share of the cost of a few bits.
     """
-    return gen.random(size, dtype=np.float32) >= 0.5
+    return gen.random(size, dtype=_F32) >= 0.5
 
 
 @dataclass(frozen=True)
@@ -298,6 +319,7 @@ def draw_round(
     Forced inputs skip their draws; only wire protocols under sampled
     classification sample the line.
     """
+    check_protocol(protocol)
     gen = generator(rng)
     detected = inputs.detected
     if detected is None:
@@ -314,6 +336,7 @@ def draw_round(
 
 
 _CHUNK = 128  # rounds per vectorized step of `draw_block`
+_F32 = np.dtype(np.float32)  # the dtype of `fair_bits`' draws, resolved once
 
 
 def _pair_variances(protocol: Protocol, line: KljnLineParams) -> list[float]:
@@ -328,9 +351,15 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
 
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
     classified low and high (None unless the line is sampled, chunk by chunk).
+    Each round makes those calls' draws in their order, on numpy's fast paths:
+    its three fair bits fill one reused float32 buffer (`fair_bits`' rule, read
+    as Python floats), the generator's methods are bound once, and its noise
+    samples fill a row view of the chunk's array, the views made once per call.
     """
+    check_protocol(protocol)
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
+    uniform, normals, bits = gen.random, gen.standard_normal, np.empty(3, dtype=_F32)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
     sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
     flags = bytearray(4 * n_rounds)
@@ -341,21 +370,24 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
         sigma = np.sqrt(_pair_variances(protocol, line))
         t_low, t_high = variance_thresholds(line)
         noise = np.empty((_CHUNK, line.n_samples))
+        rows = list(noise)
         low, high = np.empty(n_rounds, dtype=bool), np.empty(n_rounds, dtype=bool)
     for start in range(0, n_rounds, _CHUNK):
         stop = min(start + _CHUNK, n_rounds)
         for i in range(start, stop):
-            a_diag, a_bit, b_diag = fair_bits(gen, 3).tolist()
-            detected, wrong = gen.random() < p_det, False
+            uniform(None, _F32, bits)  # size, dtype, out
+            u0, u1, u2 = bits.tolist()
+            a_diag, a_bit, b_diag = u0 >= 0.5, u1 >= 0.5, u2 >= 0.5
+            detected, wrong = uniform() < p_det, False
             if detected:
                 if a_diag == b_diag:
-                    wrong = p_flip > 0.0 and gen.random() < p_flip
+                    wrong = p_flip > 0.0 and uniform() < p_flip
                 else:
                     wrong = fair_bits(gen) != a_bit
             j = 4 * i
             flags[j], flags[j + 1], flags[j + 2], flags[j + 3] = a_diag, b_diag, detected, wrong
             if sampled:
-                gen.standard_normal(out=noise[i - start])
+                normals(out=rows[i - start])
         if sampled:
             # sample_line's mean of squares of normal(0, sigma, N), bit for bit:
             # sigma times the same normals, and numpy's pairwise sum (not BLAS).
@@ -379,6 +411,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     on mismatched ones. A sampled variance estimate is the pair's variance
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
+    check_protocol(protocol)
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
     if sys.byteorder == "little" and gen.bit_generator.state.get("has_uint32") == 0:
@@ -458,6 +491,7 @@ def decide_block(
     pulse keeps its optical bit on a `keeps_optical` round. A mask the rule
     never sets is None, so that small blocks pay for no empty mask.
     """
+    check_protocol(protocol)
     if protocol is Protocol.BB84:
         return None, alice_diag == bob_diag, None, None
     rule = _RULES[protocol]

@@ -8,10 +8,12 @@ native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
 `rates.throughputs` call, and only draw and count: a gated session draws
 its rounds with `protocol.draw_block` (the draws of `random_inputs` and
-`draw_round`, round for round), a buffered one in i.i.d. spans with
-`protocol.draw_span`, and each hands its draws to `protocol.decide_block`,
-the one place the rules (`protocol._RULES`) are applied. The analytic yield
-moments come from `decide_block` too.
+`draw_round`, round for round, each round's through bound generator methods
+into reused buffers, with a float32 dtype instance that numpy need not
+resolve per call), a buffered one in i.i.d. spans with `protocol.draw_span`,
+and each hands its draws to `protocol.decide_block`, the one place the rules
+(`protocol._RULES`) are applied. The analytic yield moments come from
+`decide_block` too.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -32,7 +34,7 @@ from .errors import ConfigError, DomainError, check_int, check_real, check_seed
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams
 from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
-from .protocol import ChannelModel, Protocol, decide_block, draw_block, draw_span
+from .protocol import ChannelModel, Protocol, check_protocol, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 
@@ -89,8 +91,9 @@ class TimingMode:
         """Buffered mode runs Protocols I/II only.
 
         Protocol III reveals bases and must run gated, in real time; BB84
-        has no wire to fill a buffer with.
+        has no wire to fill a buffer with. A non-member is a DomainError.
         """
+        check_protocol(protocol)
         if protocol not in (Protocol.P1, Protocol.P2):
             raise ConfigError(
                 f"buffered mode supports p1/p2 only, got {protocol.value} (run it gated)"

@@ -1,0 +1,44 @@
+"""tools/bench.py: run specs, and the per-metric summary of alternating pairs."""
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench", Path(__file__).resolve().parent.parent / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+
+def _pair(parent, change):
+    return {side: {"metrics": {"items_per_s": a, "op_ms_p50": b}}
+            for side, (a, b) in zip(bench.SIDES, (parent, change))}
+
+
+def test_run_spec():
+    assert bench.parse_run("mc_gated:1,3:10") == ("mc_gated", [1, 3], 10)
+
+
+@pytest.mark.parametrize("spec", ["mc_gated", "mc_gated:1:x", "mc_gated:1:0", "a:1,b:2"])
+def test_bad_run_spec(spec):
+    with pytest.raises(argparse.ArgumentTypeError, match="WORKLOAD:SEEDS:PAIRS|at least one"):
+        bench.parse_run(spec)
+
+
+def test_wins_follow_better_and_ties_count_for_neither():
+    pairs = [_pair((100, 5.0), (150, 4.0)), _pair((110, 5.0), (110, 6.0)),
+             _pair((90, 5.0), (80, 5.0)), _pair((120, 7.0), (130, 3.0))]
+    summary = bench.summarize(pairs, {"items_per_s": "higher", "op_ms_p50": "lower"})
+    items, p50 = summary["items_per_s"], summary["op_ms_p50"]
+    assert (items["change_wins"], p50["change_wins"], items["pairs"]) == (2, 2, 4)
+    # inclusive quartiles of 90, 100, 110, 120
+    assert items["parent"] == {"q1": 97.5, "median": 105.0, "q3": 112.5}
+    assert items["parent_iqr"] == 15.0
+    assert items["ratio"] == items["change"]["median"] / 105.0
+
+
+def test_one_pair_has_flat_quartiles():
+    summary = bench.summarize([_pair((100, 5.0), (150, 4.0))], {"items_per_s": "higher"})
+    assert summary["items_per_s"]["change"] == {"q1": 150, "median": 150, "q3": 150}

@@ -12,8 +12,9 @@ from hybridkd.errors import ConfigError, DomainError, check_int, check_real, gen
 from hybridkd.kljn import ResistorChoice, sample_line
 from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
                               system_transmittance, wave_limit_bandwidth)
-from hybridkd.protocol import (Basis, ChannelModel, Protocol, RoundInputs, draw_block,
-                               draw_round, draw_span, measure_photon, random_inputs, run_round)
+from hybridkd.protocol import (Basis, ChannelModel, Protocol, RoundInputs, decide_block,
+                               draw_block, draw_round, draw_span, measure_photon, random_inputs,
+                               run_round)
 from hybridkd.rates import short_haul_supremacy_bound, throughputs
 from hybridkd.session import (TimingMode, per_pulse_yield_moments, run_buffered_session,
                               run_gated_session, spawn_seeds)
@@ -32,7 +33,9 @@ def _bound(**kw):
 
 
 SAMPLED = ChannelModel(0.5, 0.1, DEFAULT_KLJN, False)
+IDEAL = ChannelModel(0.5, 0.1)
 ROUND = RoundInputs(Basis.RECTILINEAR, 1, Basis.DIAGONAL)
+RECT = Basis.RECTILINEAR
 L, H = ResistorChoice.LOW, ResistorChoice.HIGH
 
 
@@ -96,6 +99,37 @@ BAD_ARGUMENTS = {
     "buffered_duration_bool": (
         lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, True, 1),
         DomainError, "duration_s"),
+    "gated_protocol_value": (
+        lambda: run_gated_session("p1", DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 100, 1),
+        DomainError, "protocol"),
+    "buffered_protocol_value": (
+        lambda: run_buffered_session("p1", DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 1.0, 1),
+        DomainError, "protocol"),
+    "run_round_protocol_value": (
+        lambda: run_round("p3", ROUND, SAMPLED, 1), DomainError, "protocol"),
+    "draw_round_protocol_value": (
+        lambda: draw_round("p2", ROUND, IDEAL, 1), DomainError, "protocol"),
+    "draw_block_protocol_value": (lambda: draw_block("p1", IDEAL, 1, 5), DomainError, "protocol"),
+    "draw_span_protocol_value": (lambda: draw_span("p1", IDEAL, 1, 5), DomainError, "protocol"),
+    "decide_block_protocol_value": (
+        lambda: decide_block("p2", np.array([True]), np.array([False])), DomainError, "protocol"),
+    "yield_moments_protocol_value": (
+        lambda: per_pulse_yield_moments("bb84", 0.5, 0.0), DomainError, "protocol"),
+    "measure_photon_flip_above_one": (
+        lambda: measure_photon(1, RECT, RECT, True, 1, 2.0), DomainError, "flip_prob"),
+    "measure_photon_flip_nan": (
+        lambda: measure_photon(1, RECT, RECT, True, 1, math.nan), DomainError, "flip_prob"),
+    "measure_photon_flip_str": (
+        lambda: measure_photon(1, RECT, RECT, True, 1, "0.1"), DomainError, "flip_prob"),
+    "round_inputs_bit_five": (
+        lambda: run_round(Protocol.P1, RoundInputs(RECT, 5, RECT), IDEAL, 1),
+        DomainError, "alice_bit"),
+    "round_inputs_bit_bool": (lambda: RoundInputs(RECT, True, RECT), DomainError, "alice_bit"),
+    "round_inputs_forced_bit_two": (
+        lambda: RoundInputs(RECT, 0, RECT, detected=True, forced_bob_bit=2),
+        DomainError, "forced_bob_bit"),
+    "round_inputs_basis_token": (lambda: RoundInputs("+", 0, RECT), DomainError, "alice_basis"),
+    "round_inputs_basis_value": (lambda: RoundInputs(RECT, 0, "x"), DomainError, "bob_basis"),
 }
 
 

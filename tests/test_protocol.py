@@ -420,6 +420,42 @@ class TestDrawBlock:
             estimates.append(obs.estimated_variance)
         assert edges[0].seen == estimates
 
+    @staticmethod
+    def round_by_round(protocol, channel, gen, n):
+        """`draw_block`'s masks from `random_inputs` then `draw_round`, the reference."""
+        rows = []
+        for _ in range(n):
+            inputs = random_inputs(gen)
+            detected, bob_bit, obs = draw_round(protocol, inputs, channel, gen)
+            level = obs.classified_level if obs else None
+            rows.append([inputs.alice_basis is DIAG, inputs.bob_basis is DIAG, detected,
+                         detected and bob_bit != inputs.alice_bit,
+                         level is NoiseLevel.LOW, level is NoiseLevel.HIGH])
+        return rows
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("n", [1, CHUNK + 1])
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_rows_match_round_by_round_on_every_bit_generator(self, bit_generator, spare, n,
+                                                              ideal):
+        # A round's three bits, its scalar bit and its uniforms share 32-bit
+        # halves with the rounds around it, and with a half pending on entry.
+        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY, ideal)
+        fast, slow = (np.random.Generator(bit_generator(13)) for _ in range(2))
+        if spare:
+            fair_bits(fast)
+            fair_bits(slow)
+        *drawn, low, high = draw_block(Protocol.P2, channel, fast, n)
+        if ideal:
+            low = high = np.zeros(n, dtype=bool)
+        rows = self.round_by_round(Protocol.P2, channel, slow, n)
+        assert np.column_stack([*drawn, low, high]).tolist() == rows
+        assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state)
+        assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3))
+
 
 class TestDrawSpan:
     """`draw_span` draws `draw_block`'s masks from the same distribution."""
