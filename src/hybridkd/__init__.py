@@ -41,8 +41,6 @@ from .protocol import (
     ProtocolRound,
     RoundInputs,
     extract_key,
-    map_basis_to_resistor_cross,
-    map_basis_to_resistor_same,
     measure_photon,
     run_round,
 )

@@ -20,6 +20,10 @@ entries of their rule in `_RULES`:
                the lossless limit, at the price of disclosing the common
                basis to the wire.
 
+`_resistors` alone turns bases into resistors, from the rule's `bob_rect`
+(Bob's rectilinear resistor; Alice's is RL on + and RH on x under every
+rule). A round's resistors are read from its `ProtocolRound`.
+
 `draw_round` makes a round's random draws and `decide_block`, the only
 place the rules are applied, decides a block of drawn rounds as masks;
 `run_round` is the two on one row; `draw_block` draws rounds exactly as
@@ -46,7 +50,6 @@ from .physics import KljnLineParams
 __all__ = [
     "Basis",
     "Polarization",
-    "Party",
     "Protocol",
     "check_protocol",
     "RoundInputs",
@@ -54,8 +57,6 @@ __all__ = [
     "ProtocolRound",
     "KeyOrigin",
     "KeyStream",
-    "map_basis_to_resistor_cross",
-    "map_basis_to_resistor_same",
     "measure_photon",
     "draw_round",
     "draw_block",
@@ -103,11 +104,6 @@ class Polarization(enum.Enum):
         return Polarization.DIAG_PLUS45 if bit else Polarization.DIAG_MINUS45
 
 
-class Party(enum.Enum):
-    ALICE = "alice"
-    BOB = "bob"
-
-
 class Protocol(enum.Enum):
     BB84 = "bb84"
     P1 = "p1"
@@ -119,27 +115,6 @@ def check_protocol(protocol) -> None:
     """DomainError naming `protocol` unless it is a `Protocol` member (its value is not)."""
     if not isinstance(protocol, Protocol):
         raise DomainError(f"protocol must be a Protocol member, got {protocol!r}")
-
-
-def _resistor(basis: Basis, for_rect: ResistorChoice) -> ResistorChoice:
-    if basis is Basis.RECTILINEAR:
-        return for_rect
-    return ResistorChoice.HIGH if for_rect is ResistorChoice.LOW else ResistorChoice.LOW
-
-
-def map_basis_to_resistor_cross(party: Party, basis: Basis) -> ResistorChoice:
-    """Cross mapping (Protocols I/II): Alice +/x -> RL/RH, Bob +/x -> RH/RL.
-
-    Equal bases therefore always produce a mixed resistor pair, i.e. the
-    intermediate noise level, which is the only level the wire keeps secret.
-    """
-    for_rect = ResistorChoice.LOW if party is Party.ALICE else _RULES[Protocol.P1].bob_rect
-    return _resistor(basis, for_rect)
-
-
-def map_basis_to_resistor_same(basis: Basis) -> ResistorChoice:
-    """Shared mapping (Protocol III) for both parties: +/x -> RL/RH."""
-    return _resistor(basis, _RULES[Protocol.P3].bob_rect)
 
 
 @dataclass(frozen=True)
@@ -158,6 +133,8 @@ class RoundInputs:
     forced_bob_bit: int | None = None
 
     def __post_init__(self) -> None:
+        if self.detected is not None and not isinstance(self.detected, bool):
+            raise DomainError(f"detected must be None, True or False, got {self.detected!r}")
         for name in ("alice_basis", "bob_basis"):
             if not isinstance(getattr(self, name), Basis):
                 raise DomainError(f"{name} must be a Basis, got {getattr(self, name)!r}")
@@ -303,9 +280,18 @@ _RULES = {
 }
 
 
-def _resistors(protocol: Protocol, inputs: RoundInputs) -> tuple[ResistorChoice, ResistorChoice]:
-    bob_rect = _RULES[protocol].bob_rect
-    return _resistor(inputs.alice_basis, ResistorChoice.LOW), _resistor(inputs.bob_basis, bob_rect)
+_BY_HIGH = (ResistorChoice.LOW, ResistorChoice.HIGH)
+
+
+def _resistors(protocol: Protocol, alice_diag: bool, bob_diag: bool
+               ) -> tuple[ResistorChoice, ResistorChoice]:
+    """Alice's and Bob's resistors: the one place a basis picks a resistor.
+
+    Alice connects RH on her diagonal basis; Bob connects his rule's `bob_rect`
+    on his rectilinear basis and the other resistor on his diagonal one.
+    """
+    bob_high = bob_diag != (_RULES[protocol].bob_rect is ResistorChoice.HIGH)
+    return _BY_HIGH[alice_diag], _BY_HIGH[bob_high]
 
 
 def draw_round(
@@ -331,7 +317,8 @@ def draw_round(
         )
     if protocol is Protocol.BB84 or channel.ideal_classification:
         return detected, bob_bit, None
-    resistors = _resistors(protocol, inputs)
+    resistors = _resistors(protocol, inputs.alice_basis is Basis.DIAGONAL,
+                           inputs.bob_basis is Basis.DIAGONAL)
     return detected, bob_bit, sample_line(channel.line, *resistors, gen)
 
 
@@ -341,8 +328,8 @@ _F32 = np.dtype(np.float32)  # the dtype of `fair_bits`' draws, resolved once
 
 def _pair_variances(protocol: Protocol, line: KljnLineParams) -> list[float]:
     """Line variance of each resistor pair, at 2 * (Alice diagonal) + (Bob diagonal)."""
-    return [line_variance(line, *_resistors(protocol, RoundInputs(a, 0, b)))
-            for a in Basis for b in Basis]
+    return [line_variance(line, *_resistors(protocol, a, b))
+            for a in (False, True) for b in (False, True)]
 
 
 def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
@@ -445,17 +432,15 @@ def run_round(
     The level is `sample_line`'s classification, or the resistor pair's.
     """
     detected, bob_bit, obs = draw_round(protocol, inputs, channel, rng)
-    alice_diag = inputs.alice_basis is Basis.DIAGONAL
+    alice_diag, bob_diag = inputs.alice_basis is Basis.DIAGONAL, inputs.bob_basis is Basis.DIAGONAL
     alice_res = bob_res = level = truth = low = high = None
     if protocol is not Protocol.BB84:
-        alice_res, bob_res = _resistors(protocol, inputs)
+        alice_res, bob_res = _resistors(protocol, alice_diag, bob_diag)
         level = truth = ground_truth_level(alice_res, bob_res)
         if obs is not None:
             level = obs.classified_level
             low, high = np.array([level is NoiseLevel.LOW]), np.array([level is NoiseLevel.HIGH])
-    decided = decide_block(
-        protocol, np.array([alice_diag]), np.array([inputs.bob_basis is Basis.DIAGONAL]), low, high
-    )
+    decided = decide_block(protocol, np.array([alice_diag]), np.array([bob_diag]), low, high)
     flagged, keeps, wire, wire_wrong = (m is not None and bool(m[0]) for m in decided)
     return ProtocolRound(
         protocol=protocol,

@@ -8,12 +8,10 @@ native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
 `rates.throughputs` call, and only draw and count: a gated session draws
 its rounds with `protocol.draw_block` (the draws of `random_inputs` and
-`draw_round`, round for round, each round's through bound generator methods
-into reused buffers, with a float32 dtype instance that numpy need not
-resolve per call), a buffered one in i.i.d. spans with `protocol.draw_span`,
-and each hands its draws to `protocol.decide_block`, the one place the rules
-(`protocol._RULES`) are applied. The analytic yield moments come from
-`decide_block` too.
+`draw_round`, round for round), a buffered one in i.i.d. spans with
+`protocol.draw_span`, and each hands its draws to `protocol.decide_block`,
+the one place the rules (`protocol._RULES`) are applied. The analytic
+yield moments come from `decide_block` too.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and

@@ -130,6 +130,12 @@ BAD_ARGUMENTS = {
         DomainError, "forced_bob_bit"),
     "round_inputs_basis_token": (lambda: RoundInputs("+", 0, RECT), DomainError, "alice_basis"),
     "round_inputs_basis_value": (lambda: RoundInputs(RECT, 0, "x"), DomainError, "bob_basis"),
+    "round_inputs_detected_str": (  # a truthy string must not force a click on a dead channel
+        lambda: draw_round(Protocol.P1, RoundInputs(RECT, 1, RECT, detected="no"),
+                           ChannelModel(0.0), 1),
+        DomainError, "detected"),
+    "round_inputs_detected_int": (
+        lambda: RoundInputs(RECT, 0, RECT, detected=1), DomainError, "detected"),
 }
 
 

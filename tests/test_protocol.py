@@ -20,7 +20,6 @@ from hybridkd.protocol import (
     Basis,
     ChannelModel,
     KeyOrigin,
-    Party,
     Polarization,
     Protocol,
     RoundInputs,
@@ -29,8 +28,6 @@ from hybridkd.protocol import (
     draw_span,
     extract_key,
     fair_bits,
-    map_basis_to_resistor_cross,
-    map_basis_to_resistor_same,
     measure_photon,
     parse_trace_fixture,
     random_inputs,
@@ -61,43 +58,48 @@ def run_all(protocol, inputs, channel=IDEAL, seed=0):
     return [run_round(protocol, i, channel, rng) for i in inputs]
 
 
+# (Alice's, Bob's) resistor, each indexed by "basis is diagonal": cross for I/II, same for III
+MAPPINGS = {
+    Protocol.P1: ((RL, RH), (RH, RL)),
+    Protocol.P2: ((RL, RH), (RH, RL)),
+    Protocol.P3: ((RL, RH), (RL, RH)),
+}
+BASIS_PAIRS = [(a, b) for a in (RECT, DIAG) for b in (RECT, DIAG)]
+MID = NoiseLevel.INTERMEDIATE
+SAMPLED_LINE = ChannelModel(
+    line=KljnLineParams(v=2e5, n_pairs=1000, n_samples=50, r_low=1e4, r_high=1e5),
+    ideal_classification=False,
+)
+
+
+def pair_rounds(protocol, channel=IDEAL):
+    """One ledger round for each basis pair, in BASIS_PAIRS order."""
+    return run_all(protocol, [RoundInputs(a, 0, b, detected=True, forced_bob_bit=0)
+                              for a, b in BASIS_PAIRS], channel)
+
+
 class TestResistorMappings:
-    def test_cross_mapping(self):
-        assert map_basis_to_resistor_cross(Party.ALICE, RECT) is RL
-        assert map_basis_to_resistor_cross(Party.ALICE, DIAG) is RH
-        assert map_basis_to_resistor_cross(Party.BOB, RECT) is RH
-        assert map_basis_to_resistor_cross(Party.BOB, DIAG) is RL
+    """The basis-to-resistor mapping, read from the public ledger."""
 
-    def test_cross_equal_bases_always_mixed(self):
-        for a_basis in Basis:
-            for b_basis in Basis:
-                ra = map_basis_to_resistor_cross(Party.ALICE, a_basis)
-                rb = map_basis_to_resistor_cross(Party.BOB, b_basis)
-                if a_basis is b_basis:
-                    assert ra is not rb  # intermediate ground truth
-                else:
-                    assert ra is rb
+    @pytest.mark.parametrize("protocol", list(MAPPINGS), ids=lambda p: p.value)
+    @pytest.mark.parametrize("channel", [IDEAL, SAMPLED_LINE], ids=["ideal", "sampled"])
+    def test_ledger_resistors(self, protocol, channel):
+        alice_map, bob_map = MAPPINGS[protocol]
+        for (a, b), r in zip(BASIS_PAIRS, pair_rounds(protocol, channel)):
+            assert (r.alice_resistor, r.bob_resistor) == (alice_map[a is DIAG], bob_map[b is DIAG])
+            if channel is SAMPLED_LINE:  # the wire was driven by the same pair
+                assert r.observation.ground_truth_level is r.ground_truth_level
 
-    def test_same_mapping_and_levels(self):
-        assert map_basis_to_resistor_same(RECT) is RL
-        assert map_basis_to_resistor_same(DIAG) is RH
-        # the four basis pairings
-        rounds = run_all(
-            Protocol.P3,
-            [
-                RoundInputs(RECT, 0, RECT, detected=True, forced_bob_bit=0),
-                RoundInputs(RECT, 0, DIAG, detected=True, forced_bob_bit=0),
-                RoundInputs(DIAG, 0, RECT, detected=True, forced_bob_bit=0),
-                RoundInputs(DIAG, 0, DIAG, detected=True, forced_bob_bit=0),
-            ],
-        )
-        levels = [r.noise_level for r in rounds]
-        assert levels == [
-            NoiseLevel.LOW,
-            NoiseLevel.INTERMEDIATE,
-            NoiseLevel.INTERMEDIATE,
-            NoiseLevel.HIGH,
-        ]
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2], ids=lambda p: p.value)
+    def test_cross_equal_bases_always_mixed(self, protocol):
+        for (a, b), r in zip(BASIS_PAIRS, pair_rounds(protocol)):
+            assert (r.alice_resistor is not r.bob_resistor) == (a is b)
+            assert (r.ground_truth_level is MID) == (a is b)
+
+    def test_same_mapping_levels(self):
+        rounds = pair_rounds(Protocol.P3)
+        assert [r.alice_resistor is r.bob_resistor for r in rounds] == [True, False, False, True]
+        assert [r.noise_level for r in rounds] == [NoiseLevel.LOW, MID, MID, NoiseLevel.HIGH]
 
 
 class TestPolarization:
