@@ -8,7 +8,8 @@ native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
 `rates.throughputs` call, and only draw and count: a gated session draws
 its rounds with `protocol.draw_block` (the draws of `random_inputs` and
-`draw_round`, round for round), a buffered one in i.i.d. spans with
+`draw_round`, round for round, decoded from raw generator words where no
+line is sampled: see `draw_block`), a buffered one in i.i.d. spans with
 `protocol.draw_span`, and each hands its draws to `protocol.decide_block`,
 the one place the rules (`protocol._RULES`) are applied. The analytic
 yield moments come from `decide_block` too.
@@ -32,7 +33,8 @@ from .errors import ConfigError, DomainError, check_int, check_real, check_seed
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams
 from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
-from .protocol import ChannelModel, Protocol, check_protocol, decide_block, draw_block, draw_span
+from .protocol import (_SPAN, ChannelModel, Protocol, check_protocol, decide_block, draw_block,
+                       draw_span)
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 
@@ -49,7 +51,6 @@ __all__ = [
 
 DEFAULT_BURST_BLOCK = 10_000
 DEFAULT_BUFFER_CAPACITY = 100_000
-_SPAN = 1 << 16  # rounds per `draw_span` call of a buffered session
 
 
 class Timing(enum.Enum):

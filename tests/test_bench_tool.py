@@ -42,3 +42,26 @@ def test_wins_follow_better_and_ties_count_for_neither():
 def test_one_pair_has_flat_quartiles():
     summary = bench.summarize([_pair((100, 5.0), (150, 4.0))], {"items_per_s": "higher"})
     assert summary["items_per_s"]["change"] == {"q1": 150, "median": 150, "q3": 150}
+
+
+def test_cli_commands_run_the_package_of_each_tree(tmp_path):
+    # the six criterion-8 commands, each a whole process on the tree's own src/
+    assert len(bench.CLI_COMMANDS) == 6
+    assert {argv[0] for argv in bench.CLI_COMMANDS} == {"sweep", "trace", "simulate", "crossover"}
+    cmd, env = bench.cli_command(tmp_path, ("crossover", "--factor", "2"), tmp_path / "a.out")
+    assert cmd[1:] == ["-m", "hybridkd", "crossover", "--factor", "2", "--out",
+                       str(tmp_path / "a.out")]
+    assert env["PYTHONPATH"] == str(tmp_path / "src")
+
+
+def test_cli_summary_medians_wins_and_outputs():
+    pairs = [{"parent": {"seconds": p, "sha256": "a"}, "change": {"seconds": c, "sha256": h}}
+             for p, c, h in ((0.6, 0.3, "a"), (0.5, 0.5, "a"), (0.7, 0.4, "a"))]
+    summary = bench.summarize_cli(("simulate", "--seed", "88"), pairs)
+    assert summary["argv"] == "simulate --seed 88"
+    assert summary["parent"] == {"seconds": [0.6, 0.5, 0.7], "median": 0.6}
+    assert summary["change"]["median"] == 0.4
+    assert (summary["change_wins"], summary["pairs"]) == (2, 3)  # the tie counts for neither
+    assert summary["ratio"] == 0.4 / 0.6 and summary["outputs_equal"]
+    pairs[1]["change"]["sha256"] = "b"
+    assert not bench.summarize_cli(("simulate",), pairs)["outputs_equal"]

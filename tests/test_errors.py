@@ -121,6 +121,12 @@ BAD_ARGUMENTS = {
         lambda: measure_photon(1, RECT, RECT, True, 1, math.nan), DomainError, "flip_prob"),
     "measure_photon_flip_str": (
         lambda: measure_photon(1, RECT, RECT, True, 1, "0.1"), DomainError, "flip_prob"),
+    "measure_photon_detected_str": (  # a truthy string must not make a click
+        lambda: measure_photon(1, RECT, RECT, "no", 1), DomainError, "detected"),
+    "measure_photon_bit_five": (
+        lambda: measure_photon(5, RECT, RECT, True, 1), DomainError, "alice_bit"),
+    "measure_photon_basis_token": (  # not a mismatch: "x" is not Basis.DIAGONAL
+        lambda: measure_photon(1, "x", Basis.DIAGONAL, True, 1), DomainError, "alice_basis"),
     "round_inputs_bit_five": (
         lambda: run_round(Protocol.P1, RoundInputs(RECT, 5, RECT), IDEAL, 1),
         DomainError, "alice_bit"),

@@ -458,6 +458,53 @@ class TestDrawBlock:
         assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state)
         assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3))
 
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+        ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("protocol, ideal", [(Protocol.BB84, False), (Protocol.P2, True)],
+                             ids=["bb84_sampled", "p2_ideal"])
+    @pytest.mark.parametrize("detection_prob", [0.0, 0.009, 0.7, 1.0])
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.015, 1.0])
+    def test_word_decode_matches_round_by_round(self, monkeypatch, bit_generator, spare,
+                                                protocol, ideal, detection_prob, flip_prob):
+        # Rounds that sample no line are decoded from raw words, _SPAN rounds
+        # at a time; a small _SPAN makes its two split sizes cheap to replay.
+        monkeypatch.setattr(protocol_module, "_SPAN", 64)
+        channel = ChannelModel(detection_prob, flip_prob, TestDrawSpan.NOISY, ideal)
+        for n in (1, 2, 5, 64, 65):
+            fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
+            if spare:
+                fair_bits(fast)
+                fair_bits(slow)
+            *drawn, low, high = draw_block(protocol, channel, fast, n)
+            assert low is None and high is None
+            rows = [row[:4] for row in self.round_by_round(protocol, channel, slow, n)]
+            assert np.column_stack(drawn).tolist() == rows, n
+            # the pending flag and `uinteger`, stale or not, as the loop leaves them
+            assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state), n
+            assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3)), n
+            assert np.array_equal(fast.bit_generator.random_raw(2),
+                                  slow.bit_generator.random_raw(2)), n
+
+    def test_word_decode_matches_the_loop_across_a_full_span(self):
+        # A gated session's generator at a benchmark-like click rate, past one
+        # whole span, against the same stream through a PCG64 subclass, which
+        # draw_block does not decode (a subclass may override random_raw).
+        class Subclass(np.random.PCG64):
+            pass
+
+        channel = ChannelModel(0.009, 0.015)
+        n = protocol_module._SPAN + 1
+        fast, slow = np.random.default_rng(19), np.random.Generator(Subclass(19))
+        decoded = draw_block(Protocol.P1, channel, fast, n)
+        looped = draw_block(Protocol.P1, channel, slow, n)
+        assert all(np.array_equal(a, b) for a, b in zip(decoded[:4], looped[:4]))
+        assert decoded[4:] == looped[4:] == (None, None)
+        state, loop_state = fast.bit_generator.state, slow.bit_generator.state
+        assert loop_state.pop("bit_generator") == "Subclass"
+        assert state.pop("bit_generator") == "PCG64" and state == loop_state
+
 
 class TestDrawSpan:
     """`draw_span` draws `draw_block`'s masks from the same distribution."""

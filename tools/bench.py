@@ -1,14 +1,17 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/bench.py --parent HEAD --pr 17 --run mc_gated:1,3:10 --run rate_study:1:3
+    python3 tools/bench.py --parent HEAD --pr <pr> --run mc_gated:1,3:10 --cli 3
 
-Checks the parent out in a temporary `git worktree`, removed afterwards. For
-each `--run WORKLOAD:SEEDS:PAIRS` it runs `perfbench/run.py` once in each tree
-per pair, switching which tree runs first from pair to pair, and writes
-`BENCH_<pr>.json` at the repo root. The file holds the machine block, both
-commits, every run's end-to-end metrics and output digest, and for each metric
-each side's median and quartiles and the pairs the working tree won, by the
-metric's `better` in BENCHMARK.json (ties count for neither side).
+Exports the parent with `git archive` into a temporary directory, removed
+afterwards. For each `--run WORKLOAD:SEEDS:PAIRS` it runs `perfbench/run.py`
+once in each tree per pair, switching which tree runs first from pair to pair,
+and writes `BENCH_<pr>.json` at the repo root. The file holds the machine
+block, both commits, every run's end-to-end metrics and output digest, and for
+each metric each side's median and quartiles and the pairs the working tree
+won, by the metric's `better` in BENCHMARK.json (ties count for neither side).
+`--cli REPEATS` also times each criterion-8 command of the acceptance suite as
+a whole `python3 -m hybridkd` process, REPEATS alternating pairs per command,
+and records each side's wall times, their medians and the output's sha256.
 """
 
 from __future__ import annotations
@@ -16,15 +19,27 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# The criterion-8 commands of tests/test_acceptance.py (each also gets `--out FILE`).
+CLI_COMMANDS = (
+    ("sweep", "--points", "40"),
+    ("trace", "--fixture", "bundled", "--protocol", "p3"),
+    ("trace", "--rounds", "12", "--protocol", "p2", "--seed", "88"),
+    ("simulate", "--protocol", "p2", "--distance", "2", "--rounds", "20000", "--seed", "88"),
+    ("simulate", "--protocol", "p1", "--mode", "buffered", "--distance", "2", "--duration", "0.3",
+     "--burst-block", "2000", "--seed", "88"),
+    ("crossover", "--factor", "2"),
+)
 
 
 def git(*args: str) -> str:
@@ -62,6 +77,35 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, size: str) ->
     }
 
 
+def cli_command(tree: Path, argv: tuple[str, ...], out: Path) -> tuple[list[str], dict]:
+    """The `python3 -m hybridkd` command line of `argv` on `tree`'s package, and its environment."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    return [sys.executable, "-m", "hybridkd", *argv, "--out", str(out)], env
+
+
+def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> dict:
+    """One CLI process's wall time, and the sha256 of the file it wrote."""
+    cmd, env = cli_command(tree, argv, out)
+    start = time.perf_counter()
+    subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
+    seconds = time.perf_counter() - start
+    return {"seconds": seconds, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+def summarize_cli(argv: tuple[str, ...], pairs: list[dict]) -> dict:
+    """One command's wall times: each side's runs and median, the change's wins, the ratio."""
+    sides = {side: [p[side]["seconds"] for p in pairs] for side in SIDES}
+    medians = {side: statistics.median(times) for side, times in sides.items()}
+    return {
+        "argv": " ".join(argv),
+        **{side: {"seconds": sides[side], "median": medians[side]} for side in SIDES},
+        "change_wins": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
+        "pairs": len(pairs),
+        "ratio": medians["change"] / medians["parent"],
+        "outputs_equal": len({p[side]["sha256"] for p in pairs for side in SIDES}) == 1,
+    }
+
+
 def quartiles(values: list[float]) -> dict:
     if len(values) < 2:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
@@ -96,8 +140,12 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="WORKLOAD:SEEDS:PAIRS")
     parser.add_argument("--seconds", type=float, default=30.0, help="length of each run")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
+    parser.add_argument("--cli", type=int, default=0, metavar="REPEATS",
+                        help="also time the criterion-8 commands, REPEATS pairs each")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repo root")
     args = parser.parse_args(argv)
+    if args.cli < 0:
+        parser.error(f"--cli needs a count of pairs >= 0, got {args.cli}")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
@@ -112,9 +160,12 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-"))
     trees = {"parent": scratch / "parent", "change": ROOT}
-    git("worktree", "add", "--detach", str(trees["parent"]), parent_rev)
-    machine, runs = None, []
+    machine, runs, cli = None, [], []
     try:
+        trees["parent"].mkdir()
+        git("archive", "--output", str(scratch / "parent.tar"), parent_rev)
+        subprocess.run(["tar", "-xf", str(scratch / "parent.tar"), "-C", str(trees["parent"])],
+                       check=True)
         for workload, seeds, n_pairs in args.run:
             for seed in seeds:
                 pairs = []
@@ -133,13 +184,21 @@ def main(argv: list[str] | None = None) -> int:
                 runs.append({"workload": workload, "seed": seed, "pairs": pairs,
                              "summary": summarize(pairs, better), "digests": digests,
                              "digests_equal": digests["parent"] == digests["change"]})
+        for command in CLI_COMMANDS if args.cli else ():
+            pairs = []
+            for i in range(args.cli):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pairs.append({side: time_cli(trees[side], command, scratch / f"{side}.out")
+                              for side in order})
+            cli.append(summarize_cli(command, pairs))
+            print(f"bench: hybridkd {cli[-1]['argv']}: median s "
+                  + " -> ".join(f"{cli[-1][s]['median']:.3f}" for s in SIDES), file=sys.stderr)
     finally:
-        git("worktree", "remove", "--force", str(trees["parent"]))
         shutil.rmtree(scratch, ignore_errors=True)
 
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     bench = {"pr": args.pr, "machine": machine, "commits": commits, "seconds": args.seconds,
-             "size": args.size, "runs": runs}
+             "size": args.size, "runs": runs, "cli": cli}
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"bench: wrote {out}", file=sys.stderr)
     return 0
