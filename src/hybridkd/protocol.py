@@ -173,6 +173,8 @@ class ChannelModel:
     def __post_init__(self) -> None:
         check_real(self.detection_prob, "detection_prob", ge=0, le=1)
         check_real(self.flip_prob, "flip_prob", ge=0, le=1)
+        if not isinstance(ideal := self.ideal_classification, bool):  # as `detected` is checked
+            raise DomainError(f"ideal_classification must be True or False, got {ideal!r}")
         if not self.ideal_classification and self.line is None:
             raise DomainError("sampled classification requires line parameters")
 
@@ -330,7 +332,6 @@ def draw_round(
 
 
 _CHUNK = 128  # rounds per vectorized step of `draw_block`'s loop
-_SPAN = 1 << 16  # rounds per word decode of `draw_block`, per `draw_span` call of a session
 _F32 = np.dtype(np.float32)  # the dtype of `fair_bits`' draws, resolved once
 
 
@@ -409,8 +410,10 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
 
     Rounds that sample no line (BB84, or ideal classification) on numpy's
     PCG64, PCG64DXSM, Philox or SFC64 (exactly: a subclass may override
-    `random_raw`) are decoded from its 64-bit `random_raw` words, at most
-    `_SPAN` rounds at a time, bit for bit. numpy makes a fair bit from
+    `random_raw`) are decoded from its 64-bit `random_raw` words in one pass,
+    bit for bit. A call holds the words and temporaries of all its rounds at
+    once, about 80 bytes a round (`draw_span` about 14), so sessions call it
+    `session._SPAN` rounds at a time. numpy makes a fair bit from
     the top bit of a 32-bit half (low half first, the high one kept pending in
     `has_uint32`/`uinteger`) and a uniform as (word >> 11) * 2**-53. With
     t = 2 * (next unread word) - (half pending), a round's three fair bits are
@@ -435,14 +438,8 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
     # Named here, not at import, which would load numpy.random with the package.
     words = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-    if not sampled and type(gen.bit_generator) in words:
-        masks = [np.empty(n_rounds, dtype=bool) for _ in range(4)]
-        for start in range(0, n_rounds, _SPAN):
-            stop = min(start + _SPAN, n_rounds)
-            decoded = _decode_words(gen.bit_generator, p_det, p_flip, stop - start)
-            for mask, part in zip(masks, decoded):
-                mask[start:stop] = part
-        return (*masks, None, None)
+    if not sampled and n_rounds and type(gen.bit_generator) in words:
+        return (*_decode_words(gen.bit_generator, p_det, p_flip, n_rounds), None, None)
     uniform, normals, bits = gen.random, gen.standard_normal, np.empty(3, dtype=_F32)
     flags = bytearray(4 * n_rounds)
     drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)

@@ -6,13 +6,13 @@ two phases: the wire fills a buffer of basis-coordination bits at R_kljn
 while the laser idles, then the laser drains the buffer in a burst at its
 native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
-`rates.throughputs` call, and only draw and count: a gated session draws
-its rounds with `protocol.draw_block` (the draws of `random_inputs` and
-`draw_round`, round for round, decoded from raw generator words where no
-line is sampled: see `draw_block`), a buffered one in i.i.d. spans with
-`protocol.draw_span`, and each hands its draws to `protocol.decide_block`,
-the one place the rules (`protocol._RULES`) are applied. The analytic
-yield moments come from `decide_block` too.
+`rates.throughputs` call, and only draw and count, span by span on one
+generator (`_run_spans`), so a session holds one span's draws however long:
+a gated one with `protocol.draw_block` (the draws of `random_inputs` and
+`draw_round`, round for round, decoded from raw words where no line is
+sampled), a buffered one i.i.d. with `protocol.draw_span`. Each span goes to
+`protocol.decide_block`, the one place the rules (`protocol._RULES`) are
+applied. The analytic yield moments come from `decide_block` too.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -33,8 +33,7 @@ from .errors import ConfigError, DomainError, check_int, check_real, check_seed
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams
 from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
-from .protocol import (_SPAN, ChannelModel, Protocol, check_protocol, decide_block, draw_block,
-                       draw_span)
+from .protocol import ChannelModel, Protocol, check_protocol, decide_block, draw_block, draw_span
 from .protocol import random_inputs  # noqa: F401  perfbench's tracer still wraps this name here
 from .protocol import run_round  # noqa: F401  perfbench's tracer still wraps this name here
 
@@ -51,6 +50,7 @@ __all__ = [
 
 DEFAULT_BURST_BLOCK = 10_000
 DEFAULT_BUFFER_CAPACITY = 100_000
+_SPAN = 1 << 16  # rounds per draw of a session's span loop
 
 
 class Timing(enum.Enum):
@@ -171,6 +171,16 @@ def _tally(decided: tuple, detected: np.ndarray, wrong: np.ndarray) -> dict[str,
     }
 
 
+def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: int) -> dict:
+    """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time, on one generator."""
+    rng, counts = np.random.default_rng(seed), collections.Counter()
+    for start in range(0, n_rounds, _SPAN):
+        *bases, detected, wrong, low, high = draw(
+            protocol, channel, rng, min(_SPAN, n_rounds - start))
+        counts.update(_tally(decide_block(protocol, *bases, low, high), detected, wrong))
+    return counts
+
+
 def run_gated_session(
     protocol: Protocol,
     optical: OpticalParams,
@@ -183,16 +193,15 @@ def run_gated_session(
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
     `protocol.draw_block` draws every round, exactly as `random_inputs` and
-    `draw_round` would one by one; `protocol.decide_block` then decides them
-    all at once. Simulated wall time is n_rounds / f_sys (plain BB84 runs
-    unthrottled at f_qkd; its distance must still give a wire rate).
+    `draw_round` would one by one, a span at a time; `protocol.decide_block`
+    decides each span. Simulated wall time is n_rounds / f_sys (plain BB84
+    runs unthrottled at f_qkd; its distance must still give a wire rate).
     """
     check_int(n_rounds, "n_rounds", ge=1)
     check_seed(seed)
     point = rates.throughputs(optical, line, distance_km)
     channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
-    alice_diag, bob_diag, detected, wrong, low, high = draw_block(protocol, channel, seed, n_rounds)
-    counts = _tally(decide_block(protocol, alice_diag, bob_diag, low, high), detected, wrong)
+    counts = _run_spans(draw_block, protocol, channel, seed, n_rounds)
     wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
 
     return SessionStats(
@@ -237,23 +246,17 @@ def run_buffered_session(
     fill_time = block / point.r_kljn
     drain_time = block / optical.f_qkd
     cycle_time = fill_time + drain_time
-    n_cycles = int(duration_s // cycle_time)
+    whole_cycles = duration_s // cycle_time  # inf past the float range
+    if whole_cycles >= -(-2**63 // block):  # n_rounds below 2**63, as check_int keeps gated ones
+        raise DomainError(f"duration_s {duration_s} s holds 2**63 rounds or more")
+    n_cycles = int(whole_cycles)
     if n_cycles < 1:
-        raise ConfigError(
-            f"duration {duration_s} s is shorter than one fill/drain cycle "
-            f"({cycle_time:.6g} s)"
-        )
+        raise ConfigError(f"duration {duration_s} s is shorter than one fill/drain cycle "
+                          f"({cycle_time:.6g} s)")
 
     channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
-    rng = np.random.default_rng(seed)
     n_rounds = n_cycles * block
-    counts: collections.Counter[str] = collections.Counter()
-    for start in range(0, n_rounds, _SPAN):
-        alice_diag, bob_diag, detected, wrong, low, high = draw_span(
-            protocol, channel, rng, min(_SPAN, n_rounds - start))
-        decided = decide_block(protocol, alice_diag, bob_diag, low, high)
-        counts.update(_tally(decided, detected, wrong))
-
+    counts = _run_spans(draw_span, protocol, channel, seed, n_rounds)
     secure_bits = _secure_bits(counts, point.gamma)
     wall_time = n_cycles * cycle_time
 

@@ -281,6 +281,18 @@ def test_oversized_round_count_is_domain_error(capsys):
     assert "n_rounds must be" in captured.err
 
 
+@pytest.mark.parametrize("duration", [1e308, 1e20])
+def test_oversized_buffered_duration_is_domain_error(duration, tmp_path, capsys):
+    # whole cycles of 2**63 rounds or more, the bound gated --rounds has
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(f"run:\n  duration_s: {duration:.1e}\n")
+    for argv in (BUFFERED_P1 + ["--duration", str(duration)], BUFFERED_P1 + ["--config", str(cfg)]):
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "duration_s" in captured.err and "2**63 rounds" in captured.err
+
+
 class TestConfigHandling:
     def test_config_file_and_env(self, tmp_path, capsys, monkeypatch):
         cfg = tmp_path / "run.yaml"

@@ -32,6 +32,17 @@ def _bound(**kw):
     return short_haul_supremacy_bound(DEFAULT_OPTICAL, DEFAULT_KLJN, **kw)
 
 
+def _duration_past_the_round_bound():
+    """Half a cycle past the least whole number of default cycles holding 2**63 rounds."""
+    block = TimingMode.buffered().burst_block
+    point = throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0)
+    cycle_time = block / point.r_kljn + block / DEFAULT_OPTICAL.f_qkd
+    cycles = -(-2**63 // block)
+    duration = (cycles + 0.5) * cycle_time
+    assert duration // cycle_time == cycles and (cycles - 1) * block < 2**63
+    return duration
+
+
 SAMPLED = ChannelModel(0.5, 0.1, DEFAULT_KLJN, False)
 IDEAL = ChannelModel(0.5, 0.1)
 ROUND = RoundInputs(Basis.RECTILINEAR, 1, Basis.DIAGONAL)
@@ -99,6 +110,25 @@ BAD_ARGUMENTS = {
     "buffered_duration_bool": (
         lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, True, 1),
         DomainError, "duration_s"),
+    "buffered_duration_cycles_overflow": (  # inf whole cycles
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 1e308, 1),
+        DomainError, "duration_s"),
+    "buffered_duration_past_2_63_rounds": (
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0,
+                                     _duration_past_the_round_bound(), 1),
+        DomainError, "duration_s"),
+    "channel_classification_str": (  # a truthy string must not pick ideal classification
+        lambda: ChannelModel(0.5, 0.1, DEFAULT_KLJN, "False"), DomainError,
+        "ideal_classification"),
+    "channel_classification_numpy_bool": (
+        lambda: ChannelModel(0.5, 0.1, DEFAULT_KLJN, np.bool_(True)), DomainError,
+        "ideal_classification"),
+    "gated_classification_none": (
+        lambda: _gated(ideal_classification=None), DomainError, "ideal_classification"),
+    "buffered_classification_int": (
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 1.0, 1,
+                                     ideal_classification=0),
+        DomainError, "ideal_classification"),
     "gated_protocol_value": (
         lambda: run_gated_session("p1", DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 100, 1),
         DomainError, "protocol"),

@@ -466,11 +466,10 @@ class TestDrawBlock:
                              ids=["bb84_sampled", "p2_ideal"])
     @pytest.mark.parametrize("detection_prob", [0.0, 0.009, 0.7, 1.0])
     @pytest.mark.parametrize("flip_prob", [0.0, 0.015, 1.0])
-    def test_word_decode_matches_round_by_round(self, monkeypatch, bit_generator, spare,
-                                                protocol, ideal, detection_prob, flip_prob):
-        # Rounds that sample no line are decoded from raw words, _SPAN rounds
-        # at a time; a small _SPAN makes its two split sizes cheap to replay.
-        monkeypatch.setattr(protocol_module, "_SPAN", 64)
+    def test_word_decode_matches_round_by_round(self, bit_generator, spare, protocol, ideal,
+                                                detection_prob, flip_prob):
+        # Rounds that sample no line are decoded from raw words, a call's
+        # rounds in one pass.
         channel = ChannelModel(detection_prob, flip_prob, TestDrawSpan.NOISY, ideal)
         for n in (1, 2, 5, 64, 65):
             fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
@@ -495,7 +494,7 @@ class TestDrawBlock:
             pass
 
         channel = ChannelModel(0.009, 0.015)
-        n = protocol_module._SPAN + 1
+        n = session_module._SPAN + 1
         fast, slow = np.random.default_rng(19), np.random.Generator(Subclass(19))
         decoded = draw_block(Protocol.P1, channel, fast, n)
         looped = draw_block(Protocol.P1, channel, slow, n)
@@ -504,6 +503,36 @@ class TestDrawBlock:
         state, loop_state = fast.bit_generator.state, slow.bit_generator.state
         assert loop_state.pop("bit_generator") == "Subclass"
         assert state.pop("bit_generator") == "PCG64" and state == loop_state
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_two_calls_draw_what_one_call_of_their_sum_draws(self, bit_generator, spare, ideal):
+        # A session draws its spans one call after another on one generator,
+        # so a call must leave it, pending half included, where the next
+        # call's rounds begin, also when a half is left pending between them.
+        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY, ideal)
+        pending = []
+        for first in (1, 2, 5, 64, 65):
+            split, whole = (np.random.Generator(bit_generator(40 + first)) for _ in range(2))
+            if spare:
+                fair_bits(split)
+                fair_bits(whole)
+            head = draw_block(Protocol.P2, channel, split, first)
+            pending.append(split.bit_generator.state.get("has_uint32"))
+            tail = draw_block(Protocol.P2, channel, split, 64)
+            joined = draw_block(Protocol.P2, channel, whole, first + 64)
+            nones = [[m is None for m in masks] for masks in (head, tail, joined)]
+            assert nones == [[False] * 4 + [ideal] * 2] * 3
+            for a, b, both in zip(head, tail, joined):
+                assert both is None or np.array_equal(np.concatenate((a, b)), both), first
+            assert TestDrawSpan.same_state(split.bit_generator.state,
+                                           whole.bit_generator.state), first
+            assert np.array_equal(fair_bits(split, 3), fair_bits(whole, 3)), first
+        # MT19937's words are 32-bit: it never holds a half
+        assert (1 in pending) == (bit_generator is not np.random.MT19937), pending
 
 
 class TestDrawSpan:
@@ -619,6 +648,16 @@ class TestRoundCounts:
     def test_zero_rounds_give_empty_masks(self, draw):
         masks = draw(Protocol.P2, self.CHANNEL, 0, 0)
         assert all(mask.dtype == bool and mask.shape == (0,) for mask in masks)
+
+    def test_zero_unsampled_rounds_draw_nothing(self):
+        # The word decode needs a round: zero rounds take the per-round loop,
+        # which gives empty masks and leaves a pending half pending.
+        gen = np.random.default_rng(6)
+        fair_bits(gen)
+        before = gen.bit_generator.state
+        *drawn, low, high = draw_block(Protocol.P2, IDEAL, gen, 0)
+        assert all(mask.shape == (0,) for mask in drawn) and low is high is None
+        assert gen.bit_generator.state == before
 
 
 class TestExtractKey:

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ import pytest
 import hybridkd.session as session_module
 from hybridkd.errors import ConfigError, DomainError
 from hybridkd.physics import KljnLineParams, kljn_bit_rate, link_budget
-from hybridkd.protocol import ChannelModel, Protocol, draw_span, random_inputs, run_round
+from hybridkd.protocol import (ChannelModel, Protocol, draw_block, draw_span, random_inputs,
+                              run_round)
 from hybridkd.rates import normalized_rates, throughputs
 from hybridkd.session import (
     SessionStats,
@@ -113,6 +115,34 @@ class TestGatedSession:
     @pytest.mark.parametrize("n", [127, 128, 129, 3_000])
     def test_counts_match_replay_across_sizes(self, optical, protocol, ideal, n):
         assert_counts_match_replay(optical, protocol, ideal, n)
+
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_rounds_are_drawn_in_spans(self, optical, line, ideal):
+        # A full span, then one round: the session's two draws are one
+        # draw_block call of their sum on its seed, decided and tallied.
+        n = session_module._SPAN + 1
+        stats = run_gated_session(Protocol.P2, optical, line, 2.0, n, seed=5,
+                                  ideal_classification=ideal)
+        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt, line, ideal)
+        counts = session_counts(observed_outcomes(
+            Protocol.P2, draw_block(Protocol.P2, channel, np.random.default_rng(5), n)))
+        assert {name: getattr(stats, name) for name in counts} == counts
+        assert (stats.flagged_rounds > 0) == (not ideal)
+
+    def test_memory_does_not_grow_with_spans(self, optical, line):
+        # A session holds one span's draws at a time, so its traced peak at 16
+        # spans is about that at 2 spans, not eight times the draws.
+        def peak(spans):
+            tracemalloc.start()
+            try:
+                run_gated_session(Protocol.P2, optical, line, 2.0, spans * session_module._SPAN, 3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # first-call allocations are not the session's draws
+        two, sixteen = peak(2), peak(16)
+        assert sixteen <= 1.2 * two, (two, sixteen)
 
 
 def assert_counts_match_replay(optical, protocol, ideal, n, r_low=1e4):
