@@ -6,23 +6,24 @@ two phases: the wire fills a buffer of basis-coordination bits at R_kljn
 while the laser idles, then the laser drains the buffer in a burst at its
 native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
-`rates.throughputs` call, and only draw and count, span by span on one
-generator (`_run_spans`), so a session holds one span's draws however long:
-a gated one with `protocol.draw_block` (the draws of `random_inputs` and
-`draw_round`, round for round, decoded from raw words where no line is
-sampled), a buffered one i.i.d. with `protocol.draw_span`. Each span goes to
-`protocol.decide_block`, the one place the rules (`protocol._RULES`) are
-applied. The analytic yield moments come from `decide_block` too.
+`rates.throughputs` call, and only draw and count, span by span in
+`_run_spans`, holding one span's draws per thread: a gated session with
+`protocol.draw_block` (`random_inputs` then `draw_round`, round for round),
+a buffered one i.i.d. with `protocol.draw_span`, its ideal spans on a
+thread per usable core. `protocol.decide_block` applies the rules
+(`protocol._RULES`) to each span and gives the yield moments.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
-derived streams for parallel workers come from SeedSequence.spawn).
+`spawn_seeds` spawns child seeds of a seed or SeedSequence for workers).
 """
 
 from __future__ import annotations
 
 import collections
 import enum
+import os
+import threading
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -136,11 +137,12 @@ class SessionStats:
         return {k: v for k, v in out.items() if v is not None}
 
 
-def spawn_seeds(seed: int, n: int) -> list[np.random.SeedSequence]:
-    """Deterministic independent child seeds for parallel workers."""
+def spawn_seeds(seed: int | np.random.SeedSequence, n: int) -> list[np.random.SeedSequence]:
+    """Deterministic independent child seeds; a SeedSequence spawns its own (nested workers)."""
     check_seed(seed)
     check_int(n, "n")
-    return np.random.SeedSequence(seed).spawn(n)
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return root.spawn(n)
 
 
 def _secure_bits(counts: dict[str, Any], gamma: float) -> float:
@@ -171,14 +173,47 @@ def _tally(decided: tuple, detected: np.ndarray, wrong: np.ndarray) -> dict[str,
     }
 
 
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: int) -> dict:
-    """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time, on one generator."""
-    rng, counts = np.random.default_rng(seed), collections.Counter()
-    for start in range(0, n_rounds, _SPAN):
-        *bases, detected, wrong, low, high = draw(
-            protocol, channel, rng, min(_SPAN, n_rounds - start))
-        counts.update(_tally(decide_block(protocol, *bases, low, high), detected, wrong))
-    return counts
+    """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time.
+
+    Spans run in turn on one generator, save ideal `draw_span` ones: n such
+    rounds read 2n PCG64 words, no half left pending, so W = min(usable cores,
+    spans) threads draw them one at a time each, on generator copies advanced
+    (`PCG64.advance`) to word 2 * _SPAN * k for span k: one generator's counts.
+    """
+    starts = range(0, n_rounds, _SPAN)
+    ideal_spans = draw is draw_span and channel.ideal_classification
+    workers = min(_usable_cores() or 1, len(starts)) if ideal_spans else 1
+    counts, errors = [], []  # one Counter per thread, summed at the end
+
+    def run(w: int) -> None:  # worker w draws spans w, w + W, w + 2W, ...
+        rng, tally = np.random.default_rng(seed), collections.Counter()
+        try:
+            for k, start in enumerate(starts[w::workers]):
+                if workers > 1:  # advance drops a pending half, which gated spans carry over
+                    rng.bit_generator.advance(2 * _SPAN * (w if k == 0 else workers - 1))
+                *bases, detected, wrong, low, high = draw(
+                    protocol, channel, rng, min(_SPAN, n_rounds - start))
+                tally.update(_tally(decide_block(protocol, *bases, low, high), detected, wrong))
+        except BaseException as exc:  # raised in the caller once every thread is done
+            errors.append(exc)
+        counts.append(tally)
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    for tally in counts[1:]:
+        counts[0].update(tally)
+    return counts[0]
 
 
 def run_gated_session(

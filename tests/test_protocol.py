@@ -632,6 +632,19 @@ class TestDrawSpan:
         assert np.array_equal(fair_bits(gen, 3), fair_bits(twin, 3))
         assert np.array_equal(gen.bit_generator.random_raw(2), twin.bit_generator.random_raw(2))
 
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2], ids=lambda p: p.value)
+    @pytest.mark.parametrize("n", [1, 127, SPAN, SPAN + 1])
+    def test_ideal_span_reads_two_words_a_round(self, protocol, n):
+        # A buffered session's threads start span k at word 2 * SPAN * k of
+        # the seed's PCG64 by `advance`, so n ideal rounds must read exactly
+        # 2n words and leave no half pending.
+        gen, jumped = np.random.default_rng(21), np.random.default_rng(21)
+        draw_span(protocol, ChannelModel(0.7, 0.1, self.NOISY, True), gen, n)
+        jumped.bit_generator.advance(2 * n)
+        assert gen.bit_generator.state["has_uint32"] == 0
+        assert self.same_state(self.live_state(gen), self.live_state(jumped))
+        assert gen.random() == jumped.random()
+
 
 class TestRoundCounts:
     """`draw_block` and `draw_span` take a whole number of rounds, none included."""

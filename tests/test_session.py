@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,8 +14,8 @@ import pytest
 import hybridkd.session as session_module
 from hybridkd.errors import ConfigError, DomainError
 from hybridkd.physics import KljnLineParams, kljn_bit_rate, link_budget
-from hybridkd.protocol import (ChannelModel, Protocol, draw_block, draw_span, random_inputs,
-                              run_round)
+from hybridkd.protocol import (ChannelModel, Protocol, decide_block, draw_block, draw_span,
+                              random_inputs, run_round)
 from hybridkd.rates import normalized_rates, throughputs
 from hybridkd.session import (
     SessionStats,
@@ -289,6 +291,30 @@ class TestBufferedSession:
         secure = stats.qkd_bits * (1.0 - stats.gamma) + stats.kljn_bits
         assert stats.burst_throughput_measured_bps == secure / (block / optical.f_qkd)
 
+    def test_memory_does_not_grow_with_spans(self, monkeypatch, optical, line):
+        # Ideal buffered spans run on one thread per usable core, each holding
+        # one span at a time, so the traced peak at 16 spans is at most about
+        # the threads' count times the peak of two spans on one thread. (Not
+        # the peak at two spans a thread: whether the threads' span peaks
+        # meet varies from run to run, and that peak with it.)
+        block = session_module._SPAN
+        cycle_s = block / kljn_bit_rate(line, 2.0) + block / optical.f_qkd
+        mode = TimingMode.buffered(block, block)
+        workers = min(session_module._usable_cores(), 16)
+
+        def peak(spans, cores):
+            monkeypatch.setattr(session_module, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                self.run(Protocol.P2, optical, line, duration_s=(spans + 0.5) * cycle_s, mode=mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1, 1)  # first-call allocations are not the session's draws
+        one_thread, sixteen = peak(2, 1), peak(16, workers)
+        assert sixteen <= 1.2 * workers * one_thread, (workers, one_thread, sixteen)
+
     def test_burst_rate_matches_model(self, optical, line):
         point = throughputs(optical, line, 2.0)
         p2 = self.run(Protocol.P2, optical, line)
@@ -325,6 +351,102 @@ class TestBufferedSession:
         assert noisy.kljn_bits < stats.kljn_bits  # misclassification costs yield
 
 
+class TestSpansOnCores:
+    """Ideal buffered spans split over threads count what one generator counts."""
+
+    N = 3 * session_module._SPAN + 5  # four spans, the last one partial
+    CHANNEL = ChannelModel(0.3, 0.05)
+
+    def one_generator(self, protocol, seed, n=N):
+        rng, counts = np.random.default_rng(seed), collections.Counter()
+        for start in range(0, n, session_module._SPAN):
+            *bases, detected, wrong, low, high = draw_span(
+                protocol, self.CHANNEL, rng, min(session_module._SPAN, n - start))
+            counts.update(session_module._tally(
+                decide_block(protocol, *bases, low, high), detected, wrong))
+        return counts
+
+    @staticmethod
+    def span_starts(seed, spans):
+        """The PCG64 position at the first word of each ideal span of the seed."""
+        starts = []
+        for k in range(spans):
+            jumped = np.random.default_rng(seed).bit_generator.advance(2 * session_module._SPAN * k)
+            starts.append(jumped.state["state"]["state"])
+        return starts
+
+    @staticmethod
+    def traced(monkeypatch, cores, name="draw_span", fail_at=None):
+        """Force the core count and wrap the session's `name` draw. The
+        wrapper records each call's thread and entry state, and raises on
+        entry state `fail_at`."""
+        calls, inner = [], getattr(session_module, name)
+
+        def draw(protocol, channel, rng, n):
+            state = rng.bit_generator.state["state"]["state"]
+            calls.append((threading.current_thread(), state))
+            if state == fail_at:
+                raise RuntimeError("span 2")
+            return inner(protocol, channel, rng, n)
+
+        monkeypatch.setattr(session_module, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(session_module, name, draw)
+        return draw, calls
+
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2], ids=lambda p: p.value)
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_counts_equal_one_generator(self, monkeypatch, protocol, cores):
+        draw, calls = self.traced(monkeypatch, cores)
+        counts = session_module._run_spans(draw, protocol, self.CHANNEL, 9, self.N)
+        assert counts == self.one_generator(protocol, 9)
+        assert sorted(state for _, state in calls) == sorted(self.span_starts(9, 4))
+        assert len({thread for thread, _ in calls}) == min(cores, 4)
+
+    def test_many_short_spans_under_fast_switching(self, monkeypatch):
+        # 3,001 spans of two rounds on 16 threads that switch every microsecond:
+        # each thread's stride and the summed counts are still one generator's.
+        monkeypatch.setattr(session_module, "_SPAN", 2)
+        monkeypatch.setattr(session_module, "_usable_cores", lambda: 16)
+        n = 2 * 3_000 + 1
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            counts = session_module._run_spans(draw_span, Protocol.P2, self.CHANNEL, 9, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == self.one_generator(Protocol.P2, 9, n)
+
+    @pytest.mark.parametrize("cores", [2, 3, 5])
+    def test_sessions_equal_one_core(self, monkeypatch, optical, line, cores):
+        block = session_module._SPAN + 7
+        cycle_s = block / kljn_bit_rate(line, 2.0) + block / optical.f_qkd
+        mode = TimingMode.buffered(block, block)
+        run = lambda: run_buffered_session(Protocol.P2, optical, line, 2.0, 3.5 * cycle_s, 4, mode)
+        monkeypatch.setattr(session_module, "_usable_cores", lambda: 1)
+        one = run()
+        monkeypatch.setattr(session_module, "_usable_cores", lambda: cores)
+        assert run() == one
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_a_failing_span_raises_in_the_caller(self, monkeypatch, cores):
+        draw, calls = self.traced(monkeypatch, cores, fail_at=self.span_starts(9, 3)[2])
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="span 2"):
+            session_module._run_spans(draw, Protocol.P2, self.CHANNEL, 9, self.N)
+        assert threading.active_count() == threads  # every thread has finished
+        assert len({thread for thread, _ in calls}) == min(cores, 4)
+
+    def test_other_spans_run_on_one_thread(self, monkeypatch, optical, line):
+        # Gated spans and sampled buffered ones read a varying number of words.
+        draw, calls = self.traced(monkeypatch, 5)
+        sampled = ChannelModel(0.3, 0.05, line, False)
+        session_module._run_spans(draw, Protocol.P2, sampled, 9, self.N)
+        _, gated_calls = self.traced(monkeypatch, 5, name="draw_block")
+        run_gated_session(Protocol.P2, optical, line, 2.0, self.N, 9)
+        for spans in (calls, gated_calls):
+            assert [thread for thread, _ in spans] == [threading.current_thread()] * 4
+
+
 class TestSeedSpawning:
     def test_children_are_deterministic_and_distinct(self):
         a = [np.random.default_rng(s).random() for s in spawn_seeds(1, 4)]
@@ -343,6 +465,19 @@ class TestSeedSpawning:
         for call in calls:
             with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {seed!r}"):
                 call()
+
+    def test_seed_sequence_spawns_its_own_children(self, optical, line):
+        root = np.random.SeedSequence(5)
+        children = spawn_seeds(root, 2)
+        assert [child.spawn_key for child in children] == [(0,), (1,)]
+        assert [np.random.default_rng(child).random() for child in children] == [
+            np.random.default_rng(child).random() for child in spawn_seeds(5, 2)]
+        assert [child.spawn_key for child in spawn_seeds(root, 1)] == [(2,)]  # the next one
+        nested = spawn_seeds(children[1], 2)  # workers of a worker
+        assert [(child.entropy, child.spawn_key) for child in nested] == [(5, (1, 0)), (5, (1, 1))]
+        mode = TimingMode.buffered(buffer_capacity=2_000, burst_block=2_000)
+        assert run_gated_session(Protocol.P2, optical, line, 2.0, 500, nested[0]).seed is nested[0]
+        run_buffered_session(Protocol.P2, optical, line, 2.0, 1.3, nested[1], mode)
 
     def test_spawned_seeds_run_sessions(self, optical, line):
         mode = TimingMode.buffered(buffer_capacity=2_000, burst_block=2_000)
