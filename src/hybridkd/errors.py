@@ -54,6 +54,12 @@ def check_real(value, name: str, *, gt=-np.inf, ge=-np.inf, lt=np.inf, le=np.inf
     raise DomainError(f"{message}, got {_shown(value)}")
 
 
+def check_type(value, kind: type, name: str) -> None:
+    """DomainError naming `name` unless `value` is a `kind`: a record, an enum member, a bool."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{name} must be {kind.__name__}, got {_shown(value)}")
+
+
 def check_seed(seed) -> None:
     """DomainError naming `seed` unless it is a SeedSequence or an int in [0, 2**63).
 

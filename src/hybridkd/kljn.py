@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import check_real, generator
+from .errors import check_real, check_type, generator
 from .physics import KljnLineParams
 
 __all__ = [
@@ -82,6 +82,9 @@ def line_variance(line: KljnLineParams, a: ResistorChoice, b: ResistorChoice) ->
     The parallel resistance Ra*Rb/(Ra+Rb); symmetric in (a, b), so the two
     mixed selections are indistinguishable by variance.
     """
+    check_type(line, KljnLineParams, "line")
+    check_type(a, ResistorChoice, "a")
+    check_type(b, ResistorChoice, "b")
     ra, rb = a.ohms(line), b.ohms(line)
     return (ra * rb) / (ra + rb)
 

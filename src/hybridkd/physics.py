@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import _FLOAT_MAX, DomainError, _shown, check_int, check_real
+from .errors import _FLOAT_MAX, DomainError, _shown, check_int, check_real, check_type
 
 __all__ = [
     "OpticalParams",
@@ -170,6 +170,7 @@ class LinkBudget:
 
 def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     """Overall system transmittance eta_sys = eta_D * 10^(-alpha*L/10)."""
+    check_type(p, OpticalParams, "p")
     _check_type(distance_km, "distance")
     _require((0.0 <= distance_km) & (distance_km < math.inf), distance_km,
              "distance must be finite and >= 0 km, got {}")
@@ -210,6 +211,7 @@ def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
 
     gamma = min(1, (f_ec + 1) * h(E_mu)), clamped at unity (100% overhead).
     """
+    check_type(p, OpticalParams, "p")
     return _minimum(1.0, (p.f_ec + 1.0) * binary_entropy(e_mu))
 
 
@@ -221,6 +223,7 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     circuit. Diverges as L -> 0, so a distance whose bandwidth is not
     finite and > 0 (zero, negative, non-finite or extreme) is rejected.
     """
+    check_type(line, KljnLineParams, "line")
     _check_type(distance_km, "distance")
     message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
     _require(distance_km > 0.0, distance_km, message)

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_int, check_real, generator
+from .errors import DomainError, check_int, check_real, check_type, generator
 from .kljn import (LineObservation, NoiseLevel, ResistorChoice, ground_truth_level,
                    line_variance, sample_line, variance_thresholds)
 from .physics import KljnLineParams
@@ -113,8 +113,7 @@ class Protocol(enum.Enum):
 
 def check_protocol(protocol) -> None:
     """DomainError naming `protocol` unless it is a `Protocol` member (its value is not)."""
-    if not isinstance(protocol, Protocol):
-        raise DomainError(f"protocol must be a Protocol member, got {protocol!r}")
+    check_type(protocol, Protocol, "protocol")
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,7 @@ def _check_inputs(alice_basis, alice_bit, bob_basis, detected, forced_bob_bit=No
     if detected is not None and not isinstance(detected, bool):
         raise DomainError(f"detected must be None, True or False, got {detected!r}")
     for name, basis in (("alice_basis", alice_basis), ("bob_basis", bob_basis)):
-        if not isinstance(basis, Basis):
-            raise DomainError(f"{name} must be a Basis, got {basis!r}")
+        check_type(basis, Basis, name)
     for name, bit in (("alice_bit", alice_bit), ("forced_bob_bit", forced_bob_bit)):
         if bit is not None or name == "alice_bit":
             check_int(bit, name)
@@ -160,23 +158,20 @@ class ChannelModel:
     flip_prob:       matched-basis bit-flip probability (misalignment);
                      dark-count errors are an analytic-model concern and do
                      not enter the round simulation.
-    ideal_classification: if True the wire level is read off the actual
-                     resistor pair; if False, N noise samples are drawn and
-                     classified, so misclassification can occur.
+    line:            None: the wire level is the actual resistor pair's (ideal
+                     classification). A `KljnLineParams`: N noise samples are
+                     drawn and classified (sampled), so misclassification can occur.
     """
 
     detection_prob: float = 1.0
     flip_prob: float = 0.0
     line: KljnLineParams | None = None
-    ideal_classification: bool = True
 
     def __post_init__(self) -> None:
         check_real(self.detection_prob, "detection_prob", ge=0, le=1)
         check_real(self.flip_prob, "flip_prob", ge=0, le=1)
-        if not isinstance(ideal := self.ideal_classification, bool):  # as `detected` is checked
-            raise DomainError(f"ideal_classification must be True or False, got {ideal!r}")
-        if not self.ideal_classification and self.line is None:
-            raise DomainError("sampled classification requires line parameters")
+        if self.line is not None:
+            check_type(self.line, KljnLineParams, "line")
 
 
 class KeyOrigin(enum.Enum):
@@ -311,8 +306,8 @@ def draw_round(
 ) -> tuple[bool, int | None, LineObservation | None]:
     """(detected, Bob's outcome, line observation), drawn in that order.
 
-    Forced inputs skip their draws; only wire protocols under sampled
-    classification sample the line.
+    Forced inputs skip their draws; only wire protocols on a channel with a
+    line sample it.
     """
     check_protocol(protocol)
     gen = generator(rng)
@@ -324,7 +319,7 @@ def draw_round(
         bob_bit = measure_photon(
             inputs.alice_bit, inputs.alice_basis, inputs.bob_basis, True, gen, channel.flip_prob
         )
-    if protocol is Protocol.BB84 or channel.ideal_classification:
+    if protocol is Protocol.BB84 or channel.line is None:
         return detected, bob_bit, None
     resistors = _resistors(protocol, inputs.alice_basis is Basis.DIAGONAL,
                            inputs.bob_basis is Basis.DIAGONAL)
@@ -408,7 +403,7 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
     classified low and high (None unless the line is sampled, chunk by chunk).
 
-    Rounds that sample no line (BB84, or ideal classification) on numpy's
+    Rounds that sample no line (BB84, or a channel without one) on numpy's
     PCG64, PCG64DXSM, Philox or SFC64 (exactly: a subclass may override
     `random_raw`) are decoded from its 64-bit `random_raw` words in one pass,
     bit for bit. A call holds the words and temporaries of all its rounds at
@@ -435,7 +430,7 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
-    sampled = protocol is not Protocol.BB84 and not channel.ideal_classification
+    sampled = protocol is not Protocol.BB84 and channel.line is not None
     # Named here, not at import, which would load numpy.random with the package.
     words = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
     if not sampled and n_rounds and type(gen.bit_generator) in words:
@@ -487,7 +482,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     half pending on a little-endian host: the same bits and later draws.
     One uniform u per round decides the click (u < q) and, given one, Bob's
     error (u/q is then uniform): below q * flip_prob on matched bases, q / 2
-    on mismatched ones. A sampled variance estimate is the pair's variance
+    on mismatched ones. Given a line, a variance estimate is the pair's variance
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
     check_protocol(protocol)
@@ -502,7 +497,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     matched = alice_diag == bob_diag
     wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
     low = high = None
-    if protocol is not Protocol.BB84 and not channel.ideal_classification:
+    if protocol is not Protocol.BB84 and channel.line is not None:
         line = channel.line
         variances = np.array(_pair_variances(protocol, line))
         estimates = variances[alice_diag * np.uint8(2) + bob_diag]

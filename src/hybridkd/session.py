@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from . import rates
-from .errors import ConfigError, DomainError, check_int, check_real, check_seed
+from .errors import ConfigError, DomainError, check_int, check_real, check_seed, check_type
 from .kljn import variance_thresholds  # noqa: F401  perfbench's tracer still wraps this name here
 from .physics import KljnLineParams, OpticalParams
 from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
@@ -110,7 +110,7 @@ class SessionStats:
     `discarded_rounds` counts pulses that yielded no key bit for ordinary
     reasons (basis mismatch, lost pulse); `flagged_rounds` counts rounds a
     party rejected because the classified level contradicted its own
-    resistor (possible only with sampled classification).
+    resistor (possible only when the channel carries a line).
     """
 
     protocol: str
@@ -177,6 +177,12 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
+def _channel(point: rates.RatePoint, optical: OpticalParams, line, ideal: bool) -> ChannelModel:
+    """A session's channel: it carries `line`, so its wire is sampled, unless ideal."""
+    check_type(ideal, bool, "ideal_classification")  # a truthy string must not pick ideal
+    return ChannelModel(point.q_mu, optical.e_opt, None if ideal else line)
+
+
 def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: int) -> dict:
     """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time.
 
@@ -186,7 +192,7 @@ def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: 
     (`PCG64.advance`) to word 2 * _SPAN * k for span k: one generator's counts.
     """
     starts = range(0, n_rounds, _SPAN)
-    ideal_spans = draw is draw_span and channel.ideal_classification
+    ideal_spans = draw is draw_span and channel.line is None
     workers = min(_usable_cores() or 1, len(starts)) if ideal_spans else 1
     counts, errors = [], []  # one Counter per thread, summed at the end
 
@@ -235,7 +241,7 @@ def run_gated_session(
     check_int(n_rounds, "n_rounds", ge=1)
     check_seed(seed)
     point = rates.throughputs(optical, line, distance_km)
-    channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
+    channel = _channel(point, optical, line, ideal_classification)
     counts = _run_spans(draw_block, protocol, channel, seed, n_rounds)
     wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
 
@@ -271,7 +277,8 @@ def run_buffered_session(
     edges do not matter: they are drawn in fixed spans, and the measured
     burst rate, the mean of the per-cycle ones, is secure bits per drain second.
     """
-    mode = mode or TimingMode.buffered()
+    mode = TimingMode.buffered() if mode is None else mode
+    check_type(mode, TimingMode, "mode")
     mode.check_protocol(protocol)
     check_real(duration_s, "duration_s", gt=0)
     check_seed(seed)
@@ -289,7 +296,7 @@ def run_buffered_session(
         raise ConfigError(f"duration {duration_s} s is shorter than one fill/drain cycle "
                           f"({cycle_time:.6g} s)")
 
-    channel = ChannelModel(point.q_mu, optical.e_opt, line, ideal_classification)
+    channel = _channel(point, optical, line, ideal_classification)
     n_rounds = n_cycles * block
     counts = _run_spans(draw_span, protocol, channel, seed, n_rounds)
     secure_bits = _secure_bits(counts, point.gamma)

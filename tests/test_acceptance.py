@@ -254,21 +254,24 @@ def test_criterion_7_buffered_mode(optical, line):
                  f"{stats.cycles} cycles; buffered P3 rejected")
 
 
+# tools/bench.py times these same commands as whole processes
+CRITERION_8_COMMANDS = [
+    ["sweep", "--points", "40"],
+    ["trace", "--fixture", "bundled", "--protocol", "p3"],
+    ["trace", "--rounds", "12", "--protocol", "p2", "--seed", "88"],
+    ["simulate", "--protocol", "p2", "--distance", "2", "--rounds", "20000",
+     "--seed", "88"],
+    ["simulate", "--protocol", "p1", "--mode", "buffered", "--distance", "2",
+     "--duration", "0.3", "--burst-block", "2000", "--seed", "88"],
+    ["crossover", "--factor", "2"],
+]
+
+
 def test_criterion_8_byte_identical_outputs(tmp_path):
-    commands = [
-        ["sweep", "--points", "40"],
-        ["trace", "--fixture", "bundled", "--protocol", "p3"],
-        ["trace", "--rounds", "12", "--protocol", "p2", "--seed", "88"],
-        ["simulate", "--protocol", "p2", "--distance", "2", "--rounds", "20000",
-         "--seed", "88"],
-        ["simulate", "--protocol", "p1", "--mode", "buffered", "--distance", "2",
-         "--duration", "0.3", "--burst-block", "2000", "--seed", "88"],
-        ["crossover", "--factor", "2"],
-    ]
-    for i, argv in enumerate(commands):
+    for i, argv in enumerate(CRITERION_8_COMMANDS):
         a = tmp_path / f"{i}_a.out"
         b = tmp_path / f"{i}_b.out"
         assert cli.main(argv + ["--out", str(a)]) == 0
         assert cli.main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes(), argv
-    _passline(8, f"{len(commands)} command repeats produced byte-identical files")
+    _passline(8, f"{len(CRITERION_8_COMMANDS)} command repeats produced byte-identical files")

@@ -1,10 +1,13 @@
-"""tools/bench.py: run specs, and the per-metric summary of alternating pairs."""
+"""tools/bench.py: run specs, the per-metric summary of alternating pairs, and its exit code."""
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+
+from test_acceptance import CRITERION_8_COMMANDS
 
 _SPEC = importlib.util.spec_from_file_location(
     "bench", Path(__file__).resolve().parent.parent / "tools" / "bench.py")
@@ -65,3 +68,32 @@ def test_cli_summary_medians_wins_and_outputs():
     assert summary["ratio"] == 0.4 / 0.6 and summary["outputs_equal"]
     pairs[1]["change"]["sha256"] = "b"
     assert not bench.summarize_cli(("simulate",), pairs)["outputs_equal"]
+
+
+def test_cli_commands_are_the_criterion_8_commands():
+    assert [list(argv) for argv in bench.CLI_COMMANDS] == CRITERION_8_COMMANDS
+
+
+@pytest.mark.parametrize("failing, code", [({}, 0), ({("mc_gated", 2, "change"): 3}, 1)],
+                         ids=["all_correct", "change_fails_seed_2"])
+def test_failed_checks_fail_the_run(monkeypatch, tmp_path, capsys, failing, code):
+    declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    def run_once(tree, workload, seed, seconds, size):
+        side = "change" if tree == bench.ROOT else "parent"
+        return {"metrics": {m["name"]: 1.0 for m in declared}, "attempted": 10,
+                "failed": failing.get((workload, seed, side), 0), "operations": 10,
+                "output_digest": "d", "machine": {}}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "git", lambda *args: "rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest: None)
+    out = tmp_path / "BENCH_t.json"
+    assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1,2:1",
+                       "--run", "rate_study:1:1", "--seconds", "0", "--out", str(out)]) == code
+    runs = json.loads(out.read_text())["runs"]  # written whatever the checks found
+    assert [(run["workload"], run["seed"]) for run in runs] == [
+        ("mc_gated", 1), ("mc_gated", 2), ("rate_study", 1)]
+    failures = [line for line in capsys.readouterr().err.splitlines() if "side:" in line]
+    assert failures == ([] if code == 0 else [
+        "bench: mc_gated seed 2 pair 1, change side: 3 of 10 operations failed their checks"])

@@ -9,13 +9,14 @@ import pytest
 
 from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL
 from hybridkd.errors import ConfigError, DomainError, check_int, check_real, generator
-from hybridkd.kljn import ResistorChoice, sample_line
+from hybridkd.kljn import ResistorChoice, line_variance, sample_line, variance_thresholds
 from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
-                              system_transmittance, wave_limit_bandwidth)
+                              post_processing_penalty, system_transmittance,
+                              wave_limit_bandwidth)
 from hybridkd.protocol import (Basis, ChannelModel, Protocol, RoundInputs, decide_block,
                                draw_block, draw_round, draw_span, measure_photon, random_inputs,
                                run_round)
-from hybridkd.rates import short_haul_supremacy_bound, throughputs
+from hybridkd.rates import crossover_distance, short_haul_supremacy_bound, sweep, throughputs
 from hybridkd.session import (TimingMode, per_pulse_yield_moments, run_buffered_session,
                               run_gated_session, spawn_seeds)
 
@@ -43,7 +44,7 @@ def _duration_past_the_round_bound():
     return duration
 
 
-SAMPLED = ChannelModel(0.5, 0.1, DEFAULT_KLJN, False)
+SAMPLED = ChannelModel(0.5, 0.1, DEFAULT_KLJN)
 IDEAL = ChannelModel(0.5, 0.1)
 ROUND = RoundInputs(Basis.RECTILINEAR, 1, Basis.DIAGONAL)
 RECT = Basis.RECTILINEAR
@@ -117,11 +118,10 @@ BAD_ARGUMENTS = {
         lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0,
                                      _duration_past_the_round_bound(), 1),
         DomainError, "duration_s"),
-    "channel_classification_str": (  # a truthy string must not pick ideal classification
-        lambda: ChannelModel(0.5, 0.1, DEFAULT_KLJN, "False"), DomainError,
-        "ideal_classification"),
-    "channel_classification_numpy_bool": (
-        lambda: ChannelModel(0.5, 0.1, DEFAULT_KLJN, np.bool_(True)), DomainError,
+    "channel_line_str": (  # not a line to sample, and not None, which reads the resistors
+        lambda: ChannelModel(0.5, 0.1, "False"), DomainError, "line"),
+    "gated_classification_numpy_bool": (
+        lambda: _gated(ideal_classification=np.bool_(True)), DomainError,
         "ideal_classification"),
     "gated_classification_none": (
         lambda: _gated(ideal_classification=None), DomainError, "ideal_classification"),
@@ -172,6 +172,28 @@ BAD_ARGUMENTS = {
         DomainError, "detected"),
     "round_inputs_detected_int": (
         lambda: RoundInputs(RECT, 0, RECT, detected=1), DomainError, "detected"),
+    # a record of the wrong type, named where it is first read, not a bare AttributeError
+    "throughputs_optical_str": (
+        lambda: throughputs("o", DEFAULT_KLJN, 2.0), DomainError, "p"),
+    "throughputs_line_str": (
+        lambda: throughputs(DEFAULT_OPTICAL, "x", 2.0), DomainError, "line"),
+    "sweep_line_none": (lambda: sweep(DEFAULT_OPTICAL, None, 1, 2, 5), DomainError, "line"),
+    "crossover_optical_none": (
+        lambda: crossover_distance(None, DEFAULT_KLJN), DomainError, "p"),
+    "penalty_optical_str": (lambda: post_processing_penalty("o", 0.1), DomainError, "p"),
+    "bit_rate_line_str": (lambda: kljn_bit_rate("x", 2.0), DomainError, "line"),
+    "line_variance_line_str": (lambda: line_variance("x", L, H), DomainError, "line"),
+    "line_variance_resistor_str": (
+        lambda: line_variance(DEFAULT_KLJN, "low", H), DomainError, "a"),
+    "thresholds_line_str": (lambda: variance_thresholds("x"), DomainError, "line"),
+    "sample_line_line_str": (lambda: sample_line("x", L, H, 1), DomainError, "line"),
+    "gated_line_str": (
+        lambda: run_gated_session(Protocol.P2, DEFAULT_OPTICAL, "x", 2.0, 100, 1),
+        DomainError, "line"),
+    "buffered_mode_str": (
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 1.0, 1,
+                                     mode="x"),
+        DomainError, "mode"),
 }
 
 

@@ -17,9 +17,7 @@ from hybridkd.protocol import ChannelModel, Protocol, random_inputs, run_round
 from hybridkd.session import TimingMode, run_buffered_session, run_gated_session
 
 N_ROUNDS = 2_000
-CHANNEL = ChannelModel(
-    detection_prob=0.6, flip_prob=0.05, line=DEFAULT_KLJN, ideal_classification=False
-)
+CHANNEL = ChannelModel(detection_prob=0.6, flip_prob=0.05, line=DEFAULT_KLJN)
 
 LEDGER_SHA256 = {
     Protocol.BB84: "7471f1771834fe07c3b704705d23da53d01c039ecff84125056e68aa84267de4",

@@ -38,7 +38,7 @@ def _oracle(protocol, ideal, optical=BRIGHT, line=NOISY, distance=DISTANCE):
 
 
 def _channel(ideal):
-    return ChannelModel(link_budget(BRIGHT, DISTANCE).q_mu, BRIGHT.e_opt, NOISY, ideal)
+    return ChannelModel(link_budget(BRIGHT, DISTANCE).q_mu, BRIGHT.e_opt, None if ideal else NOISY)
 
 
 def _counts(stats):

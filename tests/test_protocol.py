@@ -68,7 +68,6 @@ BASIS_PAIRS = [(a, b) for a in (RECT, DIAG) for b in (RECT, DIAG)]
 MID = NoiseLevel.INTERMEDIATE
 SAMPLED_LINE = ChannelModel(
     line=KljnLineParams(v=2e5, n_pairs=1000, n_samples=50, r_low=1e4, r_high=1e5),
-    ideal_classification=False,
 )
 
 
@@ -252,7 +251,7 @@ class TestEveProperties:
         # a threshold classifier on the variance estimate must not beat
         # guessing which common basis produced an intermediate round
         rng = np.random.default_rng(31)
-        channel = ChannelModel(line=line, ideal_classification=False)
+        channel = ChannelModel(line=line)
         n = 10_000
         estimates, labels = [], []
         while len(estimates) < n:
@@ -293,7 +292,7 @@ class TestFlaggedRounds:
         # 2 samples per decision misclassifies often enough to hit the
         # impossible-level consistency check at both parties
         noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=2, r_low=1e4, r_high=1e5)
-        channel = ChannelModel(line=noisy, ideal_classification=False)
+        channel = ChannelModel(line=noisy)
         rng = np.random.default_rng(41)
         flagged = 0
         for _ in range(3_000):
@@ -334,7 +333,7 @@ class TestBlockRule:
         if not ideal:
             obs = LineObservation(np.ones(1), 1.0, level, level)
             monkeypatch.setattr(protocol_module, "sample_line", lambda *a, **k: obs)
-        channel = ChannelModel(line=line, ideal_classification=ideal)
+        channel = ChannelModel(line=None if ideal else line)
         inputs = RoundInputs(alice_basis, 1, bob_basis, detected=True, forced_bob_bit=1)
         r = run_round(protocol, inputs, channel, 0)
         if ideal:
@@ -372,7 +371,7 @@ class TestDrawBlock:
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3000])
     def test_rows_match_round_by_round_draws(self, protocol, ideal, flip_prob, n):
         noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
-        channel = ChannelModel(0.7, flip_prob, noisy, ideal)
+        channel = ChannelModel(0.7, flip_prob, None if ideal else noisy)
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
         *drawn, low, high = draw_block(protocol, channel, fast, n)
         rows = []
@@ -413,7 +412,7 @@ class TestDrawBlock:
         monkeypatch.setattr(protocol_module, "variance_thresholds",
                             lambda *a: edges.extend(map(Edge, variance_thresholds(*a))) or edges)
         line = KljnLineParams(v=2e5, n_pairs=1000, n_samples=n_samples, r_low=4.7e3, r_high=1e5)
-        channel = ChannelModel(0.7, 0.1, line, False)
+        channel = ChannelModel(0.7, 0.1, line)
         n, slow = 2 * self.CHUNK + 3, np.random.default_rng(8)
         draw_block(protocol, channel, 8, n)
         estimates = []
@@ -445,7 +444,7 @@ class TestDrawBlock:
                                                               ideal):
         # A round's three bits, its scalar bit and its uniforms share 32-bit
         # halves with the rounds around it, and with a half pending on entry.
-        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY, ideal)
+        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
         fast, slow = (np.random.Generator(bit_generator(13)) for _ in range(2))
         if spare:
             fair_bits(fast)
@@ -470,7 +469,7 @@ class TestDrawBlock:
                                                 detection_prob, flip_prob):
         # Rounds that sample no line are decoded from raw words, a call's
         # rounds in one pass.
-        channel = ChannelModel(detection_prob, flip_prob, TestDrawSpan.NOISY, ideal)
+        channel = ChannelModel(detection_prob, flip_prob, None if ideal else TestDrawSpan.NOISY)
         for n in (1, 2, 5, 64, 65):
             fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
             if spare:
@@ -513,7 +512,7 @@ class TestDrawBlock:
         # A session draws its spans one call after another on one generator,
         # so a call must leave it, pending half included, where the next
         # call's rounds begin, also when a half is left pending between them.
-        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY, ideal)
+        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
         pending = []
         for first in (1, 2, 5, 64, 65):
             split, whole = (np.random.Generator(bit_generator(40 + first)) for _ in range(2))
@@ -545,7 +544,7 @@ class TestDrawSpan:
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     @pytest.mark.parametrize("n", [1, 1000, SPAN, SPAN + 1])
     def test_masks_shape_subset_and_seed(self, protocol, ideal, n):
-        channel = ChannelModel(0.7, 0.1, self.NOISY, ideal)
+        channel = ChannelModel(0.7, 0.1, None if ideal else self.NOISY)
         masks = draw_span(protocol, channel, 3, n)
         *drawn, low, high = masks
         sampled = protocol is not Protocol.BB84 and not ideal
@@ -585,7 +584,7 @@ class TestDrawSpan:
         matched = alice_diag == bob_diag
         wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
         low = high = None
-        if not channel.ideal_classification:
+        if channel.line is not None:
             line = channel.line
             variances = np.array(protocol_module._pair_variances(protocol, line))
             estimates = variances[2 * alice_diag + bob_diag] * gen.chisquare(line.n_samples, n)
@@ -620,7 +619,7 @@ class TestDrawSpan:
     def test_bases_equal_two_fair_bits_calls(self, bit_generator, spare, n, ideal):
         # Raw 32-bit halves stand in for `fair_bits` only where they are the
         # same bits; everywhere else `draw_span` must still draw these.
-        channel = ChannelModel(0.7, 0.1, self.NOISY, ideal)
+        channel = ChannelModel(0.7, 0.1, None if ideal else self.NOISY)
         gen, twin = (np.random.Generator(bit_generator(13)) for _ in range(2))
         if spare:
             fair_bits(gen)
@@ -639,17 +638,29 @@ class TestDrawSpan:
         # the seed's PCG64 by `advance`, so n ideal rounds must read exactly
         # 2n words and leave no half pending.
         gen, jumped = np.random.default_rng(21), np.random.default_rng(21)
-        draw_span(protocol, ChannelModel(0.7, 0.1, self.NOISY, True), gen, n)
+        draw_span(protocol, ChannelModel(0.7, 0.1), gen, n)
         jumped.bit_generator.advance(2 * n)
         assert gen.bit_generator.state["has_uint32"] == 0
         assert self.same_state(self.live_state(gen), self.live_state(jumped))
         assert gen.random() == jumped.random()
 
 
+@pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda draw: draw.__name__)
+@pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
+def test_low_and_high_exactly_when_the_channel_has_a_line(draw, protocol):
+    # BB84 has no wire to sample, whatever the channel carries
+    *_, low, high = draw(protocol, ChannelModel(0.7, 0.1, TestDrawSpan.NOISY), 3, 40)
+    if protocol is Protocol.BB84:
+        assert low is None and high is None
+    else:
+        assert low.dtype == high.dtype == bool and low.shape == high.shape == (40,)
+    assert draw(protocol, ChannelModel(0.7, 0.1), 3, 40)[4:] == (None, None)
+
+
 class TestRoundCounts:
     """`draw_block` and `draw_span` take a whole number of rounds, none included."""
 
-    CHANNEL = ChannelModel(0.5, 0.1, TestDrawSpan.NOISY, False)
+    CHANNEL = ChannelModel(0.5, 0.1, TestDrawSpan.NOISY)
 
     @pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda f: f.__name__)
     @pytest.mark.parametrize("n", [-1, 2.5, math.nan], ids=["negative", "fraction", "nan"])

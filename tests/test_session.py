@@ -125,7 +125,8 @@ class TestGatedSession:
         n = session_module._SPAN + 1
         stats = run_gated_session(Protocol.P2, optical, line, 2.0, n, seed=5,
                                   ideal_classification=ideal)
-        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt, line, ideal)
+        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt,
+                               None if ideal else line)
         counts = session_counts(observed_outcomes(
             Protocol.P2, draw_block(Protocol.P2, channel, np.random.default_rng(5), n)))
         assert {name: getattr(stats, name) for name in counts} == counts
@@ -161,7 +162,7 @@ def assert_counts_match_replay(optical, protocol, ideal, n, r_low=1e4):
     # Reference: the same seed replayed one `run_round` at a time and
     # counted round by round.
     budget = link_budget(bright, distance)
-    channel = ChannelModel(budget.q_mu, bright.e_opt, noisy, ideal)
+    channel = ChannelModel(budget.q_mu, bright.e_opt, None if ideal else noisy)
     rng = np.random.default_rng(seed)
     qkd_bits = kljn_bits = qkd_errors = kljn_errors = 0
     discarded = flagged = lost = flipped = 0
@@ -281,7 +282,8 @@ class TestBufferedSession:
         cycle_s = block / kljn_bit_rate(line, 2.0) + block / optical.f_qkd
         stats = self.run(Protocol.P2, optical, line, duration_s=1.5 * cycle_s, seed=5,
                          mode=TimingMode.buffered(block, block), ideal_classification=ideal)
-        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt, line, ideal)
+        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt,
+                               None if ideal else line)
         rng = np.random.default_rng(5)
         counts = collections.Counter()
         for n in (block - 1, 1):
@@ -439,12 +441,43 @@ class TestSpansOnCores:
     def test_other_spans_run_on_one_thread(self, monkeypatch, optical, line):
         # Gated spans and sampled buffered ones read a varying number of words.
         draw, calls = self.traced(monkeypatch, 5)
-        sampled = ChannelModel(0.3, 0.05, line, False)
+        sampled = ChannelModel(0.3, 0.05, line)
         session_module._run_spans(draw, Protocol.P2, sampled, 9, self.N)
         _, gated_calls = self.traced(monkeypatch, 5, name="draw_block")
         run_gated_session(Protocol.P2, optical, line, 2.0, self.N, 9)
         for spans in (calls, gated_calls):
             assert [thread for thread, _ in spans] == [threading.current_thread()] * 4
+
+
+class TestSessionChannel:
+    """A session's classification flag enters once: its channel carries the line or None."""
+
+    @staticmethod
+    def channels(monkeypatch, name):
+        """Wrap the session's `name` draw; the list gets each call's channel."""
+        seen, inner = [], getattr(session_module, name)
+
+        def draw(protocol, channel, rng, n):
+            seen.append(channel)
+            return inner(protocol, channel, rng, n)
+
+        monkeypatch.setattr(session_module, name, draw)
+        return seen
+
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_gated_draw_gets_the_line_unless_ideal(self, monkeypatch, optical, line, ideal):
+        seen = self.channels(monkeypatch, "draw_block")
+        run_gated_session(Protocol.P2, optical, line, 2.0, 1_000, 3, ideal_classification=ideal)
+        assert seen and all(c.line is (None if ideal else line) for c in seen)
+
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_buffered_draw_gets_the_line_unless_ideal(self, monkeypatch, optical, line, ideal):
+        seen = self.channels(monkeypatch, "draw_span")
+        mode = TimingMode.buffered(1_000, 1_000)
+        cycle_s = 1_000 / kljn_bit_rate(line, 2.0) + 1_000 / optical.f_qkd
+        run_buffered_session(Protocol.P1, optical, line, 2.0, 2.5 * cycle_s, 3, mode,
+                             ideal_classification=ideal)
+        assert seen and all(c.line is (None if ideal else line) for c in seen)
 
 
 class TestSeedSpawning:

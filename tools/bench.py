@@ -12,6 +12,8 @@ won, by the metric's `better` in BENCHMARK.json (ties count for neither side).
 `--cli REPEATS` also times each criterion-8 command of the acceptance suite as
 a whole `python3 -m hybridkd` process, REPEATS alternating pairs per command,
 and records each side's wall times, their medians and the output's sha256.
+Exits 1 after writing the file if any run failed the benchmark's own checks,
+naming each such run's workload, seed, pair and side.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ CLI_COMMANDS = (
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def export(rev: str, dest: Path) -> None:
+    """The files of commit `rev`, as `git archive` packs them, in the new directory `dest`."""
+    dest.mkdir()
+    tar = dest.with_suffix(".tar")
+    git("archive", "--output", str(tar), rev)
+    subprocess.run(["tar", "-xf", str(tar), "-C", str(dest)], check=True)
 
 
 def parse_run(spec: str) -> tuple[str, list[int], int]:
@@ -162,10 +172,7 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": scratch / "parent", "change": ROOT}
     machine, runs, cli = None, [], []
     try:
-        trees["parent"].mkdir()
-        git("archive", "--output", str(scratch / "parent.tar"), parent_rev)
-        subprocess.run(["tar", "-xf", str(scratch / "parent.tar"), "-C", str(trees["parent"])],
-                       check=True)
+        export(parent_rev, trees["parent"])
         for workload, seeds, n_pairs in args.run:
             for seed in seeds:
                 pairs = []
@@ -201,7 +208,14 @@ def main(argv: list[str] | None = None) -> int:
              "size": args.size, "runs": runs, "cli": cli}
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"bench: wrote {out}", file=sys.stderr)
-    return 0
+    # perfbench/run.py exits 0 whatever its checks found, so its failures end the run here
+    failed = [f"{run['workload']} seed {run['seed']} pair {i + 1}, {side} side: "
+              f"{pair[side]['failed']} of {pair[side]['attempted']} operations failed their checks"
+              for run in runs for i, pair in enumerate(run["pairs"]) for side in SIDES
+              if pair[side]["failed"]]
+    for line in failed:
+        print(f"bench: {line}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
