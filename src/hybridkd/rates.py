@@ -20,6 +20,7 @@ bound distances are roots found by Brent's method.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -70,6 +71,7 @@ RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 
 _EPS = math.ulp(1.0)
 _BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
+_MAX_POINTS = sys.maxsize // 8  # no float64 array holds more elements than this
 
 
 def normalized_rates(budget: LinkBudget) -> tuple[float, float]:
@@ -122,12 +124,17 @@ def sweep(
     check_real(l_min, "sweep distance l_min", gt=0)
     check_real(l_max, "sweep distance l_max", gt=l_min)
     check_int(n_points, "n_points", ge=2)
-    if spacing == "linear":
-        grid = np.linspace(l_min, l_max, n_points)
-    elif spacing == "log":
-        grid = np.geomspace(l_min, l_max, n_points)
-    else:
-        raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    if n_points > _MAX_POINTS:
+        raise DomainError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
+    try:
+        if spacing == "linear":
+            grid = np.linspace(l_min, l_max, n_points)
+        elif spacing == "log":
+            grid = np.geomspace(l_min, l_max, n_points)
+        else:
+            raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
+    except MemoryError:
+        raise DomainError(f"n_points {n_points} is more grid points than memory holds") from None
     with np.errstate(over="ignore"):  # an overflow to inf fails a domain check instead
         columns = [column.tolist() for column in _rate_columns(optical, line, grid)]
     return [RatePoint(*row) for row in zip(*columns)]

@@ -1,8 +1,9 @@
-"""tools/bench.py: run specs, the per-metric summary of alternating pairs, and its exit code."""
+"""tools/bench.py: run specs, alternating pairs, their summary, the two trees, the exit code."""
 
 import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,17 +58,105 @@ def test_cli_commands_run_the_package_of_each_tree(tmp_path):
     assert env["PYTHONPATH"] == str(tmp_path / "src")
 
 
-def test_cli_summary_medians_wins_and_outputs():
-    pairs = [{"parent": {"seconds": p, "sha256": "a"}, "change": {"seconds": c, "sha256": h}}
-             for p, c, h in ((0.6, 0.3, "a"), (0.5, 0.5, "a"), (0.7, 0.4, "a"))]
-    summary = bench.summarize_cli(("simulate", "--seed", "88"), pairs)
-    assert summary["argv"] == "simulate --seed 88"
-    assert summary["parent"] == {"seconds": [0.6, 0.5, 0.7], "median": 0.6}
-    assert summary["change"]["median"] == 0.4
-    assert (summary["change_wins"], summary["pairs"]) == (2, 3)  # the tie counts for neither
-    assert summary["ratio"] == 0.4 / 0.6 and summary["outputs_equal"]
-    pairs[1]["change"]["sha256"] = "b"
-    assert not bench.summarize_cli(("simulate",), pairs)["outputs_equal"]
+def test_pairs_alternate_with_the_parent_first():
+    calls = []
+
+    def measure(side):
+        calls.append(side)
+        return {"metrics": {"seconds": 1.0}, "output_digest": "d"}
+
+    entry = bench.alternate({"argv": "crossover"}, 3, {"seconds": "lower"}, "seconds", measure)
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change", "parent"]
+
+
+def test_cli_entries_have_the_shape_of_runs(monkeypatch, tmp_path):
+    declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seconds = {"parent": [1.5, 1.0, 2.0], "change": [0.75, 1.0, 0.5]}
+    series = {}
+
+    def time_cli(tree, argv, out):
+        times = series.setdefault((argv, tree.name), iter(seconds[tree.name]))
+        return {"metrics": {"seconds": next(times)}, "output_digest": argv[0]}
+
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds, size: {
+        "metrics": {m["name"]: 1.0 for m in declared}, "attempted": 10, "failed": 0,
+        "operations": 10, "output_digest": "d", "machine": {}})
+    monkeypatch.setattr(bench, "time_cli", time_cli)
+    monkeypatch.setattr(bench, "git", lambda *args: "" if args[0] == "ls-files" else "rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest, diff="": None)
+    out = tmp_path / "BENCH_t.json"
+    assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1:1", "--seconds",
+                       "0", "--cli", "3", "--out", str(out)]) == 0
+    written = json.loads(out.read_text())
+    (run,), cli = written["runs"], written["cli"]
+    assert [entry["argv"] for entry in cli] == [" ".join(argv) for argv in bench.CLI_COMMANDS]
+    for entry in cli:
+        assert entry.keys() - {"argv"} == run.keys() - {"workload", "seed"}
+        summary = entry["summary"]["seconds"]
+        assert (summary["change_wins"], summary["pairs"]) == (2, 3)  # the tie counts for neither
+        assert summary["parent"] == {"q1": 1.25, "median": 1.5, "q3": 1.75}
+        assert (summary["parent_iqr"], summary["ratio"]) == (0.5, 0.5)
+        assert [pair["change"]["metrics"]["seconds"] for pair in entry["pairs"]] == [0.75, 1.0, 0.5]
+        assert entry["digests_equal"]
+
+
+def _git(repo, *args):
+    config = ("-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false")
+    subprocess.run(["git", *config, *args], cwd=repo, check=True, capture_output=True)
+
+
+def _repo(root, files):
+    root.mkdir()
+    _git(root, "init", "-q")
+    for name, data in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes(data)
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "base")
+    return root
+
+
+def _files(root):
+    return {path.relative_to(root).as_posix(): path.read_bytes()
+            for path in root.rglob("*") if path.is_file() and ".git" not in path.parts}
+
+
+def test_export_applies_the_diff_to_the_commit(monkeypatch, tmp_path):
+    repo = _repo(tmp_path / "repo", {"src/keep.py": b"a = 1\n", "src/gone.py": b"b = 2\n",
+                                     "src/blob.bin": bytes(range(256)), "tools/t.py": b""})
+    (repo / "src" / "keep.py").write_bytes(b"a = 3\n")
+    (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "blob.bin").write_bytes(bytes(range(255, -1, -1)) * 2)
+    (repo / "perfbench").mkdir()
+    (repo / "perfbench" / "new.py").write_bytes(b"c = 4\n")
+    _git(repo, "add", "-N", "perfbench/new.py")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    diff = bench.git("diff", "HEAD", "--binary", "--", "src", "perfbench")
+    # the trees' directory lies inside a repository, which `git apply` must not take for its own
+    (repo / "trees").mkdir()
+    bench.export("HEAD", repo / "trees" / "change", diff)
+    assert _files(repo / "trees" / "change") == {
+        "src/keep.py": b"a = 3\n", "src/blob.bin": bytes(range(255, -1, -1)) * 2,
+        "perfbench/new.py": b"c = 4\n", "tools/t.py": b""}
+
+
+def test_untracked_file_stops_the_run(monkeypatch, tmp_path, capsys):
+    repo = _repo(tmp_path / "repo", {"src/a.py": b"", ".gitignore": b"__pycache__/\n"})
+    (repo / "src" / "new.py").write_bytes(b"")
+    (repo / "src" / "__pycache__").mkdir()
+    (repo / "src" / "__pycache__" / "a.pyc").write_bytes(b"")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    measured = []
+    monkeypatch.setattr(bench, "export", lambda *args: measured.append(args))
+    monkeypatch.setattr(bench, "run_once", lambda *args: measured.append(args))
+    with pytest.raises(SystemExit) as stop:
+        bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1:1",
+                    "--out", str(tmp_path / "BENCH_t.json")])
+    assert stop.value.code == 2 and not measured
+    err = capsys.readouterr().err
+    assert "src/new.py" in err and "a.pyc" not in err
+    assert not (tmp_path / "BENCH_t.json").exists()
 
 
 def test_cli_commands_are_the_criterion_8_commands():
@@ -80,14 +169,14 @@ def test_failed_checks_fail_the_run(monkeypatch, tmp_path, capsys, failing, code
     declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     def run_once(tree, workload, seed, seconds, size):
-        side = "change" if tree == bench.ROOT else "parent"
+        side = tree.name
         return {"metrics": {m["name"]: 1.0 for m in declared}, "attempted": 10,
                 "failed": failing.get((workload, seed, side), 0), "operations": 10,
                 "output_digest": "d", "machine": {}}
 
     monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "git", lambda *args: "rev")
-    monkeypatch.setattr(bench, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "git", lambda *args: "" if args[0] == "ls-files" else "rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest, diff="": None)
     out = tmp_path / "BENCH_t.json"
     assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1,2:1",
                        "--run", "rate_study:1:1", "--seconds", "0", "--out", str(out)]) == code

@@ -281,6 +281,15 @@ def test_oversized_round_count_is_domain_error(capsys):
     assert "n_rounds must be" in captured.err
 
 
+@pytest.mark.parametrize("points", [10**12, 2**62, 2**63 - 1])
+def test_oversized_sweep_point_count_is_domain_error(points, capsys):
+    # a count between about 1e7 and 1e11 may allocate its grid, so none is tested
+    assert cli.main(["sweep", "--points", str(points), "--out", os.devnull]) == cli.EXIT_DOMAIN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n_points" in captured.err and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("duration", [1e308, 1e20])
 def test_oversized_buffered_duration_is_domain_error(duration, tmp_path, capsys):
     # whole cycles of 2**63 rounds or more, the bound gated --rounds has

@@ -108,6 +108,25 @@ class TestIngestion:
         again = config_from_mapping(config_to_mapping(cfg))
         assert again == cfg
 
+    @pytest.mark.parametrize("text, message", [("optical: 5\n", "section 'optical' must be a"),
+                                               ("- 1\n", "must contain a mapping")],
+                             ids=["section", "top_level"])
+    def test_file_that_is_not_a_mapping_exits_2(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        assert cli.main(["sweep", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_empty_file_is_defaults(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("HYBRIDKD_CONFIG", raising=False)
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("")
+        assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        from_file = capsys.readouterr().out
+        assert cli.main(["sweep"]) == 0
+        assert capsys.readouterr().out == from_file
+
     def test_load_missing_env_uses_defaults(self, monkeypatch):
         monkeypatch.delenv("HYBRIDKD_CONFIG", raising=False)
         assert load_config(None) == default_config()

@@ -13,9 +13,9 @@ from hybridkd.kljn import ResistorChoice, line_variance, sample_line, variance_t
 from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
                               post_processing_penalty, system_transmittance,
                               wave_limit_bandwidth)
-from hybridkd.protocol import (Basis, ChannelModel, Protocol, RoundInputs, decide_block,
-                               draw_block, draw_round, draw_span, measure_photon, random_inputs,
-                               run_round)
+from hybridkd.protocol import (Basis, ChannelModel, KeyStream, Protocol, RoundInputs,
+                               decide_block, draw_block, draw_round, draw_span, measure_photon,
+                               random_inputs, run_round)
 from hybridkd.rates import crossover_distance, short_haul_supremacy_bound, sweep, throughputs
 from hybridkd.session import (TimingMode, per_pulse_yield_moments, run_buffered_session,
                               run_gated_session, spawn_seeds)
@@ -108,6 +108,7 @@ BAD_ARGUMENTS = {
     "optical_mu_str": (lambda: OpticalParams(**OPTICAL | {"mu": "0.1"}), DomainError, "mu"),
     "optical_mu_huge": (lambda: OpticalParams(**OPTICAL | {"mu": 10**400}), DomainError, "mu"),
     "channel_prob_str": (lambda: ChannelModel("0.5"), DomainError, "detection_prob"),
+    "key_stream_lengths": (lambda: KeyStream((1,), ()), DomainError, "origins"),
     "buffered_duration_bool": (
         lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, True, 1),
         DomainError, "duration_s"),
@@ -178,6 +179,13 @@ BAD_ARGUMENTS = {
     "throughputs_line_str": (
         lambda: throughputs(DEFAULT_OPTICAL, "x", 2.0), DomainError, "line"),
     "sweep_line_none": (lambda: sweep(DEFAULT_OPTICAL, None, 1, 2, 5), DomainError, "line"),
+    # no grid that fits in memory (7.28 TiB), past any float64 array, numpy's linspace index limit
+    "sweep_points_past_memory": (
+        lambda: sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1, 2, 10**12), DomainError, "n_points"),
+    "sweep_points_past_arrays": (
+        lambda: sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1, 2, 2**62), DomainError, "n_points"),
+    "sweep_points_int64_max": (
+        lambda: sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1, 2, 2**63 - 1), DomainError, "n_points"),
     "crossover_optical_none": (
         lambda: crossover_distance(None, DEFAULT_KLJN), DomainError, "p"),
     "penalty_optical_str": (lambda: post_processing_penalty("o", 0.1), DomainError, "p"),

@@ -172,6 +172,12 @@ class TestGoldenReplay:
             golden = (golden_dir / f"trace_{proto.value}.txt").read_text()
             assert text == golden
 
+    def test_trace_of_an_undetected_round_shows_no_outcome_for_bob(self):
+        rnd = run_round(Protocol.P2, RoundInputs(RECT, 1, DIAG, detected=False), IDEAL, 0)
+        header, row = (line.split() for line in render_trace([rnd]).splitlines())
+        cells = dict(zip(header, row))
+        assert (cells["a_pol"], cells["b_pol"], cells["b_bit"]) == ("V", "-", "-")
+
 
 class TestBb84:
     def test_matched_detected_no_error(self):

@@ -2,16 +2,18 @@
 
     python3 tools/bench.py --parent HEAD --pr <pr> --run mc_gated:1,3:10 --cli 3
 
-Exports the parent with `git archive` into a temporary directory, removed
-afterwards. For each `--run WORKLOAD:SEEDS:PAIRS` it runs `perfbench/run.py`
-once in each tree per pair, switching which tree runs first from pair to pair,
-and writes `BENCH_<pr>.json` at the repo root. The file holds the machine
-block, both commits, every run's end-to-end metrics and output digest, and for
-each metric each side's median and quartiles and the pairs the working tree
-won, by the metric's `better` in BENCHMARK.json (ties count for neither side).
-`--cli REPEATS` also times each criterion-8 command of the acceptance suite as
-a whole `python3 -m hybridkd` process, REPEATS alternating pairs per command,
-and records each side's wall times, their medians and the output's sha256.
+Exports both trees into a temporary directory, removed afterwards: the parent
+with `git archive`, the change as `git archive HEAD` plus the working tree's
+`git diff HEAD --binary -- src perfbench`. An untracked file there would run
+unrecorded, so it stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
+`perfbench/run.py` once in each tree per pair; `--cli REPEATS` times each
+criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
+process, REPEATS pairs per command. Which tree runs first switches from pair
+to pair, the parent first. `BENCH_<pr>.json` at the repo root holds the
+machine block, both commits and the diff's sha256, and per run or command
+every pair, the output digests and, per metric, each side's median and
+quartiles and the pairs the working tree won, by the metric's `better` in
+BENCHMARK.json (lower `seconds` for a command; ties count for neither side).
 Exits 1 after writing the file if any run failed the benchmark's own checks,
 naming each such run's workload, seed, pair and side.
 """
@@ -46,15 +48,19 @@ CLI_COMMANDS = (
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
+                          text=True).stdout
 
 
-def export(rev: str, dest: Path) -> None:
-    """The files of commit `rev`, as `git archive` packs them, in the new directory `dest`."""
+def export(rev: str, dest: Path, diff: str = "") -> None:
+    """The files of commit `rev`, as `git archive` packs them, with `diff` applied, in `dest`."""
     dest.mkdir()
     tar = dest.with_suffix(".tar")
     git("archive", "--output", str(tar), rev)
     subprocess.run(["tar", "-xf", str(tar), "-C", str(dest)], check=True)
+    if diff:  # the ceiling keeps `git apply` from taking an enclosing repository for dest's own
+        env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(dest.parent))
+        subprocess.run(["git", "apply", "--binary", "-"], cwd=dest, env=env, input=diff,
+                       text=True, check=True)
 
 
 def parse_run(spec: str) -> tuple[str, list[int], int]:
@@ -99,21 +105,8 @@ def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> dict:
     start = time.perf_counter()
     subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
     seconds = time.perf_counter() - start
-    return {"seconds": seconds, "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
-
-
-def summarize_cli(argv: tuple[str, ...], pairs: list[dict]) -> dict:
-    """One command's wall times: each side's runs and median, the change's wins, the ratio."""
-    sides = {side: [p[side]["seconds"] for p in pairs] for side in SIDES}
-    medians = {side: statistics.median(times) for side, times in sides.items()}
-    return {
-        "argv": " ".join(argv),
-        **{side: {"seconds": sides[side], "median": medians[side]} for side in SIDES},
-        "change_wins": sum(c < p for p, c in zip(sides["parent"], sides["change"])),
-        "pairs": len(pairs),
-        "ratio": medians["change"] / medians["parent"],
-        "outputs_equal": len({p[side]["sha256"] for p in pairs for side in SIDES}) == 1,
-    }
+    return {"metrics": {"seconds": seconds},
+            "output_digest": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
 def quartiles(values: list[float]) -> dict:
@@ -142,6 +135,20 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def alternate(label: dict, n_pairs: int, better: dict[str, str], shown: str, measure) -> dict:
+    """`label`'s entry: `n_pairs` pairs of `measure(side)`, the parent first in pair 1."""
+    pairs = []
+    for i in range(n_pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pairs.append({"first": order[0], **{side: measure(side) for side in order}})
+        print(f"bench: {' '.join(f'{k} {v}' for k, v in label.items())} pair {i + 1}/{n_pairs}: "
+              f"{shown} " + " -> ".join(f"{pairs[-1][s]['metrics'][shown]:.4g}" for s in SIDES),
+              file=sys.stderr)
+    digests = {side: sorted({p[side]["output_digest"] for p in pairs}) for side in SIDES}
+    return {**label, "pairs": pairs, "summary": summarize(pairs, better), "digests": digests,
+            "digests_equal": digests["parent"] == digests["change"]}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the git rev to measure against")
@@ -156,56 +163,44 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.cli < 0:
         parser.error(f"--cli needs a count of pairs >= 0, got {args.cli}")
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
+    if untracked:
+        parser.error("untracked files would run without being recorded; add them (git add -N) "
+                     "or remove them: " + ", ".join(untracked.splitlines()))
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
-    # What the working tree runs beyond its HEAD: the benchmark and the package.
+    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    # What the change tree runs beyond HEAD: the benchmark and the package.
     diff = git("diff", "HEAD", "--binary", "--", "src", "perfbench")
     commits = {
         "parent": {"rev": parent_rev},
-        "change": {"rev": git("rev-parse", "HEAD"), "dirty": bool(diff),
+        "change": {"rev": git("rev-parse", "HEAD").strip(), "dirty": bool(diff),
                    "diff_sha256": hashlib.sha256(diff.encode()).hexdigest()},
     }
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-"))
-    trees = {"parent": scratch / "parent", "change": ROOT}
-    machine, runs, cli = None, [], []
+    trees = {side: scratch / side for side in SIDES}
+    runs, cli = [], []
     try:
         export(parent_rev, trees["parent"])
+        export(commits["change"]["rev"], trees["change"], diff)
         for workload, seeds, n_pairs in args.run:
             for seed in seeds:
-                pairs = []
-                for i in range(n_pairs):
-                    order = SIDES if i % 2 == 0 else SIDES[::-1]
-                    pair = {"first": order[0]}
-                    for side in order:
-                        pair[side] = run_once(trees[side], workload, seed, args.seconds,
-                                              args.size)
-                        machine = pair[side].pop("machine")
-                    pairs.append(pair)
-                    print(f"bench: {workload} seed {seed} pair {i + 1}/{n_pairs}: items/s "
-                          + " -> ".join(f"{pair[s]['metrics']['items_per_s']:.4g}" for s in SIDES),
-                          file=sys.stderr)
-                digests = {side: sorted({p[side]["output_digest"] for p in pairs}) for side in SIDES}
-                runs.append({"workload": workload, "seed": seed, "pairs": pairs,
-                             "summary": summarize(pairs, better), "digests": digests,
-                             "digests_equal": digests["parent"] == digests["change"]})
+                runs.append(alternate(
+                    {"workload": workload, "seed": seed}, n_pairs, better, "items_per_s",
+                    lambda side: run_once(trees[side], workload, seed, args.seconds, args.size)))
         for command in CLI_COMMANDS if args.cli else ():
-            pairs = []
-            for i in range(args.cli):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pairs.append({side: time_cli(trees[side], command, scratch / f"{side}.out")
-                              for side in order})
-            cli.append(summarize_cli(command, pairs))
-            print(f"bench: hybridkd {cli[-1]['argv']}: median s "
-                  + " -> ".join(f"{cli[-1][s]['median']:.3f}" for s in SIDES), file=sys.stderr)
+            cli.append(alternate({"argv": " ".join(command)}, args.cli, {"seconds": "lower"},
+                                 "seconds", lambda side: time_cli(trees[side], command,
+                                                                  scratch / f"{side}.out")))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
+    machines = [p[side].pop("machine") for run in runs for p in run["pairs"] for side in SIDES]
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
-    bench = {"pr": args.pr, "machine": machine, "commits": commits, "seconds": args.seconds,
-             "size": args.size, "runs": runs, "cli": cli}
+    bench = {"pr": args.pr, "machine": machines[-1] if machines else None, "commits": commits,
+             "seconds": args.seconds, "size": args.size, "runs": runs, "cli": cli}
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"bench: wrote {out}", file=sys.stderr)
     # perfbench/run.py exits 0 whatever its checks found, so its failures end the run here
