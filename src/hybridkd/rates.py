@@ -20,6 +20,7 @@ bound distances are roots found by Brent's method.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from typing import Callable
@@ -71,7 +72,20 @@ RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 
 _EPS = math.ulp(1.0)
 _BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
-_MAX_POINTS = sys.maxsize // 8  # no float64 array holds more elements than this
+
+
+def _max_points() -> int:
+    """The most sweep points whose RatePoints' floats alone fit in physical memory."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # a platform without these sysconf names
+        memory = 0
+    per_point = len(RATE_POINT_FIELDS) * sys.getsizeof(0.0)
+    return min(sys.maxsize // 8, memory // per_point if memory > 0 else sys.maxsize)
+
+
+# Checked before anything is allocated, so an impossible count fails the same way on any host.
+_MAX_POINTS = _max_points()
 
 
 def normalized_rates(budget: LinkBudget) -> tuple[float, float]:
@@ -125,16 +139,14 @@ def sweep(
     check_real(l_max, "sweep distance l_max", gt=l_min)
     check_int(n_points, "n_points", ge=2)
     if n_points > _MAX_POINTS:
-        raise DomainError(f"n_points must be <= {_MAX_POINTS}, got {n_points}")
-    try:
-        if spacing == "linear":
-            grid = np.linspace(l_min, l_max, n_points)
-        elif spacing == "log":
-            grid = np.geomspace(l_min, l_max, n_points)
-        else:
-            raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    except MemoryError:
-        raise DomainError(f"n_points {n_points} is more grid points than memory holds") from None
+        raise DomainError(f"n_points must be <= {_MAX_POINTS}, the points physical memory "
+                          f"holds, got {n_points}")
+    if spacing == "linear":
+        grid = np.linspace(l_min, l_max, n_points)
+    elif spacing == "log":
+        grid = np.geomspace(l_min, l_max, n_points)
+    else:
+        raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     with np.errstate(over="ignore"):  # an overflow to inf fails a domain check instead
         columns = [column.tolist() for column in _rate_columns(optical, line, grid)]
     return [RatePoint(*row) for row in zip(*columns)]

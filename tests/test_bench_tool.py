@@ -1,6 +1,7 @@
 """tools/bench.py: run specs, alternating pairs, their summary, the two trees, the exit code."""
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import subprocess
@@ -62,12 +63,15 @@ def test_pairs_alternate_with_the_parent_first():
     calls = []
 
     def measure(side):
-        calls.append(side)
-        return {"metrics": {"seconds": 1.0}, "output_digest": "d"}
+        calls.append(side)  # the change's output differs in its second run only
+        return {"metrics": {"seconds": 1.0}, "output_digest": "e" if calls == SECOND else "d"}
 
+    SECOND = ["parent", "change", "change"]
     entry = bench.alternate({"argv": "crossover"}, 3, {"seconds": "lower"}, "seconds", measure)
     assert calls == ["parent", "change", "change", "parent", "parent", "change"]
     assert [pair["first"] for pair in entry["pairs"]] == ["parent", "change", "parent"]
+    assert entry["digests"] == {"parent": ["d"], "change": ["d", "e"]}
+    assert not entry["digests_equal"]
 
 
 def test_cli_entries_have_the_shape_of_runs(monkeypatch, tmp_path):
@@ -83,8 +87,8 @@ def test_cli_entries_have_the_shape_of_runs(monkeypatch, tmp_path):
         "metrics": {m["name"]: 1.0 for m in declared}, "attempted": 10, "failed": 0,
         "operations": 10, "output_digest": "d", "machine": {}})
     monkeypatch.setattr(bench, "time_cli", time_cli)
-    monkeypatch.setattr(bench, "git", lambda *args: "" if args[0] == "ls-files" else "rev")
-    monkeypatch.setattr(bench, "export", lambda rev, dest, diff="": None)
+    monkeypatch.setattr(bench, "git", lambda *args: b"" if args[0] == "ls-files" else b"rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest, diff=b"": None)
     out = tmp_path / "BENCH_t.json"
     assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1:1", "--seconds",
                        "0", "--cli", "3", "--out", str(out)]) == 0
@@ -122,23 +126,44 @@ def _files(root):
             for path in root.rglob("*") if path.is_file() and ".git" not in path.parts}
 
 
-def test_export_applies_the_diff_to_the_commit(monkeypatch, tmp_path):
-    repo = _repo(tmp_path / "repo", {"src/keep.py": b"a = 1\n", "src/gone.py": b"b = 2\n",
-                                     "src/blob.bin": bytes(range(256)), "tools/t.py": b""})
+def test_change_tree_is_head_plus_the_recorded_diff(monkeypatch, tmp_path):
+    committed = {"src/keep.py": b"a = 1\n", "src/gone.py": b"b = 2\n", "src/crlf.py": b"c = 1\r\n",
+                 "src/blob.bin": bytes(range(256)), "tools/t.py": b"",
+                 "BENCHMARK.json": (bench.ROOT / "BENCHMARK.json").read_bytes()}
+    repo = _repo(tmp_path / "repo", committed)
+    # settings that change what porcelain `git diff` prints, or make it fail
+    for key, value in [("diff.noprefix", "true"), ("color.ui", "always"),
+                       ("diff.external", "false")]:
+        _git(repo, "config", key, value)
     (repo / "src" / "keep.py").write_bytes(b"a = 3\n")
     (repo / "src" / "gone.py").unlink()
+    (repo / "src" / "crlf.py").write_bytes(b"c = 2\r\n")
     (repo / "src" / "blob.bin").write_bytes(bytes(range(255, -1, -1)) * 2)
     (repo / "perfbench").mkdir()
-    (repo / "perfbench" / "new.py").write_bytes(b"c = 4\n")
+    (repo / "perfbench" / "new.py").write_bytes(b"d = 4\r\n")
     _git(repo, "add", "-N", "perfbench/new.py")
-    monkeypatch.setattr(bench, "ROOT", repo)
-    diff = bench.git("diff", "HEAD", "--binary", "--", "src", "perfbench")
+    working, trees, diffs = _files(repo), {}, []
+    export = bench.export
+
+    def kept_export(rev, dest, diff=b""):
+        export(rev, dest, diff)
+        trees[dest.name] = _files(dest)
+        diffs.append(diff)
+
     # the trees' directory lies inside a repository, which `git apply` must not take for its own
     (repo / "trees").mkdir()
-    bench.export("HEAD", repo / "trees" / "change", diff)
-    assert _files(repo / "trees" / "change") == {
-        "src/keep.py": b"a = 3\n", "src/blob.bin": bytes(range(255, -1, -1)) * 2,
-        "perfbench/new.py": b"c = 4\n", "tools/t.py": b""}
+    monkeypatch.setattr(bench.tempfile, "mkdtemp", lambda prefix: str(repo / "trees"))
+    monkeypatch.setattr(bench, "ROOT", repo)
+    monkeypatch.setattr(bench, "export", kept_export)
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds, size: {
+        "metrics": {m["name"]: 1.0 for m in json.loads(committed["BENCHMARK.json"])["end_to_end"]},
+        "attempted": 1, "failed": 0, "operations": 1, "output_digest": "d", "machine": {}})
+    out = tmp_path / "BENCH_t.json"
+    assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1:1",
+                       "--out", str(out)]) == 0
+    assert trees == {"parent": committed, "change": working}
+    change = json.loads(out.read_text())["commits"]["change"]
+    assert change["dirty"] and change["diff_sha256"] == hashlib.sha256(diffs[1]).hexdigest()
 
 
 def test_untracked_file_stops_the_run(monkeypatch, tmp_path, capsys):
@@ -175,8 +200,8 @@ def test_failed_checks_fail_the_run(monkeypatch, tmp_path, capsys, failing, code
                 "output_digest": "d", "machine": {}}
 
     monkeypatch.setattr(bench, "run_once", run_once)
-    monkeypatch.setattr(bench, "git", lambda *args: "" if args[0] == "ls-files" else "rev")
-    monkeypatch.setattr(bench, "export", lambda rev, dest, diff="": None)
+    monkeypatch.setattr(bench, "git", lambda *args: b"" if args[0] == "ls-files" else b"rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest, diff=b"": None)
     out = tmp_path / "BENCH_t.json"
     assert bench.main(["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1,2:1",
                        "--run", "rate_study:1:1", "--seconds", "0", "--out", str(out)]) == code

@@ -283,7 +283,7 @@ def test_oversized_round_count_is_domain_error(capsys):
 
 @pytest.mark.parametrize("points", [10**12, 2**62, 2**63 - 1])
 def test_oversized_sweep_point_count_is_domain_error(points, capsys):
-    # a count between about 1e7 and 1e11 may allocate its grid, so none is tested
+    # a count between about 1e7 and 1e11 may fit under the bound and fill memory, so none is tested
     assert cli.main(["sweep", "--points", str(points), "--out", os.devnull]) == cli.EXIT_DOMAIN
     captured = capsys.readouterr()
     assert captured.out == ""

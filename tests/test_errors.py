@@ -179,7 +179,7 @@ BAD_ARGUMENTS = {
     "throughputs_line_str": (
         lambda: throughputs(DEFAULT_OPTICAL, "x", 2.0), DomainError, "line"),
     "sweep_line_none": (lambda: sweep(DEFAULT_OPTICAL, None, 1, 2, 5), DomainError, "line"),
-    # no grid that fits in memory (7.28 TiB), past any float64 array, numpy's linspace index limit
+    # rejected before any allocation: past physical memory, past any float64 array, int64's max
     "sweep_points_past_memory": (
         lambda: sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1, 2, 10**12), DomainError, "n_points"),
     "sweep_points_past_arrays": (

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import operator
 import re
+import sys
 from itertools import chain
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestSweep:
     def test_point_count_must_be_an_integer(self, optical, line, n):
         with pytest.raises(DomainError, match="n_points"):
             sweep(optical, line, 0.1, 1.0, n, "linear")
+
+    def test_point_count_bound_is_checked_first(self, optical, line, monkeypatch):
+        monkeypatch.setattr(rates, "_MAX_POINTS", 10)
+        assert len(sweep(optical, line, 0.1, 1.0, 10, "linear")) == 10
+        with pytest.raises(DomainError, match="n_points must be <= 10, the points physical"):
+            sweep(optical, line, 0.1, 1.0, 11, "cubic")
+
+    def test_point_count_bound_follows_physical_memory(self, monkeypatch):
+        per_point = len(RATE_POINT_FIELDS) * sys.getsizeof(0.0)
+        sizes = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": per_point}
+        monkeypatch.setattr(rates.os, "sysconf", lambda name: sizes[name])
+        assert rates._max_points() == 1000
+        sizes["SC_PHYS_PAGES"] = -1  # sysconf's answer when the size is unknown
+        assert rates._max_points() == sys.maxsize // 8
 
     def test_invalid_spacing(self, optical, line):
         with pytest.raises(DomainError):

@@ -4,8 +4,9 @@
 
 Exports both trees into a temporary directory, removed afterwards: the parent
 with `git archive`, the change as `git archive HEAD` plus the working tree's
-`git diff HEAD --binary -- src perfbench`. An untracked file there would run
-unrecorded, so it stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
+`git diff-index -p --binary HEAD -- src perfbench`, a plumbing diff that no
+user diff setting alters. An untracked file there would run unrecorded, so it
+stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
 `perfbench/run.py` once in each tree per pair; `--cli REPEATS` times each
 criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
 process, REPEATS pairs per command. Which tree runs first switches from pair
@@ -46,12 +47,11 @@ CLI_COMMANDS = (
 )
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
 
-def export(rev: str, dest: Path, diff: str = "") -> None:
+def export(rev: str, dest: Path, diff: bytes = b"") -> None:
     """The files of commit `rev`, as `git archive` packs them, with `diff` applied, in `dest`."""
     dest.mkdir()
     tar = dest.with_suffix(".tar")
@@ -59,8 +59,8 @@ def export(rev: str, dest: Path, diff: str = "") -> None:
     subprocess.run(["tar", "-xf", str(tar), "-C", str(dest)], check=True)
     if diff:  # the ceiling keeps `git apply` from taking an enclosing repository for dest's own
         env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(dest.parent))
-        subprocess.run(["git", "apply", "--binary", "-"], cwd=dest, env=env, input=diff,
-                       text=True, check=True)
+        subprocess.run(["git", "apply", "--binary", "--whitespace=nowarn", "-"], cwd=dest,
+                       env=env, input=diff, check=True)
 
 
 def parse_run(spec: str) -> tuple[str, list[int], int]:
@@ -166,17 +166,17 @@ def main(argv: list[str] | None = None) -> int:
     untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
     if untracked:
         parser.error("untracked files would run without being recorded; add them (git add -N) "
-                     "or remove them: " + ", ".join(untracked.splitlines()))
+                     "or remove them: " + ", ".join(untracked.decode().splitlines()))
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").strip()
+    parent_rev = git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip()
     # What the change tree runs beyond HEAD: the benchmark and the package.
-    diff = git("diff", "HEAD", "--binary", "--", "src", "perfbench")
+    diff = git("diff-index", "-p", "--binary", "HEAD", "--", "src", "perfbench")
     commits = {
         "parent": {"rev": parent_rev},
-        "change": {"rev": git("rev-parse", "HEAD").strip(), "dirty": bool(diff),
-                   "diff_sha256": hashlib.sha256(diff.encode()).hexdigest()},
+        "change": {"rev": git("rev-parse", "HEAD").decode().strip(), "dirty": bool(diff),
+                   "diff_sha256": hashlib.sha256(diff).hexdigest()},
     }
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-"))
