@@ -72,16 +72,21 @@ RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 
 _EPS = math.ulp(1.0)
 _BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
+_SCAN_POINTS = 257  # a log grid over a bracket whose ends share a sign, for its first crossing
+
+# Bytes a sweep point takes at the sweep's peak: tracemalloc's peak over `sweep` read
+# 608-609 B a point at 1e4 and 1e5 points, log and linear (CPython 3.11, numpy 2.4,
+# x86-64), of which the returned rows keep 488 B; rounded up for other builds.
+_POINT_BYTES = 640
 
 
 def _max_points() -> int:
-    """The most sweep points whose RatePoints' floats alone fit in physical memory."""
+    """The most sweep points whose peak bytes fit in physical memory."""
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):  # a platform without these sysconf names
         memory = 0
-    per_point = len(RATE_POINT_FIELDS) * sys.getsizeof(0.0)
-    return min(sys.maxsize // 8, memory // per_point if memory > 0 else sys.maxsize)
+    return min(sys.maxsize // 8, memory // _POINT_BYTES if memory > 0 else sys.maxsize)
 
 
 # Checked before anything is allocated, so an impossible count fails the same way on any host.
@@ -231,8 +236,8 @@ def crossover_distance(
 ) -> float:
     """Distance where the hybrid throughput meets unthrottled BB84.
 
-    Brent's method on T_II,III(L) - T_BB84(L); the bracket must straddle
-    the crossing, and the root is returned within `xtol` km. The default
+    Brent's method on T_II,III(L) - T_BB84(L); the bracket must hold the
+    crossing, and the root is returned within `xtol` km. The default
     tolerance is far tighter than the 1e-4 km contract so that the
     residual at the root is negligible.
     """
@@ -250,9 +255,14 @@ def short_haul_supremacy_bound(
 
     Not monotone: BB84 falls exponentially, the wire-limited clock as 1/L, so
     with default parameters the gap (factor 1) changes sign at 7.64 and again
-    at 45.46 km; a bracket holding both fails with "no sign change". Brent's
-    method finds the root to within `xtol` km (finite and > 0). With
-    factor=1 this is exactly the crossover distance.
+    at 45.46 km. The second crossing exists because the model's wire has no
+    series resistance (Kish & Scheuer, Phys. Lett. A 374, 2140 (2010)), whose
+    loss would cap the wire's reach. When the bracket's ends share a sign, a
+    `_SCAN_POINTS`-point log grid over it locates the first sign change, so a
+    bracket holding both crossings gives the first, short-haul one; with none
+    on the grid the solve fails with "no sign change". Brent's method finds
+    the root to within `xtol` km (finite and > 0). With factor=1 this is
+    exactly the crossover distance.
     """
     check_real(factor, "factor", gt=0)
     check_real(xtol, "xtol", gt=0)
@@ -265,4 +275,14 @@ def short_haul_supremacy_bound(
         return point.t_p23 - factor * point.t_bb84
 
     what = "crossover" if factor == 1.0 else f"supremacy bound (factor {factor:g})"
-    return _brent(gap, lo, hi, xtol, what)
+    try:
+        return _brent(gap, lo, hi, xtol, what)
+    except SolverError as exc:  # the ends share a sign, but a pair of crossings may lie between
+        grid = np.geomspace(lo, hi, _SCAN_POINTS)
+        columns = dict(zip(RATE_POINT_FIELDS, _rate_columns(optical, line, grid)))
+        signs = np.signbit(columns["t_p23"] - factor * columns["t_bb84"])
+        cells = np.flatnonzero(signs[1:] != signs[:-1])
+        if not len(cells):
+            raise SolverError(f"{exc}, nor over a {_SCAN_POINTS}-point log grid") from None
+        first_lo, first_hi = grid[cells[0]:cells[0] + 2].tolist()
+        return _brent(gap, first_lo, first_hi, xtol, what)

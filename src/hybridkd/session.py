@@ -6,12 +6,14 @@ two phases: the wire fills a buffer of basis-coordination bits at R_kljn
 while the laser idles, then the laser drains the buffer in a burst at its
 native rate. Time is simulated, never wall-clock. Both modes read every
 rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
-`rates.throughputs` call, and only draw and count, span by span in
-`_run_spans`, holding one span's draws per thread: a gated session with
-`protocol.draw_block` (`random_inputs` then `draw_round`, round for round),
-a buffered one i.i.d. with `protocol.draw_span`, its ideal spans on a
-thread per usable core. `protocol.decide_block` applies the rules
-(`protocol._RULES`) to each span and gives the yield moments.
+`rates.throughputs` call and differ only in their round count, clock and
+draw. One core, `_session`, builds the channel, counts span by span in
+`_run_spans`, holding one span's draws per thread, and builds the stats: a
+gated session draws with `protocol.draw_block` (`random_inputs` then
+`draw_round`, round for round), a buffered one i.i.d. with
+`protocol.draw_span`, its ideal spans on a thread per usable core.
+`protocol.decide_block` applies the rules (`protocol._RULES`) to each span
+and gives the yield moments.
 
 Sessions are deterministic for a fixed seed; independent sessions should
 use independent seeds (the generator is PCG64 via numpy's default_rng, and
@@ -177,12 +179,6 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
-def _channel(point: rates.RatePoint, optical: OpticalParams, line, ideal: bool) -> ChannelModel:
-    """A session's channel: it carries `line`, so its wire is sampled, unless ideal."""
-    check_type(ideal, bool, "ideal_classification")  # a truthy string must not pick ideal
-    return ChannelModel(point.q_mu, optical.e_opt, None if ideal else line)
-
-
 def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: int) -> dict:
     """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time.
 
@@ -222,6 +218,32 @@ def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: 
     return counts[0]
 
 
+def _session(timing: Timing, protocol: Protocol, optical: OpticalParams, line: KljnLineParams,
+             point: rates.RatePoint, seed: int, n_rounds: int, wall_time: float, ideal: bool,
+             cycles: int | None = None, drain_time: float = 0.0) -> SessionStats:
+    """The one session core: n_rounds drawn for `timing`, counted over wall_time.
+
+    Gated sessions draw with `draw_block`, buffered ones with `draw_span`, both
+    module globals read per call; the channel carries `line` unless `ideal`.
+    A buffered caller's cycles and one cycle's drain time set its burst fields.
+    """
+    check_type(ideal, bool, "ideal_classification")  # a truthy string must not pick ideal
+    channel = ChannelModel(point.q_mu, optical.e_opt, None if ideal else line)
+    draw = draw_block if timing is Timing.GATED else draw_span
+    counts = _run_spans(draw, protocol, channel, seed, n_rounds)
+    secure_bits = _secure_bits(counts, point.gamma)
+    burst = {} if cycles is None else {
+        "cycles": cycles,
+        "burst_throughput_model_bps": (
+            point.t_burst_p2 if protocol is Protocol.P2 else point.t_burst_p1),
+        "burst_throughput_measured_bps": secure_bits / (cycles * drain_time),
+    }
+    return SessionStats(
+        protocol=protocol.value, timing=timing.value, distance_km=point.distance_km, seed=seed,
+        rounds_executed=n_rounds, **counts, gamma=point.gamma, wall_time_s=wall_time,
+        effective_throughput_bps=secure_bits / wall_time, **burst)
+
+
 def run_gated_session(
     protocol: Protocol,
     optical: OpticalParams,
@@ -241,21 +263,9 @@ def run_gated_session(
     check_int(n_rounds, "n_rounds", ge=1)
     check_seed(seed)
     point = rates.throughputs(optical, line, distance_km)
-    channel = _channel(point, optical, line, ideal_classification)
-    counts = _run_spans(draw_block, protocol, channel, seed, n_rounds)
     wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
-
-    return SessionStats(
-        protocol=protocol.value,
-        timing=Timing.GATED.value,
-        distance_km=distance_km,
-        seed=seed,
-        rounds_executed=n_rounds,
-        **counts,
-        gamma=point.gamma,
-        wall_time_s=wall_time,
-        effective_throughput_bps=_secure_bits(counts, point.gamma) / wall_time,
-    )
+    return _session(Timing.GATED, protocol, optical, line, point, seed, n_rounds, wall_time,
+                    ideal_classification)
 
 
 def run_buffered_session(
@@ -295,28 +305,8 @@ def run_buffered_session(
     if n_cycles < 1:
         raise ConfigError(f"duration {duration_s} s is shorter than one fill/drain cycle "
                           f"({cycle_time:.6g} s)")
-
-    channel = _channel(point, optical, line, ideal_classification)
-    n_rounds = n_cycles * block
-    counts = _run_spans(draw_span, protocol, channel, seed, n_rounds)
-    secure_bits = _secure_bits(counts, point.gamma)
-    wall_time = n_cycles * cycle_time
-
-    return SessionStats(
-        protocol=protocol.value,
-        timing=Timing.BUFFERED.value,
-        distance_km=distance_km,
-        seed=seed,
-        rounds_executed=n_rounds,
-        **counts,
-        gamma=point.gamma,
-        wall_time_s=wall_time,
-        effective_throughput_bps=secure_bits / wall_time,
-        cycles=n_cycles,
-        burst_throughput_model_bps=(
-            point.t_burst_p2 if protocol is Protocol.P2 else point.t_burst_p1),
-        burst_throughput_measured_bps=secure_bits / (n_cycles * drain_time),
-    )
+    return _session(Timing.BUFFERED, protocol, optical, line, point, seed, n_cycles * block,
+                    n_cycles * cycle_time, ideal_classification, n_cycles, drain_time)
 
 
 def estimate_per_pulse_yield(stats: SessionStats) -> float:

@@ -1,10 +1,12 @@
 """Rate models, sweeps and the crossover solver."""
 
 import dataclasses
+import json
 import math
 import operator
 import re
 import sys
+import tracemalloc
 from itertools import chain
 
 import numpy as np
@@ -129,12 +131,23 @@ class TestSweep:
             sweep(optical, line, 0.1, 1.0, 11, "cubic")
 
     def test_point_count_bound_follows_physical_memory(self, monkeypatch):
-        per_point = len(RATE_POINT_FIELDS) * sys.getsizeof(0.0)
-        sizes = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": per_point}
+        sizes = {"SC_PHYS_PAGES": 1000, "SC_PAGE_SIZE": rates._POINT_BYTES}
         monkeypatch.setattr(rates.os, "sysconf", lambda name: sizes[name])
         assert rates._max_points() == 1000
         sizes["SC_PHYS_PAGES"] = -1  # sysconf's answer when the size is unknown
         assert rates._max_points() == sys.maxsize // 8
+
+    def test_a_point_peaks_under_the_bound_bytes(self, optical, line):
+        # the bound divides physical memory by these bytes, so a sweep at the
+        # bound must not take more than that at its peak
+        n = 10_000
+        tracemalloc.start()
+        try:
+            sweep(optical, line, 0.1, 100.0, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < rates._POINT_BYTES
 
     def test_invalid_spacing(self, optical, line):
         with pytest.raises(DomainError):
@@ -211,14 +224,17 @@ class TestCrossover:
         with pytest.raises(SolverError, match=re.escape(message)):
             crossover_distance(optical, line, bracket=(0.1, 0.2))
 
-    def test_gap_changes_sign_again_far_out(self, optical, line):
+    def test_gap_changes_sign_again_far_out(self, optical, line, capsys):
         # BB84 falls exponentially and the wire only as 1/L, so the hybrid
-        # gain returns far out; a bracket holding both roots has none.
+        # gain returns far out; a bracket holding both roots gives the first.
         far = crossover_distance(optical, line, bracket=(10.0, 100.0))
         assert far == pytest.approx(45.46047757, abs=1e-6)
+        near = crossover_distance(optical, line, bracket=(1.0, 10.0))
+        assert abs(crossover_distance(optical, line, bracket=(1.0, 100.0)) - near) <= 1e-9
+        assert cli.main(["crossover", "--bracket", "1", "100"]) == 0
+        assert abs(json.loads(capsys.readouterr().out)["distance_km"] - near) <= 1e-9
         with pytest.raises(SolverError, match="no sign change"):
-            crossover_distance(optical, line, bracket=(1.0, 100.0))
-        assert cli.main(["crossover", "--bracket", "1", "100"]) == cli.EXIT_SOLVER
+            crossover_distance(optical, line, bracket=(10.0, 40.0))
 
     def test_supremacy_factor_one_equals_crossover(self, optical, line):
         assert short_haul_supremacy_bound(optical, line, factor=1.0) == crossover_distance(
@@ -279,6 +295,13 @@ class TestSolver:
         for lo, hi in _brackets():
             root = short_haul_supremacy_bound(optical, line, factor, (lo, hi), xtol=1e-9)
             assert abs(root - brentq(gap, lo, hi, xtol=1e-12)) <= 1e-9
+
+    @pytest.mark.parametrize("factor", FACTORS)
+    @pytest.mark.parametrize("bracket", [(1.0, 100.0), (1.0, 200.0), (0.2, 1000.0)])
+    def test_a_bracket_holding_both_crossings_gives_the_first(self, optical, line, bracket,
+                                                              factor):
+        first = short_haul_supremacy_bound(optical, line, factor, (1.0, 10.0))
+        assert abs(short_haul_supremacy_bound(optical, line, factor, bracket) - first) <= 1e-9
 
     @pytest.mark.parametrize("factor", FACTORS)
     def test_at_most_16_evaluations(self, optical, line, monkeypatch, factor):
