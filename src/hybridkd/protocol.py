@@ -27,7 +27,8 @@ rule). A round's resistors are read from its `ProtocolRound`.
 `draw_round` makes a round's random draws and `decide_block`, the only
 place the rules are applied, decides a block of drawn rounds as masks;
 `run_round` is the two on one row; `draw_block` draws rounds exactly as
-`random_inputs` and `draw_round` would, `draw_span` i.i.d. an array at a time.
+`random_inputs` and `draw_round` would, `draw_span` i.i.d. an array at a time;
+both estimate and band the line noise through `kljn`, which owns that rule.
 Fair bits are the top bits of 32-bit generator halves (`fair_bits`); with no
 spare half pending, `draw_span` reads them straight from raw 64-bit words.
 Rounds are pure given a generator; golden traces can force the outcomes.
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_int, check_real, check_type, generator
-from .kljn import (LineObservation, NoiseLevel, ResistorChoice, ground_truth_level,
-                   line_variance, sample_line, variance_thresholds)
+from .kljn import (LineObservation, NoiseLevel, ResistorChoice, _band_masks, _mean_square,
+                   ground_truth_level, line_variance, sample_line)
 from .physics import KljnLineParams
 
 __all__ = [
@@ -401,7 +402,7 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     """n_rounds rounds drawn as `random_inputs` then `draw_round` would, as masks:
 
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
-    classified low and high (None unless the line is sampled, chunk by chunk).
+    classified low and high (None unless the line is sampled).
 
     Rounds that sample no line (BB84, or a channel without one) on numpy's
     PCG64, PCG64DXSM, Philox or SFC64 (exactly: a subclass may override
@@ -422,9 +423,9 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     Otherwise each round makes those calls' draws in their order, on numpy's
     fast paths: its three fair bits fill one reused float32 buffer (`fair_bits`'
     rule, read as Python floats), the generator's methods are bound once, and
-    its noise samples fill a row view of the chunk's array, the views made once
-    per call. Sampled rounds need this loop, as ziggurat normals use a varying
-    number of words, and so does MT19937, whose words are 32-bit.
+    its noise fills a row view of the chunk's array (views made once per call);
+    all the call's estimates are banded after the loop. Sampled rounds and
+    MT19937 (32-bit words) need this loop: ziggurat normals use varying words.
     """
     check_protocol(protocol)
     check_int(n_rounds, "n_rounds")
@@ -438,14 +439,12 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     uniform, normals, bits = gen.random, gen.standard_normal, np.empty(3, dtype=_F32)
     flags = bytearray(4 * n_rounds)
     drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)
-    low = high = None
     if sampled:
         line = channel.line
         sigma = np.sqrt(_pair_variances(protocol, line))
-        t_low, t_high = variance_thresholds(line)
         noise = np.empty((_CHUNK, line.n_samples))
         rows = list(noise)
-        low, high = np.empty(n_rounds, dtype=bool), np.empty(n_rounds, dtype=bool)
+        estimates = np.empty(n_rounds)
     for start in range(0, n_rounds, _CHUNK):
         stop = min(start + _CHUNK, n_rounds)
         for i in range(start, stop):
@@ -462,15 +461,11 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
             flags[j], flags[j + 1], flags[j + 2], flags[j + 3] = a_diag, b_diag, detected, wrong
             if sampled:
                 normals(out=rows[i - start])
-        if sampled:
-            # sample_line's mean of squares of normal(0, sigma, N), bit for bit:
-            # sigma times the same normals, and numpy's pairwise sum (not BLAS).
+        if sampled:  # sample_line's normal(0, sigma, N) is sigma times the same normals
             block = noise[:stop - start]
             block *= sigma[2 * drawn[start:stop, 0] + drawn[start:stop, 1]][:, None]
-            block *= block
-            estimates = np.add.reduce(block, axis=1) / line.n_samples
-            low[start:stop], high[start:stop] = estimates < t_low, estimates > t_high
-    return (*drawn.T, low, high)
+            estimates[start:stop] = _mean_square(block)
+    return (*drawn.T, *(_band_masks(estimates, line) if sampled else (None, None)))
 
 
 def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
@@ -503,8 +498,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
         estimates = variances[alice_diag * np.uint8(2) + bob_diag]
         estimates *= gen.chisquare(line.n_samples, n_rounds)
         estimates /= line.n_samples
-        t_low, t_high = variance_thresholds(line)
-        low, high = estimates < t_low, estimates > t_high
+        low, high = _band_masks(estimates, line)
     return alice_diag, bob_diag, u < q, wrong, low, high
 
 

@@ -73,6 +73,7 @@ RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
 _EPS = math.ulp(1.0)
 _BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
 _SCAN_POINTS = 257  # a log grid over a bracket whose ends share a sign, for its first crossing
+_SCAN_CELL = (math.log(1000) - math.log(0.2)) / (_SCAN_POINTS - 1)  # its cell over (0.2, 1000) km
 
 # Bytes a sweep point takes at the sweep's peak: tracemalloc's peak over `sweep` read
 # 608-609 B a point at 1e4 and 1e5 points, log and linear (CPython 3.11, numpy 2.4,
@@ -258,11 +259,11 @@ def short_haul_supremacy_bound(
     at 45.46 km. The second crossing exists because the model's wire has no
     series resistance (Kish & Scheuer, Phys. Lett. A 374, 2140 (2010)), whose
     loss would cap the wire's reach. When the bracket's ends share a sign, a
-    `_SCAN_POINTS`-point log grid over it locates the first sign change, so a
-    bracket holding both crossings gives the first, short-haul one; with none
-    on the grid the solve fails with "no sign change". Brent's method finds
-    the root to within `xtol` km (finite and > 0). With factor=1 this is
-    exactly the crossover distance.
+    log grid over it (cells at most `_SCAN_CELL` wide, at least 257 points)
+    locates the first sign change, so a bracket holding both crossings gives
+    the first, short-haul one; with none on the grid the solve fails with
+    "no sign change". Brent's method finds the root to within `xtol` km
+    (finite and > 0). With factor=1 this is exactly the crossover distance.
     """
     check_real(factor, "factor", gt=0)
     check_real(xtol, "xtol", gt=0)
@@ -278,11 +279,12 @@ def short_haul_supremacy_bound(
     try:
         return _brent(gap, lo, hi, xtol, what)
     except SolverError as exc:  # the ends share a sign, but a pair of crossings may lie between
-        grid = np.geomspace(lo, hi, _SCAN_POINTS)
+        points = max(_SCAN_POINTS, math.ceil((math.log(hi) - math.log(lo)) / _SCAN_CELL) + 1)
+        grid = np.geomspace(lo, hi, points)
         columns = dict(zip(RATE_POINT_FIELDS, _rate_columns(optical, line, grid)))
         signs = np.signbit(columns["t_p23"] - factor * columns["t_bb84"])
         cells = np.flatnonzero(signs[1:] != signs[:-1])
         if not len(cells):
-            raise SolverError(f"{exc}, nor over a {_SCAN_POINTS}-point log grid") from None
+            raise SolverError(f"{exc}, nor over a {points}-point log grid") from None
         first_lo, first_hi = grid[cells[0]:cells[0] + 2].tolist()
         return _brent(gap, first_lo, first_hi, xtol, what)

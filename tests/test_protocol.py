@@ -398,25 +398,13 @@ class TestDrawBlock:
     @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P3], ids=lambda p: p.value)
     @pytest.mark.parametrize("n_samples", [3, 50])
     def test_estimates_equal_sample_line_bit_for_bit(self, monkeypatch, protocol, n_samples):
-        # The banding sees each variance estimate, not just its band, so a
+        # Wrapped, the banding sees each variance estimate, not just its band, so a
         # last-bit difference shows: another sum order, or another rounding
         # of a pair's standard deviation (all three are inexact here).
-        class Edge:
-            __array_ufunc__ = None  # `estimates < edge` calls `edge > estimates`
-
-            def __init__(self, value):
-                self.value, self.seen = value, []
-
-            def __gt__(self, estimates):
-                self.seen.extend(estimates.tolist())
-                return estimates < self.value
-
-            def __lt__(self, estimates):
-                return estimates > self.value
-
-        edges = []
-        monkeypatch.setattr(protocol_module, "variance_thresholds",
-                            lambda *a: edges.extend(map(Edge, variance_thresholds(*a))) or edges)
+        seen, band_masks = [], protocol_module._band_masks
+        monkeypatch.setattr(protocol_module, "_band_masks",
+                            lambda estimates, line: seen.append(estimates.tolist())
+                            or band_masks(estimates, line))
         line = KljnLineParams(v=2e5, n_pairs=1000, n_samples=n_samples, r_low=4.7e3, r_high=1e5)
         channel = ChannelModel(0.7, 0.1, line)
         n, slow = 2 * self.CHUNK + 3, np.random.default_rng(8)
@@ -425,7 +413,7 @@ class TestDrawBlock:
         for _ in range(n):
             _, _, obs = draw_round(protocol, random_inputs(slow), channel, slow)
             estimates.append(obs.estimated_variance)
-        assert edges[0].seen == estimates
+        assert seen == [estimates]  # three chunks, banded in one call
 
     @staticmethod
     def round_by_round(protocol, channel, gen, n):

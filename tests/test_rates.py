@@ -236,6 +236,14 @@ class TestCrossover:
         with pytest.raises(SolverError, match="no sign change"):
             crossover_distance(optical, line, bracket=(10.0, 40.0))
 
+    def test_a_wide_bracket_gets_a_finer_grid(self, optical, line):
+        # No grid cell is wider in log terms than one of 257 points over (0.2, 1000) km.
+        cells = math.ceil(math.log(1e300 / 50.0) / (math.log(1000.0 / 0.2) / 256))
+        with pytest.raises(SolverError, match=f", nor over a {cells + 1}-point log grid$"):
+            crossover_distance(optical, line, bracket=(50.0, 1e300))
+        with pytest.raises(SolverError, match=", nor over a 257-point log grid$"):
+            crossover_distance(optical, line, bracket=(10.0, 40.0))
+
     def test_supremacy_factor_one_equals_crossover(self, optical, line):
         assert short_haul_supremacy_bound(optical, line, factor=1.0) == crossover_distance(
             optical, line
@@ -297,7 +305,8 @@ class TestSolver:
             assert abs(root - brentq(gap, lo, hi, xtol=1e-12)) <= 1e-9
 
     @pytest.mark.parametrize("factor", FACTORS)
-    @pytest.mark.parametrize("bracket", [(1.0, 100.0), (1.0, 200.0), (0.2, 1000.0)])
+    @pytest.mark.parametrize("bracket", [(1.0, 100.0), (1.0, 200.0), (0.2, 1000.0),
+                                         (1e-3, 1e6), (1e-300, 1e300)])
     def test_a_bracket_holding_both_crossings_gives_the_first(self, optical, line, bracket,
                                                               factor):
         first = short_haul_supremacy_bound(optical, line, factor, (1.0, 10.0))

@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hybridkd.kljn as kljn_module
 import hybridkd.session as session_module
 from hybridkd.errors import ConfigError, DomainError
 from hybridkd.physics import KljnLineParams, kljn_bit_rate, link_budget
@@ -478,6 +479,22 @@ class TestSessionChannel:
         run_buffered_session(Protocol.P1, optical, line, 2.0, 2.5 * cycle_s, 3, mode,
                              ideal_classification=ideal)
         assert seen and all(c.line is (None if ideal else line) for c in seen)
+
+    @pytest.mark.parametrize("mode", [None, TimingMode.buffered(1_000, 1_000)],
+                             ids=["gated", "buffered"])
+    def test_sampled_draws_band_at_kljn_thresholds(self, monkeypatch, optical, line, mode):
+        # The draws look the thresholds up in `kljn`, where a wrapper (the
+        # benchmark tracer's) sees them.
+        calls, thresholds = [], kljn_module.variance_thresholds
+        monkeypatch.setattr(kljn_module, "variance_thresholds",
+                            lambda line: calls.append(line) or thresholds(line))
+        if mode is None:
+            run_gated_session(Protocol.P2, optical, line, 2.0, 1_000, 3, ideal_classification=False)
+        else:
+            cycle_s = 1_000 / kljn_bit_rate(line, 2.0) + 1_000 / optical.f_qkd
+            run_buffered_session(Protocol.P2, optical, line, 2.0, 2.5 * cycle_s, 3, mode,
+                                 ideal_classification=False)
+        assert calls and all(c is line for c in calls)
 
 
 class TestSeedSpawning:
