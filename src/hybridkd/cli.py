@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
-import operator
 import sys
+from collections.abc import Iterable, Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -44,8 +45,7 @@ EXIT_SOLVER = 4
 EXIT_IO = 5
 
 # one sweep csv row: scientific, 10 significant digits, stable for diffs
-_CSV_ROW = ",".join(["%.9e"] * len(rates.RATE_POINT_FIELDS))
-_ROW = operator.attrgetter(*rates.RATE_POINT_FIELDS)  # a RatePoint's fields as a tuple
+_CSV_ROW = ",".join(["%.9e"] * len(rates.RATE_POINT_FIELDS)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,12 +126,12 @@ def _apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     return cfgmod.with_fields(cfg, updates)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _json_report(report: dict) -> str:
@@ -145,19 +145,19 @@ def bundled_fixture_text() -> str:
     )
 
 
-def cmd_sweep(cfg: RunConfig) -> str:
+def cmd_sweep(cfg: RunConfig) -> Iterator[str]:
+    """Lines formatted one at a time from `rates._sweep_columns`, evaluated before the first."""
     spec, fields = cfg.sweep, rates.RATE_POINT_FIELDS
-    points = rates.sweep(cfg.optical, cfg.kljn, spec.distance_min_km, spec.distance_max_km,
-                         spec.points, spec.spacing)
-    # json.dumps, not a %r template: it writes a non-finite value as Infinity
+    grid = (spec.distance_min_km, spec.distance_max_km, spec.points, spec.spacing)
+    rows = zip(*[column.tolist() for column in rates._sweep_columns(cfg.optical, cfg.kljn, *grid)])
     if cfg.format == "csv":
-        rows = [",".join(fields), *(_CSV_ROW % row for row in map(_ROW, points))]
-    else:
-        rows = [json.dumps(dict(zip(fields, row))) for row in map(_ROW, points)]
-    return "\n".join(rows) + "\n"
+        return itertools.chain([",".join(fields) + "\n"], (_CSV_ROW % row for row in rows))
+    # json.dumps, not a %r template: it writes a non-finite value as Infinity
+    return (json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
 
 
-def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
+def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> Iterator[str]:
+    """The trace's lines; random rounds are drawn as their lines are read."""
     if fixture == "bundled":
         inputs = proto.parse_trace_fixture(bundled_fixture_text())
     elif fixture is not None:
@@ -168,14 +168,14 @@ def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> str:
         inputs = proto.parse_trace_fixture(text)
     else:
         check_int(n_rounds, "trace rounds", ge=1)
-        rng = np.random.default_rng(cfg.seed)
-        inputs = [proto.random_inputs(rng) for _ in range(n_rounds)]
+        inputs_rng = np.random.default_rng(cfg.seed)  # bound once: never the rounds' generator
+        inputs = map(proto.random_inputs, itertools.repeat(inputs_rng, n_rounds))
     # Traces illustrate protocol logic on an ideal channel: every pulse
     # detected, no flips, classification from the actual resistor pair.
     channel = proto.ChannelModel(detection_prob=1.0, flip_prob=0.0)
-    rng = np.random.default_rng(cfg.seed + 1)
-    rounds = [proto.run_round(cfg.protocol, inp, channel, rng) for inp in inputs]
-    return proto.render_trace(rounds)
+    round_rng = np.random.default_rng(cfg.seed + 1)
+    rounds = (proto.run_round(cfg.protocol, inp, channel, round_rng) for inp in inputs)
+    return proto._trace_lines(rounds)
 
 
 def cmd_simulate(cfg: RunConfig) -> str:
@@ -251,14 +251,14 @@ def main(argv: list[str] | None = None) -> int:
         if args.dump_config:
             cfgmod.dump_config(cfg, args.dump_config)
         if args.command == "sweep":
-            text = cmd_sweep(cfg)
+            lines = cmd_sweep(cfg)
         elif args.command == "trace":
-            text = cmd_trace(cfg, args.fixture, args.trace_rounds)
+            lines = cmd_trace(cfg, args.fixture, args.trace_rounds)
         elif args.command == "simulate":
-            text = cmd_simulate(cfg)
+            lines = [cmd_simulate(cfg)]
         else:
-            text = cmd_crossover(cfg)
-        _emit(text, cfg.out)
+            lines = [cmd_crossover(cfg)]
+        _emit(lines, cfg.out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

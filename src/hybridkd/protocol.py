@@ -39,6 +39,7 @@ from __future__ import annotations
 import enum
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -644,9 +645,9 @@ def _trace_row(cells: tuple[str, ...]) -> str:
     return " ".join(c.ljust(w) for c, w in zip(cells, _COL_WIDTHS)).rstrip()
 
 
-def render_trace(rounds: list[ProtocolRound]) -> str:
-    """Render rounds in the line-oriented trace format (trailing newline)."""
-    lines = [_trace_row(tuple(TRACE_HEADER.split()))]
+def _trace_lines(rounds: Iterable[ProtocolRound]) -> Iterator[str]:
+    """The trace format's lines, header first, each ending in a newline, as rounds arrive."""
+    yield _trace_row(tuple(TRACE_HEADER.split())) + "\n"
     for i, r in enumerate(rounds, start=1):
         bob_pol = (
             Polarization.encode(r.bob_basis, r.bob_bit).value
@@ -667,8 +668,12 @@ def render_trace(rounds: list[ProtocolRound]) -> str:
             "-" if r.qkd_key_bit is None else str(r.qkd_key_bit),
             "-" if r.kljn_key_bit is None else str(r.kljn_key_bit),
         )
-        lines.append(_trace_row(cells))
-    return "\n".join(lines) + "\n"
+        yield _trace_row(cells) + "\n"
+
+
+def render_trace(rounds: list[ProtocolRound]) -> str:
+    """Render rounds in the line-oriented trace format (trailing newline)."""
+    return "".join(_trace_lines(rounds))
 
 
 _BASIS_TOKEN = {"+": Basis.RECTILINEAR, "x": Basis.DIAGONAL, "X": Basis.DIAGONAL}

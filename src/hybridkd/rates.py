@@ -11,10 +11,10 @@ apply the hardware clocks: baseline BB84 runs unthrottled at f_qkd, the
 gated hybrid protocols at f_sys = min(f_qkd, R_kljn), and burst (buffered)
 operation transiently escapes the throttle at f_qkd.
 
-`throughputs` evaluates one distance; `sweep` evaluates a whole grid in one
-pass of the same formulas (`physics` takes arrays too) and matches
-`throughputs` point for point, bit for bit. The crossover and supremacy
-bound distances are roots found by Brent's method.
+`throughputs` evaluates one distance; `_sweep_columns` evaluates a whole grid
+in one pass of the same formulas (`physics` takes arrays too) for `sweep`,
+the crossover scan and the CLI, matching `throughputs` bit for bit. The
+crossover and supremacy bound distances are roots found by Brent's method.
 """
 
 from __future__ import annotations
@@ -128,19 +128,9 @@ def throughputs(
     return RatePoint(*_rate_columns(optical, line, distance_km))
 
 
-def sweep(
-    optical: OpticalParams,
-    line: KljnLineParams,
-    l_min: float,
-    l_max: float,
-    n_points: int,
-    spacing: str = "log",
-) -> list[RatePoint]:
-    """RatePoints over [l_min, l_max] at linear or log spacing.
-
-    The whole grid is evaluated in one pass; each point equals
-    `throughputs` at its distance bit for bit.
-    """
+def _sweep_columns(optical: OpticalParams, line: KljnLineParams, l_min: float, l_max: float,
+                   n_points: int, spacing: str) -> tuple:
+    """The RatePoint fields as float64 arrays over a grid: the one grid evaluation there is."""
     check_real(l_min, "sweep distance l_min", gt=0)
     check_real(l_max, "sweep distance l_max", gt=l_min)
     check_int(n_points, "n_points", ge=2)
@@ -154,7 +144,17 @@ def sweep(
     else:
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     with np.errstate(over="ignore"):  # an overflow to inf fails a domain check instead
-        columns = [column.tolist() for column in _rate_columns(optical, line, grid)]
+        return _rate_columns(optical, line, grid)
+
+
+def sweep(optical: OpticalParams, line: KljnLineParams, l_min: float, l_max: float,
+          n_points: int, spacing: str = "log") -> list[RatePoint]:
+    """RatePoints over [l_min, l_max] at linear or log spacing, from `_sweep_columns`.
+
+    Each point equals `throughputs` at its distance bit for bit.
+    """
+    columns = [column.tolist() for column in
+               _sweep_columns(optical, line, l_min, l_max, n_points, spacing)]
     return [RatePoint(*row) for row in zip(*columns)]
 
 
@@ -280,11 +280,11 @@ def short_haul_supremacy_bound(
         return _brent(gap, lo, hi, xtol, what)
     except SolverError as exc:  # the ends share a sign, but a pair of crossings may lie between
         points = max(_SCAN_POINTS, math.ceil((math.log(hi) - math.log(lo)) / _SCAN_CELL) + 1)
-        grid = np.geomspace(lo, hi, points)
-        columns = dict(zip(RATE_POINT_FIELDS, _rate_columns(optical, line, grid)))
-        signs = np.signbit(columns["t_p23"] - factor * columns["t_bb84"])
+        columns = dict(zip(RATE_POINT_FIELDS, _sweep_columns(optical, line, lo, hi, points, "log")))
+        with np.errstate(over="ignore"):  # a product past the float range is still negative
+            signs = np.signbit(columns["t_p23"] - factor * columns["t_bb84"])
         cells = np.flatnonzero(signs[1:] != signs[:-1])
         if not len(cells):
             raise SolverError(f"{exc}, nor over a {points}-point log grid") from None
-        first_lo, first_hi = grid[cells[0]:cells[0] + 2].tolist()
+        first_lo, first_hi = columns["distance_km"][cells[0]:cells[0] + 2].tolist()
         return _brent(gap, first_lo, first_hi, xtol, what)

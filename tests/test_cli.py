@@ -7,14 +7,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
 
 import hybridkd
-from hybridkd import cli
-from hybridkd.config import CONFIG_ENV_VAR, KEYS
+from hybridkd import cli, rates
+from hybridkd import protocol as proto
+from hybridkd.config import CONFIG_ENV_VAR, KEYS, default_config
 
 SCI = re.compile(r"^-?\d\.\d{9}e[+-]\d{2}$")  # 10 significant digits
 
@@ -89,6 +91,28 @@ class TestSweep:
     def test_unwritable_output_is_io_error(self):
         assert cli.main(["sweep", "--out", "/nonexistent/dir/x.csv"]) == cli.EXIT_IO
 
+    def test_domain_error_leaves_no_output_file(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "--distance-min", "1e-320", "--out", str(out)]) == cli.EXIT_DOMAIN
+        assert not out.exists()
+        assert "distance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt, sizes", [("csv", (2_000, 12_000)), ("records", (1_000, 6_000))])
+    def test_a_point_costs_less_than_the_library_bound(self, fmt, sizes, monkeypatch):
+        # rates._MAX_POINTS divides physical memory by rates._POINT_BYTES, so each further
+        # point of a CLI sweep must take fewer bytes at the peak than that
+        monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+        peaks = []
+        for n in sizes:
+            tracemalloc.start()
+            try:
+                assert cli.main(["sweep", "--points", str(n), "--format", fmt,
+                                 "--out", os.devnull]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) < rates._POINT_BYTES
+
 
 class TestTrace:
     @pytest.mark.parametrize("proto", ["p1", "p2", "p3"])
@@ -127,6 +151,32 @@ class TestTrace:
                              "--seed", "77", "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 15
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["--rounds", "12", "--protocol", "p2", "--seed", "88"],
+         "3afe22fcdcb691009849a0692ac1a5671baf43a94ea91679732d398ea9b8cbfc"),
+        (["--rounds", "300", "--protocol", "p3", "--seed", "5"],
+         "aa4c16172226cec2ddb41e618a46ab58318ff40361aee9fee290b925c66a4a73"),
+    ], ids=["p2", "p3"])
+    def test_random_trace_bytes_are_pinned(self, argv, digest, tmp_path):
+        # inputs come from default_rng(seed), the rounds' draws from default_rng(seed + 1)
+        out = tmp_path / "trace.txt"
+        assert cli.main(["trace", *argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_random_rounds_are_drawn_as_lines_are_read(self, monkeypatch):
+        calls = []
+        run_round = proto.run_round
+
+        def counting(*args):
+            calls.append(args)
+            return run_round(*args)
+
+        monkeypatch.setattr(proto, "run_round", counting)
+        lines = cli.cmd_trace(default_config(), None, 1000)
+        assert next(lines).split() == proto.TRACE_HEADER.split() and not calls
+        next(lines)
+        assert len(calls) == 1
 
     def test_bb84_trace_has_no_wire_columns(self, capsys):
         code, text = run_cli(["trace", "--protocol", "bb84", "--rounds", "3",
@@ -436,6 +486,19 @@ SWEEP_SHA256 = {
     "records": "f3c0f6ddd44ec659a544c1f82b54330b008a42546bd0eef984a3f8785139b231",
 }
 
+# sha256 of `sweep --points N --spacing S --format F`: the bytes must not change with how rows
+# are made, at either spacing
+GRID_SWEEP_SHA256 = {
+    (40, "linear", "csv"): "d6636fdfcb44086db5315d4ab543aec935664776842767456e784c576d25cfb2",
+    (40, "linear", "records"): "df83aadd68d6ac451c0c30024bda9290e9e488327ea9df37794b92e5e4abd56f",
+    (40, "log", "csv"): "504773e1f0e005c456488a68e558ca5ad65b2ca942358438565d8d397174c1d3",
+    (40, "log", "records"): "33a3f6c82786c047d071445e46c0933bc37fcb7aa375cfbd8abf221b54bae7f6",
+    (1000, "linear", "csv"): "125c960ef75b1f199002d5583b889b0d0551b88ec713b45b51c4098a0048cae5",
+    (1000, "linear", "records"): "da633b35e6fa6c5735dd7147eb7d2233a5d3fae2911990e642d56f01987f21b8",
+    (1000, "log", "csv"): "563160b73187aba218f3946913d89c87dde82337489e47b1a292c1d0b0d6834b",
+    (1000, "log", "records"): "9faeebf5e4e26674d7ceb0eb628699650e7666528fe723624c08434221881ea4",
+}
+
 
 def _child_env() -> dict:
     """The environment for a `python -m hybridkd` child that imports this package."""
@@ -452,6 +515,15 @@ def test_default_sweep_bytes_are_pinned(fmt, tmp_path, monkeypatch):
     out = tmp_path / "sweep.out"
     assert cli.main(["sweep", "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[fmt]
+
+
+@pytest.mark.parametrize("points, spacing, fmt", GRID_SWEEP_SHA256)
+def test_sweep_bytes_are_pinned(points, spacing, fmt, tmp_path, monkeypatch):
+    monkeypatch.delenv(CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "sweep.out"
+    assert cli.main(["sweep", "--points", str(points), "--spacing", spacing, "--format", fmt,
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_SWEEP_SHA256[points, spacing, fmt]
 
 
 def test_parser_is_reused_across_calls(monkeypatch, capsys):

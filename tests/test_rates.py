@@ -258,6 +258,9 @@ class TestCrossover:
     def test_unachievable_factor_raises(self, optical, line):
         with pytest.raises(SolverError):
             short_haul_supremacy_bound(optical, line, factor=1e6)
+        # factor * t_bb84 overflows on the scan's grid; the scan stays silent and finds no sign
+        with pytest.raises(SolverError, match=", nor over a 257-point log grid$"):
+            short_haul_supremacy_bound(optical, line, factor=1e308)
 
     def test_bad_inputs(self, optical, line):
         with pytest.raises(DomainError):
@@ -311,6 +314,13 @@ class TestSolver:
                                                               factor):
         first = short_haul_supremacy_bound(optical, line, factor, (1.0, 10.0))
         assert abs(short_haul_supremacy_bound(optical, line, factor, bracket) - first) <= 1e-9
+
+    def test_the_scan_is_silent_where_its_grid_overflows(self, optical, line):
+        # At 25 dB/km the scan's grid up to 8e306 km overflows -alpha * L / 10; the pytest
+        # configuration turns a RuntimeWarning into an error, so a warning fails this test.
+        steep = dataclasses.replace(optical, alpha=25.0)
+        first = short_haul_supremacy_bound(steep, line, 99.0, (1e-4, 1.0))
+        assert abs(short_haul_supremacy_bound(steep, line, 99.0, (1e-4, 8e306)) - first) <= 1e-9
 
     @pytest.mark.parametrize("factor", FACTORS)
     def test_at_most_16_evaluations(self, optical, line, monkeypatch, factor):
