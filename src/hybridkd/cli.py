@@ -44,8 +44,10 @@ EXIT_DOMAIN = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
 
-# one sweep csv row: scientific, 10 significant digits, stable for diffs
+# one sweep row per format: csv at 10 significant digits, stable for diffs; records as the
+# bytes json.dumps writes, since every column is finite and a finite float's json is its repr
 _CSV_ROW = ",".join(["%.9e"] * len(rates.RATE_POINT_FIELDS)) + "\n"
+_RECORD_ROW = "{" + ", ".join(f'"{name}": %r' for name in rates.RATE_POINT_FIELDS) + "}\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,8 +154,7 @@ def cmd_sweep(cfg: RunConfig) -> Iterator[str]:
     rows = zip(*[column.tolist() for column in rates._sweep_columns(cfg.optical, cfg.kljn, *grid)])
     if cfg.format == "csv":
         return itertools.chain([",".join(fields) + "\n"], (_CSV_ROW % row for row in rows))
-    # json.dumps, not a %r template: it writes a non-finite value as Infinity
-    return (json.dumps(dict(zip(fields, row))) + "\n" for row in rows)
+    return (_RECORD_ROW % row for row in rows)
 
 
 def cmd_trace(cfg: RunConfig, fixture: str | None, n_rounds: int) -> Iterator[str]:

@@ -63,10 +63,10 @@ def check_type(value, kind: type, name: str) -> None:
 def check_seed(seed) -> None:
     """DomainError naming `seed` unless it is a SeedSequence or an int in [0, 2**63).
 
-    numpy would refuse -1 or 1.5 with its own bare error, and misread True
-    as 1 and None as a request for fresh entropy.
+    numpy would refuse -1 or 1.5 with its own bare error, and misread True as 1 and
+    None as a request for fresh entropy. An int never touches (so never loads) `np.random`.
     """
-    if not isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, (int, np.integer)) or not isinstance(seed, np.random.SeedSequence):
         check_int(seed, "seed")
 
 

@@ -137,13 +137,11 @@ def _sweep_columns(optical: OpticalParams, line: KljnLineParams, l_min: float, l
     if n_points > _MAX_POINTS:
         raise DomainError(f"n_points must be <= {_MAX_POINTS}, the points physical memory "
                           f"holds, got {n_points}")
-    if spacing == "linear":
-        grid = np.linspace(l_min, l_max, n_points)
-    elif spacing == "log":
-        grid = np.geomspace(l_min, l_max, n_points)
-    else:
+    if spacing not in ("linear", "log"):
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    with np.errstate(over="ignore"):  # an overflow to inf fails a domain check instead
+    # an overflow to inf, in geomspace's powers near the float max too, fails a domain check
+    with np.errstate(over="ignore"):
+        grid = (np.linspace if spacing == "linear" else np.geomspace)(l_min, l_max, n_points)
         return _rate_columns(optical, line, grid)
 
 

@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, exit codes, reproducibility."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,11 +14,15 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hybridkd
 from hybridkd import cli, rates
 from hybridkd import protocol as proto
-from hybridkd.config import CONFIG_ENV_VAR, KEYS, default_config
+from hybridkd.config import CONFIG_ENV_VAR, KEYS, SweepSpec, default_config
+from hybridkd.errors import DomainError
+from hybridkd.physics import KljnLineParams, OpticalParams
 
 SCI = re.compile(r"^-?\d\.\d{9}e[+-]\d{2}$")  # 10 significant digits
 
@@ -524,6 +530,93 @@ def test_sweep_bytes_are_pinned(points, spacing, fmt, tmp_path, monkeypatch):
     assert cli.main(["sweep", "--points", str(points), "--spacing", spacing, "--format", fmt,
                      "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_SWEEP_SHA256[points, spacing, fmt]
+
+
+_FLOAT_MAX = sys.float_info.max
+_OPTICAL, _LINE = default_config().optical, default_config().kljn
+
+
+def _reals(lo, hi, **excluded):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **excluded)
+
+
+# every valid parameter and grid, out to the float range's ends and subnormal distances
+_OPTICALS = st.builds(
+    OpticalParams,
+    alpha=_reals(0.0, _FLOAT_MAX),
+    mu=_reals(0.0, _FLOAT_MAX, exclude_min=True),
+    eta_d=_reals(0.0, 1.0, exclude_min=True),
+    p_d=_reals(0.0, 1.0, exclude_max=True),
+    e_opt=_reals(0.0, 0.5, exclude_max=True),
+    f_ec=_reals(1.0, _FLOAT_MAX),
+    f_qkd=_reals(0.0, _FLOAT_MAX, exclude_min=True),
+)
+_LINES = st.builds(
+    KljnLineParams,
+    v=_reals(0.0, _FLOAT_MAX, exclude_min=True),
+    n_pairs=st.integers(1, 2**63 - 1),
+    n_samples=st.integers(1, 2**63 - 1),
+    r_low=st.just(_LINE.r_low),
+    r_high=st.just(_LINE.r_high),
+)
+_GRIDS = st.builds(
+    lambda ends, points, spacing: SweepSpec(*sorted(ends), points, spacing),
+    st.lists(_reals(0.0, _FLOAT_MAX, exclude_min=True), min_size=2, max_size=2, unique=True),
+    st.integers(2, 40),
+    st.sampled_from(["linear", "log"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(optical=_OPTICALS, line=_LINES, spec=_GRIDS)
+@example(  # f_qkd and v at the float max, p_d just below 1, one sample a bit
+    optical=dataclasses.replace(_OPTICAL, mu=_FLOAT_MAX, eta_d=1.0, p_d=math.nextafter(1.0, 0.0),
+                                f_qkd=_FLOAT_MAX),
+    line=dataclasses.replace(_LINE, v=_FLOAT_MAX, n_pairs=1, n_samples=1),
+    spec=SweepSpec(1.0, _FLOAT_MAX, 5, "log"),
+)
+@example(  # a subnormal start on a slow line
+    optical=_OPTICAL, line=dataclasses.replace(_LINE, v=1e-300),
+    spec=SweepSpec(5e-324, 1.0, 5, "log"),
+)
+@example(  # a finite bandwidth whose wire bit rate overflows
+    optical=_OPTICAL, line=dataclasses.replace(_LINE, v=1e308, n_pairs=2**62, n_samples=1),
+    spec=SweepSpec(1.0, 10.0, 3, "linear"),
+)
+def test_sweep_columns_are_finite_and_records_are_json(optical, line, spec):
+    # the records template writes each value's repr, which is json.dumps's text only for a
+    # finite float: so every column a sweep returns must be finite
+    try:
+        columns = rates._sweep_columns(optical, line, spec.distance_min_km,
+                                       spec.distance_max_km, spec.points, spec.spacing)
+    except DomainError:
+        return
+    rows = list(zip(*[column.tolist() for column in columns]))
+    assert all(math.isfinite(value) for row in rows for value in row)
+    cfg = dataclasses.replace(default_config(), optical=optical, kljn=line, sweep=spec,
+                              format="records")
+    lines = list(cli.cmd_sweep(cfg))
+    assert lines == [json.dumps(dict(zip(rates.RATE_POINT_FIELDS, row))) + "\n" for row in rows]
+    assert [tuple(json.loads(text).values()) for text in lines] == rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--points", "40"],
+    ["sweep", "--points", "40", "--format", "records", "--dump-config", "{tmp}/config.yaml"],
+    ["crossover"],
+], ids=["sweep-csv", "sweep-records", "crossover"])
+def test_closed_form_runs_leave_numpy_random_unloaded(argv, tmp_path):
+    # the rate commands draw nothing, so they load numpy's generators only where `import
+    # numpy` itself does: numpy 2 loads numpy.random on first use, numpy 1.24 with the package
+    argv = [arg.format(tmp=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out")]
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "from hybridkd import cli; code = cli.main(sys.argv[1:]); "
+            "print(code, before, 'numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    exit_code, before, after = proc.stdout.split()
+    assert (exit_code, after) == ("0", before), proc.stderr
 
 
 def test_parser_is_reused_across_calls(monkeypatch, capsys):
