@@ -22,6 +22,7 @@ from hybridkd.physics import (
     system_transmittance,
     wave_limit_bandwidth,
 )
+from hybridkd.rates import throughputs
 
 REL = 1e-12
 
@@ -312,3 +313,68 @@ class TestArrayForm:
         with pytest.raises(DomainError) as array:
             fn(*make_args(np.array(values)))
         assert str(array.value) == str(scalar.value)
+
+
+_OPTICAL, _LINE = make_optical(), make_line()
+_NOT_OPTICAL = f"p must be OpticalParams, got {_LINE!r}"
+_NOT_LINE = f"line must be KljnLineParams, got {_OPTICAL!r}"
+_BAD_DISTANCES = ["2", True, math.nan, -1.0, 10**400, 1e308, 1e-320]
+_TYPE = "distance must be a number or a float64 array, got {}"
+_RANGE = "distance must be finite and >= 0 km, got {}"
+_FLOAT_RANGE = "distance must be within the float range, got >= 2**1328"
+_BANDWIDTH = "distance {} km gives no finite, positive bandwidth v / (20 L)"
+# per bad distance: the optical side's message (None: no error) and the wire side's
+_DISTANCE_MESSAGES = [
+    (_TYPE.format("'2'"), _TYPE.format("'2'")),
+    (_TYPE.format("True"), _TYPE.format("True")),
+    (_RANGE.format("nan"), _BANDWIDTH.format("nan")),
+    (_RANGE.format("-1.0"), _BANDWIDTH.format("-1.0")),
+    (_FLOAT_RANGE, _FLOAT_RANGE),
+    (None, _BANDWIDTH.format("1e+308")),
+    (None, _BANDWIDTH.format("1e-320")),
+]
+_ENTROPY_MESSAGES = [
+    ("2", "entropy argument must be a number or a float64 array, got '2'"),
+    (True, "entropy argument must be a number or a float64 array, got True"),
+    (math.nan, "entropy argument must be in [0, 1], got nan"),
+    (-1.0, "entropy argument must be in [0, 1], got -1.0"),
+    (10**400, "entropy argument must be within the float range, got >= 2**1328"),
+    (1.01, "entropy argument must be in [0, 1], got 1.01"),
+]
+
+
+def _message_cases():
+    """(function, args, its exact DomainError text) for every closed-form check."""
+    optical = (system_transmittance, gain_and_qber, link_budget)
+    wire = (wave_limit_bandwidth, kljn_bit_rate)
+    for fn in optical:
+        yield fn, (_LINE, 2.0), _NOT_OPTICAL
+    for fn in wire:
+        yield fn, (_OPTICAL, 2.0), _NOT_LINE
+    yield throughputs, (_LINE, _LINE, 2.0), _NOT_OPTICAL
+    yield throughputs, (_OPTICAL, _OPTICAL, 2.0), _NOT_LINE
+    yield throughputs, (_LINE, _OPTICAL, "2"), _NOT_OPTICAL  # p is checked first
+    yield throughputs, (_OPTICAL, _OPTICAL, "2"), _TYPE.format("'2'")  # then the distance
+    for distance, (optical_message, wire_message) in zip(_BAD_DISTANCES, _DISTANCE_MESSAGES):
+        for fn in optical:
+            if optical_message:
+                yield fn, (_OPTICAL, distance), optical_message
+        for fn in wire:
+            yield fn, (_LINE, distance), wire_message
+        yield throughputs, (_OPTICAL, _LINE, distance), optical_message or wire_message
+    yield post_processing_penalty, (_LINE, 0.1), _NOT_OPTICAL
+    for x, message in _ENTROPY_MESSAGES:
+        yield binary_entropy, (x,), message
+        yield post_processing_penalty, (_OPTICAL, x), message
+
+
+_MESSAGE_CASES = list(_message_cases())
+
+
+@pytest.mark.parametrize(
+    "fn, args, message", _MESSAGE_CASES,
+    ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(_MESSAGE_CASES)])
+def test_domain_error_text_is_pinned(fn, args, message):
+    with pytest.raises(DomainError) as error:
+        fn(*args)
+    assert str(error.value) == message
