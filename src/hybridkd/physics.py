@@ -11,8 +11,12 @@ Conversions belong at the configuration boundary, not here.
 
 The distance-dependent functions take a float or a float64 array of
 distances and return the same kind. One formula serves both, and an array
-evaluates bit for bit like its elements one at a time: transcendentals go
-through `_libm`, and each domain check names the first offending element.
+evaluates bit for bit like its elements one at a time: transcendentals, log2
+too, map the C library's function over the elements (`_libm`), and each
+domain check names the first offending element. A public function is its
+checks plus, where another needs the formula, a private core (`_entropy`,
+`_gamma`), so `link_budget` checks `p` once. `LinkBudget` is a slots
+dataclass like `rates.RatePoint`: mutable and unhashable.
 """
 
 from __future__ import annotations
@@ -44,16 +48,18 @@ def _libm(fn, x):
 
     numpy's SIMD power, expm1 and log2 differ from the C library's in the
     last ulp on some inputs, so arrays take the same per-element libm call
-    as floats.
+    as floats. Here and below a float is told apart first, as isinstance is slow to say no.
     """
-    if isinstance(x, np.ndarray):
+    if x.__class__ is not float and isinstance(x, np.ndarray):
         return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
     return fn(x)
 
 
 def _minimum(a, b):
-    """min(a, b), elementwise when b is an array."""
-    return np.minimum(a, b) if isinstance(b, np.ndarray) else min(a, b)
+    """min(a, b), elementwise when b is an array (a comparison, as the builtin min is slow)."""
+    if b.__class__ is not float and isinstance(b, np.ndarray):
+        return np.minimum(a, b)
+    return b if b < a else a
 
 
 def _require(ok, value, message: str) -> None:
@@ -91,7 +97,9 @@ _exp10 = partial(math.pow, 10.0)
 
 
 def _xlog2x(x: float) -> float:
-    """x * log2(x), continued to 0 at x = 0."""
+    """x * log2(x), continued to 0 at x = 0; an array's log2 is one C-level map of libm's."""
+    if x.__class__ is not float and isinstance(x, np.ndarray):
+        return x * _libm(math.log2, np.where(x > 0.0, x, 1.0))
     return x * math.log2(x) if x > 0.0 else 0.0
 
 
@@ -151,7 +159,7 @@ class KljnLineParams:
         check_real(self.r_high, "r_high", gt=self.r_low)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # not frozen, like rates.RatePoint: a frozen __init__ costs a call a field
 class LinkBudget:
     """Optical link budget at a fixed distance, or over a grid (float64 arrays).
 
@@ -202,8 +210,12 @@ def binary_entropy(x: float) -> float:
     """Binary entropy h(x) = -x*log2(x) - (1-x)*log2(1-x), h(0) = h(1) = 0."""
     _check_type(x, "entropy argument")
     _require((0.0 <= x) & (x <= 1.0), x, "entropy argument must be in [0, 1], got {}")
+    return _entropy(x)
+
+
+def _entropy(x: float) -> float:
     # 0.0 - a rather than -a: h(0) and h(1) come out +0.0, not -0.0
-    return 0.0 - _libm(_xlog2x, x) - _libm(_xlog2x, 1.0 - x)
+    return 0.0 - _xlog2x(x) - _xlog2x(1.0 - x)
 
 
 def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
@@ -212,7 +224,12 @@ def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
     gamma = min(1, (f_ec + 1) * h(E_mu)), clamped at unity (100% overhead).
     """
     check_type(p, OpticalParams, "p")
-    return _minimum(1.0, (p.f_ec + 1.0) * binary_entropy(e_mu))
+    return _gamma(p, binary_entropy(e_mu))
+
+
+def _gamma(p: OpticalParams, h: float) -> float:
+    """gamma from the binary entropy h of E_mu."""
+    return _minimum(1.0, (p.f_ec + 1.0) * h)
 
 
 def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
@@ -254,12 +271,6 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
 
 def link_budget(p: OpticalParams, distance_km: float) -> LinkBudget:
     """Evaluate the full optical budget at one distance, or over an array of them."""
-    eta_sys = system_transmittance(p, distance_km)
+    eta_sys = system_transmittance(p, distance_km)  # checks p and the distance
     q_mu, e_mu = _gain_and_qber(p, eta_sys)
-    return LinkBudget(
-        distance_km=distance_km,
-        eta_sys=eta_sys,
-        q_mu=q_mu,
-        e_mu=e_mu,
-        gamma=post_processing_penalty(p, e_mu),
-    )
+    return LinkBudget(distance_km, eta_sys, q_mu, e_mu, _gamma(p, _entropy(e_mu)))

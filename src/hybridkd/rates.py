@@ -35,6 +35,7 @@ from .physics import (
     _minimum,
     kljn_bit_rate,
     link_budget,
+    wave_limit_bandwidth,
 )
 
 __all__ = [
@@ -139,9 +140,10 @@ def _sweep_columns(optical: OpticalParams, line: KljnLineParams, l_min: float, l
                           f"holds, got {n_points}")
     if spacing not in ("linear", "log"):
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
-    # an overflow to inf, in geomspace's powers near the float max too, fails a domain check
-    with np.errstate(over="ignore"):
-        grid = (np.linspace if spacing == "linear" else np.geomspace)(l_min, l_max, n_points)
+    for end in (l_max, l_min):  # an end is named, not an inf geomspace rounds inner points to
+        wave_limit_bandwidth(line, end)
+    grid = (np.linspace if spacing == "linear" else np.geomspace)(l_min, l_max, n_points)
+    with np.errstate(over="ignore"):  # an overflow to inf fails a domain check, which names it
         return _rate_columns(optical, line, grid)
 
 

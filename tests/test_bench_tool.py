@@ -11,10 +11,18 @@ import pytest
 
 from test_acceptance import CRITERION_8_COMMANDS
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench", Path(__file__).resolve().parent.parent / "tools" / "bench.py")
-bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench)
+from hybridkd import config, rates
+
+
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench, layers = _tool("bench"), _tool("layers")
 
 
 def _pair(parent, change):
@@ -211,3 +219,65 @@ def test_failed_checks_fail_the_run(monkeypatch, tmp_path, capsys, failing, code
     failures = [line for line in capsys.readouterr().err.splitlines() if "side:" in line]
     assert failures == ([] if code == 0 else [
         "bench: mc_gated seed 2 pair 1, change side: 3 of 10 operations failed their checks"])
+
+
+def test_layer_numbers_are_the_harness_numbers():
+    assert tuple(bench.LAYER_BETTER) == layers.METRICS
+    assert bench.LAYERS.is_file()
+
+
+def test_a_missing_function_reads_null(monkeypatch):
+    monkeypatch.setattr(layers, "REPEATS", 1)
+    monkeypatch.delattr(rates, "sweep")
+    monkeypatch.delattr(rates, "crossover_distance")
+    measured = layers.measure()
+    assert measured["metrics"]["throughputs_us"] > 0
+    assert all(measured["metrics"][name] is None for name in layers.METRICS[1:])
+    assert measured["output_digest"]
+    monkeypatch.delattr(config, "DEFAULT_KLJN")
+    assert layers.measure() == {"metrics": dict.fromkeys(layers.METRICS), "output_digest": None}
+
+
+def test_crossover_evaluations_are_counted(monkeypatch):
+    monkeypatch.setattr(layers, "REPEATS", 1)
+    monkeypatch.delattr(rates, "sweep")
+    metrics = layers.measure()["metrics"]
+    assert 0 < metrics["crossover_evals"] <= 16 and metrics["crossover_ms"] > 0
+    assert rates.throughputs is layers.lookup("rates", "throughputs")  # unwrapped again
+
+
+def test_a_null_counts_for_neither_side():
+    pairs = [{"parent": {"metrics": {"crossover_ms": None}},
+              "change": {"metrics": {"crossover_ms": c}}} for c in (1.0, 2.0, 3.0)]
+    summary = bench.summarize(pairs, {"crossover_ms": "lower"})["crossover_ms"]
+    assert summary["parent"] is None and summary["change"]["median"] == 2.0
+    assert (summary["parent_iqr"], summary["ratio"], summary["change_wins"]) == (None, None, 0)
+
+
+def test_layers_run_in_alternating_pairs(monkeypatch, tmp_path, capsys):
+    declared = json.loads((bench.ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    measured = []
+
+    def time_layers(tree):
+        measured.append(tree.name)  # the parent lacks throughputs
+        return {"metrics": {name: None if tree.name == "parent" and name == "throughputs_us"
+                            else 1.0 for name in layers.METRICS}, "output_digest": "d"}
+
+    monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds, size: {
+        "metrics": {m["name"]: 1.0 for m in declared}, "attempted": 1, "failed": 0,
+        "operations": 1, "output_digest": "d", "machine": {}})
+    monkeypatch.setattr(bench, "time_layers", time_layers)
+    monkeypatch.setattr(bench, "git", lambda *args: b"" if args[0] == "ls-files" else b"rev")
+    monkeypatch.setattr(bench, "export", lambda rev, dest, diff=b"": None)
+    out = tmp_path / "BENCH_t.json"
+    argv = ["--parent", "HEAD", "--pr", "t", "--run", "mc_gated:1:1", "--out", str(out)]
+    assert bench.main([*argv, "--layers", "2"]) == 0
+    assert measured == ["parent", "change", "change", "parent"]
+    (entry,) = json.loads(out.read_text())["layers"]
+    assert entry["harness"] == "tools/layers.py" and entry["digests_equal"]
+    assert set(entry["summary"]) == set(layers.METRICS)
+    assert entry["summary"]["throughputs_us"]["parent"] is None
+    assert "throughputs_us null -> 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as stop:
+        bench.main([*argv, "--layers", "-1"])
+    assert stop.value.code == 2 and "--layers needs a count of pairs >= 0" in capsys.readouterr().err

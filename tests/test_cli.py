@@ -103,6 +103,14 @@ class TestSweep:
         assert not out.exists()
         assert "distance" in capsys.readouterr().err
 
+    def test_an_end_past_the_wire_limit_is_named(self, capsys):
+        # geomspace rounds the inner points of this grid past the float max, to inf
+        argv = ["sweep", "--distance-min", "1.797693134862315e308",
+                "--distance-max", "1.7976931348623157e308", "--points", "5"]
+        assert cli.main(argv) == cli.EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert "1.7976931348623157e+308" in err and "inf" not in err
+
     @pytest.mark.parametrize("fmt, sizes", [("csv", (2_000, 12_000)), ("records", (1_000, 6_000))])
     def test_a_point_costs_less_than_the_library_bound(self, fmt, sizes, monkeypatch):
         # rates._MAX_POINTS divides physical memory by rates._POINT_BYTES, so each further

@@ -5,6 +5,7 @@ the defining formulas, before the implementation existed; closed forms are
 compared at 1e-12 relative tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -223,6 +224,13 @@ class TestLinkBudget:
         assert 0.0 < b.q_mu <= 1.0 + optical.p_d
         assert 0.0 <= b.gamma <= 1.0
 
+    def test_budget_reads_as_a_dataclass(self, optical):
+        b = link_budget(optical, 3.0)
+        fields = ("distance_km", "eta_sys", "q_mu", "e_mu", "gamma")
+        assert dataclasses.astuple(b) == tuple(getattr(b, name) for name in fields)
+        assert dataclasses.asdict(b) == {name: getattr(b, name) for name in fields}
+        assert b.distance_km == 3.0
+
 
 class TestParamValidation:
     @pytest.mark.parametrize(
@@ -281,6 +289,14 @@ class TestArrayForm:
             got = (budget.eta_sys[i], budget.q_mu[i], budget.e_mu[i], budget.gamma[i], rate[i])
             want = (one.eta_sys, one.q_mu, one.e_mu, one.gamma, kljn_bit_rate(line, d))
             assert np.array(got).tobytes() == np.array(want).tobytes(), d
+
+    def test_entropy_matches_elementwise_bit_for_bit(self):
+        # the array path maps libm's log2 over the elements; numpy's own log2 may differ in an ulp
+        rng = np.random.default_rng(31)
+        edges = [0.0, 1.0, 5e-324, 2.0**-1074, 0.5, 1.0 - 2.0**-53]
+        x = np.concatenate([edges, rng.random(20_000), rng.random(2_000) ** 30])
+        want = np.array([binary_entropy(v) for v in x.tolist()])
+        assert binary_entropy(x).tobytes() == want.tobytes()
 
     def test_entropy_endpoints_are_positive_zero(self):
         h = binary_entropy(np.array([0.0, 0.5, 1.0]))

@@ -1,6 +1,6 @@
 """Alternating benchmark pairs: a parent commit against the working tree.
 
-    python3 tools/bench.py --parent HEAD --pr <pr> --run mc_gated:1,3:10 --cli 3
+    python3 tools/bench.py --parent HEAD --pr <pr> --run mc_gated:1,3:10 --cli 3 --layers 10
 
 Exports both trees into a temporary directory, removed afterwards: the parent
 with `git archive`, the change as `git archive HEAD` plus the working tree's
@@ -9,12 +9,17 @@ user diff setting alters. An untracked file there would run unrecorded, so it
 stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
 `perfbench/run.py` once in each tree per pair; `--cli REPEATS` times each
 criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
-process, REPEATS pairs per command. Which tree runs first switches from pair
-to pair, the parent first. `BENCH_<pr>.json` at the repo root holds the
-machine block, both commits and the diff's sha256, and per run or command
-every pair, the output digests and, per metric, each side's median and
-quartiles and the pairs the working tree won, by the metric's `better` in
-BENCHMARK.json (lower `seconds` for a command; ties count for neither side).
+process, REPEATS pairs per command; `--layers PAIRS` runs the working tree's
+`tools/layers.py` on each tree's package, PAIRS pairs, for the closed form's
+per-layer numbers. Which tree runs first switches from pair to pair, the
+parent first. `BENCH_<pr>.json` at the repo root holds the machine block,
+both commits and the diff's sha256, and per run, command or harness every
+pair, the output digests and, per metric, each side's median and quartiles
+and the pairs the working tree won, by the metric's `better` in
+BENCHMARK.json (lower `seconds` for a command, `LAYER_BETTER` for the
+harness; ties count for neither side). A harness number that is null on a
+side, its function missing from that tree, gives that side null quartiles
+and wins neither side a pair.
 Exits 1 after writing the file if any run failed the benchmark's own checks,
 naming each such run's workload, seed, pair and side.
 """
@@ -35,6 +40,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+LAYERS = ROOT / "tools" / "layers.py"
+# The numbers tools/layers.py prints, and which way is better.
+LAYER_BETTER = {"throughputs_us": "lower", "sweep_points_per_s_40": "higher",
+                "sweep_points_per_s_1000": "higher", "sweep_points_per_s_100000": "higher",
+                "crossover_ms": "lower", "crossover_evals": "lower"}
 # The criterion-8 commands of tests/test_acceptance.py (each also gets `--out FILE`).
 CLI_COMMANDS = (
     ("sweep", "--points", "40"),
@@ -109,7 +119,17 @@ def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> dict:
             "output_digest": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
-def quartiles(values: list[float]) -> dict:
+def time_layers(tree: Path) -> dict:
+    """One `tools/layers.py` process on `tree`'s package: its numbers and their digest."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    out = subprocess.run([sys.executable, str(LAYERS)], cwd=tree, env=env, check=True,
+                         stdout=subprocess.PIPE, text=True).stdout
+    return json.loads(out)
+
+
+def quartiles(values: list[float]) -> dict | None:
+    if None in values:  # a number the tree has no function for
+        return None
     if len(values) < 2:
         return {"q1": values[0], "median": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
@@ -122,15 +142,17 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     for name, direction in better.items():
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
         sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+                   if None not in (p, c))
         sides = {side: quartiles(values[side]) for side in SIDES}
-        parent_median = sides["parent"]["median"]
+        parent, change = sides["parent"], sides["change"]
         summary[name] = {
             **sides,
-            "parent_iqr": sides["parent"]["q3"] - sides["parent"]["q1"],
+            "parent_iqr": parent["q3"] - parent["q1"] if parent else None,
             "change_wins": wins,
             "pairs": len(pairs),
-            "ratio": sides["change"]["median"] / parent_median if parent_median else None,
+            "ratio": change["median"] / parent["median"]
+            if parent and change and parent["median"] else None,
         }
     return summary
 
@@ -142,7 +164,8 @@ def alternate(label: dict, n_pairs: int, better: dict[str, str], shown: str, mea
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         pairs.append({"first": order[0], **{side: measure(side) for side in order}})
         print(f"bench: {' '.join(f'{k} {v}' for k, v in label.items())} pair {i + 1}/{n_pairs}: "
-              f"{shown} " + " -> ".join(f"{pairs[-1][s]['metrics'][shown]:.4g}" for s in SIDES),
+              f"{shown} " + " -> ".join("null" if v is None else f"{v:.4g}" for v in
+                                        (pairs[-1][s]["metrics"][shown] for s in SIDES)),
               file=sys.stderr)
     digests = {side: sorted({p[side]["output_digest"] for p in pairs}) for side in SIDES}
     return {**label, "pairs": pairs, "summary": summarize(pairs, better), "digests": digests,
@@ -159,10 +182,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--cli", type=int, default=0, metavar="REPEATS",
                         help="also time the criterion-8 commands, REPEATS pairs each")
+    parser.add_argument("--layers", type=int, default=0, metavar="PAIRS",
+                        help="also run tools/layers.py on each tree, PAIRS pairs")
     parser.add_argument("--out", type=Path, help="default: BENCH_<pr>.json at the repo root")
     args = parser.parse_args(argv)
-    if args.cli < 0:
-        parser.error(f"--cli needs a count of pairs >= 0, got {args.cli}")
+    for flag, count in (("--cli", args.cli), ("--layers", args.layers)):
+        if count < 0:
+            parser.error(f"{flag} needs a count of pairs >= 0, got {count}")
     untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", "perfbench")
     if untracked:
         parser.error("untracked files would run without being recorded; add them (git add -N) "
@@ -181,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
 
     scratch = Path(tempfile.mkdtemp(prefix="bench-"))
     trees = {side: scratch / side for side in SIDES}
-    runs, cli = [], []
+    runs, cli, layers = [], [], []
     try:
         export(parent_rev, trees["parent"])
         export(commits["change"]["rev"], trees["change"], diff)
@@ -194,13 +220,17 @@ def main(argv: list[str] | None = None) -> int:
             cli.append(alternate({"argv": " ".join(command)}, args.cli, {"seconds": "lower"},
                                  "seconds", lambda side: time_cli(trees[side], command,
                                                                   scratch / f"{side}.out")))
+        if args.layers:
+            layers.append(alternate({"harness": "tools/layers.py"}, args.layers, LAYER_BETTER,
+                                    "throughputs_us", lambda side: time_layers(trees[side])))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
     machines = [p[side].pop("machine") for run in runs for p in run["pairs"] for side in SIDES]
     out = args.out or ROOT / f"BENCH_{args.pr}.json"
     bench = {"pr": args.pr, "machine": machines[-1] if machines else None, "commits": commits,
-             "seconds": args.seconds, "size": args.size, "runs": runs, "cli": cli}
+             "seconds": args.seconds, "size": args.size, "runs": runs, "cli": cli,
+             "layers": layers}
     out.write_text(json.dumps(bench, indent=1) + "\n")
     print(f"bench: wrote {out}", file=sys.stderr)
     # perfbench/run.py exits 0 whatever its checks found, so its failures end the run here
