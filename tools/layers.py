@@ -78,7 +78,7 @@ def measure() -> dict:
             metrics[f"sweep_points_per_s_{n}"] = n / seconds
         values.append(sweep(optical, line, 0.1, 10.0, SWEEP_POINTS[1]))
     if crossover is not None:
-        solve = lambda: crossover(optical, line)  # noqa: E731
+        solve = lambda: crossover(optical, line)
         metrics["crossover_ms"] = 1e3 * per_call(solve, 20)
         metrics["crossover_evals"] = counted_evaluations(
             importlib.import_module("hybridkd.rates"), solve)
