@@ -214,6 +214,11 @@ class TestCrossover:
         assert d == pytest.approx(CROSSOVER_KM, abs=1e-6)
         assert 7.0 <= d <= 8.0
 
+    def test_default_root_bits(self, optical, line):
+        # The default solve's root, bit for bit: a rewrite of the solver's
+        # arithmetic must take the same steps to the same float.
+        assert crossover_distance(optical, line).hex() == "0x1.e94507925f8c8p+2"
+
     def test_residual_at_root(self, optical, line):
         d = crossover_distance(optical, line)
         p = throughputs(optical, line, d)
