@@ -192,11 +192,14 @@ def _brent(
     budget = max(0, math.ceil(math.log2(hi - lo) - log2_xtol)) + _BRENT_SLACK
     c, fc = a, fa
     d = e = b - a
-    while True:
+    half_xtol = 0.5 * xtol
+    while True:  # plain comparisons, not the builtin max and min: this loop is hot
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = max(0.5 * xtol, 2.0 * _EPS * abs(b))
+        tol = 2.0 * _EPS * abs(b)
+        if tol < half_xtol:
+            tol = half_xtol
         m = 0.5 * (c - b)
         if abs(m) <= tol:
             return b
@@ -212,7 +215,7 @@ def _brent(
             if p > 0.0:
                 q = -q
             p = abs(p)
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+            if 2.0 * p < 3.0 * m * q - abs(tol * q) and 2.0 * p < abs(e * q):
                 e, d = d, p / q
             else:
                 d = e = m
