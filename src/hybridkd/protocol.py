@@ -27,8 +27,10 @@ rule). A round's resistors are read from its `ProtocolRound`.
 `draw_round` makes a round's random draws and `decide_block`, the only
 place the rules are applied, decides a block of drawn rounds as masks;
 `run_round` is the two on one row; `draw_block` draws rounds exactly as
-`random_inputs` and `draw_round` would, `draw_span` i.i.d. an array at a time;
-both estimate and band the line noise through `kljn`, which owns that rule.
+`random_inputs` and `draw_round` would, one at a time (a gated session's
+rounds that sample the line), and `draw_span` i.i.d. an array at a time (every
+other session's rounds); both estimate and band the line noise through
+`kljn`, which owns that rule.
 Fair bits are the top bits of 32-bit generator halves (`fair_bits`); with no
 spare half pending, `draw_span` reads them straight from raw 64-bit words.
 Rounds are pure given a generator; golden traces can force the outcomes.
@@ -338,66 +340,6 @@ def _pair_variances(protocol: Protocol, line: KljnLineParams) -> list[float]:
             for a in (False, True) for b in (False, True)]
 
 
-def _decode_words(bitgen: np.random.BitGenerator, p_det: float, p_flip: float,
-                  n: int) -> tuple[np.ndarray, ...]:
-    """`draw_block`'s four masks of n unsampled rounds, decoded from raw words."""
-    entry = bitgen.state
-    t0 = -entry["has_uint32"]  # t = 2 * (next unread word) - (spare half pending)
-    n_words = (7 if p_flip > 0.0 else 6) * n // 2 + 4  # no round moves t on by more
-    raw = bitgen.random_raw(n_words)
-    # top[h + 2] is the top bit of half h: word h // 2's low half for an even h,
-    # its high half for an odd one; half -1 is the one pending on entry.
-    top = np.empty(2 * n_words + 2, dtype=bool)
-    top[1] = entry["uinteger"] >= 1 << 31
-    top[2:] = raw.astype("<u8", copy=False).view("<u4") >= 1 << 31
-    # A word's uniform (word >> 11) * 2**-53 is below p_det when word >> 11 is below `cut`.
-    cut = np.uint64(np.ceil(p_det * 2.0**53))
-    # Between clicks t steps by 5 and a round's Alice-basis bit is half t, or
-    # half t - 2 (pending from the round before) for an odd t; `firsts` holds
-    # the bit's half for the round after a click, which may differ.
-    i, t, first = 0, t0, t0
-    clicks, steps, wrongs, firsts = [], [], [], {0: t0}
-    for k in np.flatnonzero(raw >> np.uint64(11) < cut).tolist():
-        r, m = divmod(2 * k - 3 - t, 5)  # rounds at 2k - 4 and 2k - 3 click on word k
-        if m > 1 or r < 0:
-            continue
-        c, tc = i + r, t + 5 * r
-        if c >= n:
-            break
-        a_diag = top[(first if r == 0 else tc - 2 * (tc & 1)) + 2]
-        if a_diag == top[tc + 4]:  # matched bases: one flip uniform, if flips can happen
-            step = 7 if p_flip > 0.0 else 5
-            wrong = step == 7 and (int(raw[tc // 2 + 3]) >> 11) * 2.0**-53 < p_flip
-            first = tc + step if tc & 1 else tc + 3
-        else:  # mismatched: one fair bit, the pending half or a fresh word's low half
-            step, first = 6, tc + 6
-            wrong = top[tc + (7 if tc & 1 else 5)] != top[tc + 3]
-        clicks.append(c)
-        steps.append(step)
-        wrongs.append(wrong)
-        firsts[c + 1] = first
-        i, t = c + 1, tc + step
-    moves = np.full(n, 5, dtype=np.int64)
-    moves[clicks] = steps
-    ts = np.cumsum(moves)
-    ts += t0 - moves  # each round's t
-    a_half = ts - 2 * (ts & 1)
-    firsts.pop(n, None)
-    a_half[list(firsts)] = list(firsts.values())
-    detected, wrong = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    detected[clicks], wrong[clicks] = True, wrongs
-    # Leave the generator as the loop would: the words used, the pending flag,
-    # and `uinteger` holding the high half of the last word a fair bit split.
-    t_last, t_end = int(ts[-1]), int(ts[-1] + moves[-1])
-    split = t_last // 2 + (3 if moves[-1] == 6 and t_last & 1 else 1)
-    bitgen.state = entry
-    bitgen.random_raw((t_end + 1) // 2)
-    state = bitgen.state
-    state["has_uint32"], state["uinteger"] = t_end & 1, int(raw[split] >> np.uint64(32))
-    bitgen.state = state
-    return top[a_half + 2], top[ts + 4], detected, wrong
-
-
 def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
                n_rounds: int) -> tuple[np.ndarray | None, ...]:
     """n_rounds rounds drawn as `random_inputs` then `draw_round` would, as masks:
@@ -405,38 +347,18 @@ def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generat
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
     classified low and high (None unless the line is sampled).
 
-    Rounds that sample no line (BB84, or a channel without one) on numpy's
-    PCG64, PCG64DXSM, Philox or SFC64 (exactly: a subclass may override
-    `random_raw`) are decoded from its 64-bit `random_raw` words in one pass,
-    bit for bit. A call holds the words and temporaries of all its rounds at
-    once, about 80 bytes a round (`draw_span` about 14), so sessions call it
-    `session._SPAN` rounds at a time. numpy makes a fair bit from
-    the top bit of a 32-bit half (low half first, the high one kept pending in
-    `has_uint32`/`uinteger`) and a uniform as (word >> 11) * 2**-53. With
-    t = 2 * (next unread word) - (half pending), a round's three fair bits are
-    the pending half, if any, then fresh halves; its click uniform is word
-    t // 2 + 2; it moves t on by 5, by 7 after a matched click with flips (one
-    uniform) and by 6 after a mismatched one (one half). So only clicks take a
-    Python step, found by a walk over the words below detection_prob; the rest
-    are gathers. The generator is then rewound and advanced by the words used,
-    and its pending flag and `uinteger` set as the loop leaves them.
-
-    Otherwise each round makes those calls' draws in their order, on numpy's
-    fast paths: its three fair bits fill one reused float32 buffer (`fair_bits`'
-    rule, read as Python floats), the generator's methods are bound once, and
-    its noise fills a row view of the chunk's array (views made once per call);
-    all the call's estimates are banded after the loop. Sampled rounds and
-    MT19937 (32-bit words) need this loop: ziggurat normals use varying words.
+    Each round makes those calls' draws in their order, on numpy's fast paths:
+    its three fair bits fill one reused float32 buffer (`fair_bits`' rule, read
+    as Python floats), the generator's methods are bound once, and its noise
+    fills a row view of the chunk's array (views made once per call); all the
+    call's estimates are banded after the loop. Sessions draw with it only
+    the gated rounds that sample the line, a span at a time.
     """
     check_protocol(protocol)
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
     p_det, p_flip = channel.detection_prob, channel.flip_prob
     sampled = protocol is not Protocol.BB84 and channel.line is not None
-    # Named here, not at import, which would load numpy.random with the package.
-    words = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-    if not sampled and n_rounds and type(gen.bit_generator) in words:
-        return (*_decode_words(gen.bit_generator, p_det, p_flip, n_rounds), None, None)
     uniform, normals, bits = gen.random, gen.standard_normal, np.empty(3, dtype=_F32)
     flags = bytearray(4 * n_rounds)
     drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)

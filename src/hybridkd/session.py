@@ -9,9 +9,10 @@ rate (Q_mu, gamma, R_kljn, f_sys, the burst throughputs) from one
 `rates.throughputs` call and differ only in their round count, clock and
 draw. One core, `_session`, builds the channel, counts span by span in
 `_run_spans`, holding one span's draws per thread, and builds the stats: a
-gated session draws with `protocol.draw_block` (`random_inputs` then
-`draw_round`, round for round), a buffered one i.i.d. with
-`protocol.draw_span`, its ideal spans on a thread per usable core.
+gated session whose P1-P3 rounds sample the line draws with
+`protocol.draw_block` (`random_inputs` then `draw_round`, round for round),
+every other session i.i.d. with `protocol.draw_span`, its spans that sample
+no line on a thread per usable core.
 `protocol.decide_block` applies the rules (`protocol._RULES`) to each span
 and gives the yield moments.
 
@@ -223,13 +224,16 @@ def _session(timing: Timing, protocol: Protocol, optical: OpticalParams, line: K
              cycles: int | None = None, drain_time: float = 0.0) -> SessionStats:
     """The one session core: n_rounds drawn for `timing`, counted over wall_time.
 
-    Gated sessions draw with `draw_block`, buffered ones with `draw_span`, both
-    module globals read per call; the channel carries `line` unless `ideal`.
-    A buffered caller's cycles and one cycle's drain time set its burst fields.
+    The channel carries `line` if the rounds sample it: unless `ideal`, and
+    never for BB84, which has no wire. Gated sessions on such a channel draw
+    with `draw_block`, every other session with `draw_span` (both module
+    globals, read per call). A buffered caller's cycles and one cycle's drain
+    time set its burst fields.
     """
     check_type(ideal, bool, "ideal_classification")  # a truthy string must not pick ideal
-    channel = ChannelModel(point.q_mu, optical.e_opt, None if ideal else line)
-    draw = draw_block if timing is Timing.GATED else draw_span
+    sampled = not ideal and protocol is not Protocol.BB84
+    channel = ChannelModel(point.q_mu, optical.e_opt, line if sampled else None)
+    draw = draw_block if timing is Timing.GATED and sampled else draw_span
     counts = _run_spans(draw, protocol, channel, seed, n_rounds)
     secure_bits = _secure_bits(counts, point.gamma)
     burst = {} if cycles is None else {
@@ -255,10 +259,12 @@ def run_gated_session(
 ) -> SessionStats:
     """Simulate n_rounds one-pulse-per-decision rounds at one distance.
 
-    `protocol.draw_block` draws every round, exactly as `random_inputs` and
-    `draw_round` would one by one, a span at a time; `protocol.decide_block`
-    decides each span. Simulated wall time is n_rounds / f_sys (plain BB84
-    runs unthrottled at f_qkd; its distance must still give a wire rate).
+    Rounds that sample the line are drawn by `protocol.draw_block`, exactly as
+    `random_inputs` and `draw_round` would one by one; the rest i.i.d. by
+    `protocol.draw_span`, as buffered rounds are. Either draws a span at a time
+    and `protocol.decide_block` decides each span. Simulated wall time is
+    n_rounds / f_sys (plain BB84 runs unthrottled at f_qkd; its distance must
+    still give a wire rate).
     """
     check_int(n_rounds, "n_rounds", ge=1)
     check_seed(seed)

@@ -125,7 +125,7 @@ def outcome_distribution(protocol, q, flip_prob, line=None):
 
 
 def observed_outcomes(protocol, masks):
-    """{outcome: count} of drawn rounds (`draw_block`'s masks) as the rule decides them."""
+    """{outcome: count} of drawn rounds (a draw's six masks) as the rule decides them."""
     alice_diag, bob_diag, detected, wrong, low, high = masks
     flagged, keeps, wire, wire_wrong = decide_block(protocol, alice_diag, bob_diag, low, high)
     n = len(alice_diag)

@@ -20,7 +20,7 @@ import workloads  # noqa: E402  (perfbench's own module, found through the path 
 SEED = 1
 DIGESTS = {
     "rate_study": "dc6ccba26b9f9c2dc5e72128779d5da0124870b6c2428c2bc6b382eaa0f9d0cf",
-    "mc_gated": "668a669f368509feacb850cf48eca00053547c3ef299f4542499b0c19e8fab57",
+    "mc_gated": "6e36e4c02e10e339e47c14917fdb9b0234e4086e9f0e270463dc169ebbd3e102",
     "mc_buffered": "d79509c994130ada9cb3a0bb3a68343a648cd73c8096278d80347686786291b0",
 }
 

@@ -11,7 +11,7 @@ import pytest
 
 from test_acceptance import CRITERION_8_COMMANDS
 
-from hybridkd import config, rates
+from hybridkd import config, protocol, rates, session
 
 
 def _tool(name):
@@ -230,12 +230,24 @@ def test_a_missing_function_reads_null(monkeypatch):
     monkeypatch.setattr(layers, "REPEATS", 1)
     monkeypatch.delattr(rates, "sweep")
     monkeypatch.delattr(rates, "crossover_distance")
+    for name in ("draw_span", "draw_block"):
+        monkeypatch.delattr(protocol, name)
+    monkeypatch.delattr(session, "run_gated_session")
     measured = layers.measure()
     assert measured["metrics"]["throughputs_us"] > 0
     assert all(measured["metrics"][name] is None for name in layers.METRICS[1:])
     assert measured["output_digest"]
     monkeypatch.delattr(config, "DEFAULT_KLJN")
     assert layers.measure() == {"metrics": dict.fromkeys(layers.METRICS), "output_digest": None}
+
+
+def test_round_engine_and_session_numbers_are_measured(monkeypatch):
+    monkeypatch.setattr(layers, "REPEATS", 1)
+    monkeypatch.delattr(rates, "sweep")
+    metrics = layers.measure()["metrics"]
+    for name in ("draw_span_ms", "draw_block_ms", "gated_session_ms_ideal",
+                 "gated_session_ms_sampled"):
+        assert bench.LAYER_BETTER[name] == "lower" and metrics[name] > 0, name
 
 
 def test_crossover_evaluations_are_counted(monkeypatch):

@@ -1,9 +1,9 @@
 """Sessions against the exact per-round outcome distribution of `outcome_oracle`.
 
 Each session's counts are first tied to per-round outcomes: the session's
-seed replayed through the draw it uses (`draw_span` for a buffered session
-of one span, `draw_block` for a gated one) and decided, must give the same
-six counts. Those outcomes must then fit the exact distribution by a
+seed replayed through the draw it uses (`draw_block` for a gated session that
+samples the line, `draw_span` for any other session of one span) and
+decided, must give the same six counts. Those outcomes must then fit the exact distribution by a
 chi-square test on a fixed seed; a p-value below the 3-sigma tail is a
 defect to fix, never a seed to swap.
 """
@@ -77,7 +77,9 @@ def test_gated_outcomes_fit(protocol, ideal):
     n, seed = 20_000, 32
     stats = run_gated_session(protocol, BRIGHT, NOISY, DISTANCE, n, seed,
                               ideal_classification=ideal)
-    outcomes = observed_outcomes(protocol, draw_block(protocol, _channel(ideal), seed, n))
+    assert n <= _SPAN  # the session is one span
+    draw = draw_span if ideal or protocol is Protocol.BB84 else draw_block
+    outcomes = observed_outcomes(protocol, draw(protocol, _channel(ideal), seed, n))
     assert _counts(stats) == session_counts(outcomes)
     assert fit_p_value(outcomes, _oracle(protocol, ideal)) >= P_3SIGMA
 

@@ -459,10 +459,9 @@ class TestDrawBlock:
                              ids=["bb84_sampled", "p2_ideal"])
     @pytest.mark.parametrize("detection_prob", [0.0, 0.009, 0.7, 1.0])
     @pytest.mark.parametrize("flip_prob", [0.0, 0.015, 1.0])
-    def test_word_decode_matches_round_by_round(self, bit_generator, spare, protocol, ideal,
-                                                detection_prob, flip_prob):
-        # Rounds that sample no line are decoded from raw words, a call's
-        # rounds in one pass.
+    def test_unsampled_rows_match_round_by_round(self, bit_generator, spare, protocol, ideal,
+                                                 detection_prob, flip_prob):
+        # Rounds that sample no line, at click and flip rates from none to all.
         channel = ChannelModel(detection_prob, flip_prob, None if ideal else TestDrawSpan.NOISY)
         for n in (1, 2, 5, 64, 65):
             fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
@@ -478,24 +477,6 @@ class TestDrawBlock:
             assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3)), n
             assert np.array_equal(fast.bit_generator.random_raw(2),
                                   slow.bit_generator.random_raw(2)), n
-
-    def test_word_decode_matches_the_loop_across_a_full_span(self):
-        # A gated session's generator at a benchmark-like click rate, past one
-        # whole span, against the same stream through a PCG64 subclass, which
-        # draw_block does not decode (a subclass may override random_raw).
-        class Subclass(np.random.PCG64):
-            pass
-
-        channel = ChannelModel(0.009, 0.015)
-        n = session_module._SPAN + 1
-        fast, slow = np.random.default_rng(19), np.random.Generator(Subclass(19))
-        decoded = draw_block(Protocol.P1, channel, fast, n)
-        looped = draw_block(Protocol.P1, channel, slow, n)
-        assert all(np.array_equal(a, b) for a, b in zip(decoded[:4], looped[:4]))
-        assert decoded[4:] == looped[4:] == (None, None)
-        state, loop_state = fast.bit_generator.state, slow.bit_generator.state
-        assert loop_state.pop("bit_generator") == "Subclass"
-        assert state.pop("bit_generator") == "PCG64" and state == loop_state
 
     @pytest.mark.parametrize("bit_generator", [
         np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
@@ -668,8 +649,7 @@ class TestRoundCounts:
         assert all(mask.dtype == bool and mask.shape == (0,) for mask in masks)
 
     def test_zero_unsampled_rounds_draw_nothing(self):
-        # The word decode needs a round: zero rounds take the per-round loop,
-        # which gives empty masks and leaves a pending half pending.
+        # Zero rounds give empty masks and leave a pending half pending.
         gen = np.random.default_rng(6)
         fair_bits(gen)
         before = gen.bit_generator.state

@@ -30,6 +30,7 @@ from hybridkd.session import (
 
 from outcome_oracle import observed_outcomes, session_counts
 from test_acceptance import _yield_moments
+from test_outcome_oracle import COUNT_FIELDS
 
 
 class TestTimingMode:
@@ -104,15 +105,19 @@ class TestGatedSession:
         assert stats.flagged_rounds == 0
         assert stats.kljn_errors == 0
 
-    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    # Rounds that sample the line are drawn round by round (`draw_block`);
+    # the rest i.i.d., as TestUnsampledGatedSession checks.
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [False], ids=["sampled"])
     def test_counts_match_round_by_round_replay(self, optical, protocol, ideal):
         # another resistor pair: sqrt(2350), sqrt(4488.9...) and sqrt(50000)
         # round differently from the default pair's deviations
         assert_counts_match_replay(optical, protocol, ideal, 3_000, r_low=4.7e3)
 
-    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
+                             ids=lambda p: p.value)
+    @pytest.mark.parametrize("ideal", [False], ids=["sampled"])
     # Sessions that end just before, on and just after a multiple of 128
     # rounds, and a long one.
     @pytest.mark.parametrize("n", [127, 128, 129, 3_000])
@@ -121,22 +126,31 @@ class TestGatedSession:
 
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     def test_rounds_are_drawn_in_spans(self, optical, line, ideal):
-        # A full span, then one round: the session's two draws are one
-        # draw_block call of their sum on its seed, decided and tallied.
+        # A full span, then one round. Sampled, the session's two draws are
+        # one draw_block call of their sum on its seed; ideal, two draw_span
+        # calls on it, as a buffered session's. Either decided and tallied.
         n = session_module._SPAN + 1
         stats = run_gated_session(Protocol.P2, optical, line, 2.0, n, seed=5,
                                   ideal_classification=ideal)
         channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt,
                                None if ideal else line)
-        counts = session_counts(observed_outcomes(
-            Protocol.P2, draw_block(Protocol.P2, channel, np.random.default_rng(5), n)))
+        draw, calls = (draw_span, (n - 1, 1)) if ideal else (draw_block, (n,))
+        rng, counts = np.random.default_rng(5), collections.Counter()
+        for rounds in calls:
+            counts.update(session_counts(observed_outcomes(
+                Protocol.P2, draw(Protocol.P2, channel, rng, rounds))))
         assert {name: getattr(stats, name) for name in counts} == counts
         assert (stats.flagged_rounds > 0) == (not ideal)
 
-    def test_memory_does_not_grow_with_spans(self, optical, line):
-        # A session holds one span's draws at a time, so its traced peak at 16
-        # spans is about that at 2 spans, not eight times the draws.
-        def peak(spans):
+    def test_memory_does_not_grow_with_spans(self, monkeypatch, optical, line):
+        # Ideal gated spans run on one thread per usable core, each holding
+        # one span at a time, so the traced peak at 16 spans is at most about
+        # the threads' count times the peak of two spans on one thread, as in
+        # TestBufferedSession's twin of this test.
+        workers = min(session_module._usable_cores(), 16)
+
+        def peak(spans, cores):
+            monkeypatch.setattr(session_module, "_usable_cores", lambda: cores)
             tracemalloc.start()
             try:
                 run_gated_session(Protocol.P2, optical, line, 2.0, spans * session_module._SPAN, 3)
@@ -144,9 +158,9 @@ class TestGatedSession:
             finally:
                 tracemalloc.stop()
 
-        peak(1)  # first-call allocations are not the session's draws
-        two, sixteen = peak(2), peak(16)
-        assert sixteen <= 1.2 * two, (two, sixteen)
+        peak(1, 1)  # first-call allocations are not the session's draws
+        one_thread, sixteen = peak(2, 1), peak(16, workers)
+        assert sixteen <= 1.2 * workers * one_thread, (workers, one_thread, sixteen)
 
 
 def assert_counts_match_replay(optical, protocol, ideal, n, r_low=1e4):
@@ -189,6 +203,59 @@ def assert_counts_match_replay(optical, protocol, ideal, n, r_low=1e4):
     assert (stats.qkd_bits, stats.kljn_bits, stats.qkd_errors, stats.kljn_errors,
             stats.discarded_rounds, stats.flagged_rounds) == (
         qkd_bits, kljn_bits, qkd_errors, kljn_errors, discarded, flagged)
+
+
+def span_by_span(protocol, channel, seed, n):
+    """The summed `_tally` of n `draw_span` rounds, `_SPAN` at a time, on one generator."""
+    rng, counts = np.random.default_rng(seed), collections.Counter()
+    for start in range(0, n, session_module._SPAN):
+        *bases, detected, wrong, low, high = draw_span(
+            protocol, channel, rng, min(session_module._SPAN, n - start))
+        counts.update(session_module._tally(
+            decide_block(protocol, *bases, low, high), detected, wrong))
+    return counts
+
+
+class TestUnsampledGatedSession:
+    """Gated sessions that sample no line (ideal, or BB84) draw i.i.d. `draw_span` spans."""
+
+    SPAN = session_module._SPAN
+
+    @pytest.mark.parametrize("protocol, ideal", [
+        (Protocol.P1, True), (Protocol.P2, True), (Protocol.P3, True), (Protocol.BB84, True),
+        (Protocol.BB84, False)], ids=["p1", "p2", "p3", "bb84", "bb84-sampled"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 3_000, SPAN, SPAN + 1])
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_counts_equal_span_by_span_draws(self, monkeypatch, optical, protocol, ideal, n,
+                                             cores):
+        # The source and line of `assert_counts_match_replay`: lost, flipped
+        # and (on a sampled line) misclassified rounds are common.
+        bright = dataclasses.replace(optical, mu=2.0, eta_d=1.0, e_opt=0.1)
+        noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
+        monkeypatch.setattr(session_module, "_usable_cores", lambda: cores)
+        stats = run_gated_session(protocol, bright, noisy, 3.0, n, 77, ideal_classification=ideal)
+        channel = ChannelModel(link_budget(bright, 3.0).q_mu, bright.e_opt,
+                               None if ideal else noisy)
+        counts = span_by_span(protocol, channel, 77, n)
+        assert stats.rounds_executed == n
+        assert {name: getattr(stats, name) for name in COUNT_FIELDS} == counts
+        assert counts["flagged_rounds"] == counts["kljn_errors"] == 0
+        if n >= 3_000:
+            assert counts["qkd_errors"] > 0 and counts["discarded_rounds"] > 0
+
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2], ids=lambda p: p.value)
+    @pytest.mark.parametrize("n", [3_000, SPAN + 1])
+    def test_gated_and_buffered_counts_agree(self, optical, line, protocol, n):
+        # The two timing modes differ in their clocks only: one buffered cycle
+        # of n ideal rounds counts what n ideal gated rounds count, same seed.
+        cycle_s = n / kljn_bit_rate(line, 2.0) + n / optical.f_qkd
+        buffered = run_buffered_session(protocol, optical, line, 2.0, 1.5 * cycle_s, 13,
+                                        TimingMode.buffered(n, n))
+        gated = run_gated_session(protocol, optical, line, 2.0, n, 13)
+        assert buffered.rounds_executed == gated.rounds_executed == n
+        assert ({name: getattr(gated, name) for name in COUNT_FIELDS}
+                == {name: getattr(buffered, name) for name in COUNT_FIELDS})
+        assert gated.qkd_bits > 0
 
 
 class TestYieldHelpers:
@@ -355,19 +422,13 @@ class TestBufferedSession:
 
 
 class TestSpansOnCores:
-    """Ideal buffered spans split over threads count what one generator counts."""
+    """Ideal spans, buffered or gated, split over threads count what one generator counts."""
 
     N = 3 * session_module._SPAN + 5  # four spans, the last one partial
     CHANNEL = ChannelModel(0.3, 0.05)
 
     def one_generator(self, protocol, seed, n=N):
-        rng, counts = np.random.default_rng(seed), collections.Counter()
-        for start in range(0, n, session_module._SPAN):
-            *bases, detected, wrong, low, high = draw_span(
-                protocol, self.CHANNEL, rng, min(session_module._SPAN, n - start))
-            counts.update(session_module._tally(
-                decide_block(protocol, *bases, low, high), detected, wrong))
-        return counts
+        return span_by_span(protocol, self.CHANNEL, seed, n)
 
     @staticmethod
     def span_starts(seed, spans):
@@ -440,14 +501,30 @@ class TestSpansOnCores:
         assert len({thread for thread, _ in calls}) == min(cores, 4)
 
     def test_other_spans_run_on_one_thread(self, monkeypatch, optical, line):
-        # Gated spans and sampled buffered ones read a varying number of words.
+        # Spans that sample the line read a varying number of words, gated
+        # (`draw_block`) or buffered (`draw_span`): shorter spans keep the
+        # sampled gated session quick.
         draw, calls = self.traced(monkeypatch, 5)
         sampled = ChannelModel(0.3, 0.05, line)
         session_module._run_spans(draw, Protocol.P2, sampled, 9, self.N)
         _, gated_calls = self.traced(monkeypatch, 5, name="draw_block")
-        run_gated_session(Protocol.P2, optical, line, 2.0, self.N, 9)
+        monkeypatch.setattr(session_module, "_SPAN", 100)
+        run_gated_session(Protocol.P2, optical, line, 2.0, 305, 9, ideal_classification=False)
         for spans in (calls, gated_calls):
             assert [thread for thread, _ in spans] == [threading.current_thread()] * 4
+
+    @pytest.mark.parametrize("protocol", [Protocol.P3, Protocol.BB84], ids=lambda p: p.value)
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    def test_ideal_gated_spans_run_on_every_core(self, monkeypatch, optical, line, protocol,
+                                                 cores):
+        # Gated sessions that sample no line split as ideal buffered ones do.
+        draw, calls = self.traced(monkeypatch, cores)
+        stats = run_gated_session(protocol, optical, line, 2.0, self.N, 9)
+        assert sorted(state for _, state in calls) == sorted(self.span_starts(9, 4))
+        assert len({thread for thread, _ in calls}) == min(cores, 4)
+        channel = ChannelModel(link_budget(optical, 2.0).q_mu, optical.e_opt)
+        counts = span_by_span(protocol, channel, 9, self.N)
+        assert {name: getattr(stats, name) for name in COUNT_FIELDS} == counts
 
 
 class TestSessionChannel:
@@ -467,9 +544,20 @@ class TestSessionChannel:
 
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     def test_gated_draw_gets_the_line_unless_ideal(self, monkeypatch, optical, line, ideal):
-        seen = self.channels(monkeypatch, "draw_block")
+        # Sampled rounds take draw_block, ideal ones draw_span.
+        spans = self.channels(monkeypatch, "draw_span")
+        blocks = self.channels(monkeypatch, "draw_block")
         run_gated_session(Protocol.P2, optical, line, 2.0, 1_000, 3, ideal_classification=ideal)
-        assert seen and all(c.line is (None if ideal else line) for c in seen)
+        seen, unused = (spans, blocks) if ideal else (blocks, spans)
+        assert seen and not unused and all(c.line is (None if ideal else line) for c in seen)
+
+    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    def test_gated_bb84_draws_spans_without_a_line(self, monkeypatch, optical, line, ideal):
+        # BB84 has no wire to sample, whatever the classification.
+        spans = self.channels(monkeypatch, "draw_span")
+        blocks = self.channels(monkeypatch, "draw_block")
+        run_gated_session(Protocol.BB84, optical, line, 2.0, 1_000, 3, ideal_classification=ideal)
+        assert spans and not blocks and all(c.line is None for c in spans)
 
     @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
     def test_buffered_draw_gets_the_line_unless_ideal(self, monkeypatch, optical, line, ideal):

@@ -10,8 +10,8 @@ stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
 `perfbench/run.py` once in each tree per pair; `--cli REPEATS` times each
 criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
 process, REPEATS pairs per command; `--layers PAIRS` runs the working tree's
-`tools/layers.py` on each tree's package, PAIRS pairs, for the closed form's
-per-layer numbers. Which tree runs first switches from pair to pair, the
+`tools/layers.py` on each tree's package, PAIRS pairs, for the per-layer
+numbers of the closed form, the round engine and gated sessions. Which tree runs first switches from pair to pair, the
 parent first. `BENCH_<pr>.json` at the repo root holds the machine block,
 both commits and the diff's sha256, and per run, command or harness every
 pair, the output digests and, per metric, each side's median and quartiles
@@ -44,7 +44,9 @@ LAYERS = ROOT / "tools" / "layers.py"
 # The numbers tools/layers.py prints, and which way is better.
 LAYER_BETTER = {"throughputs_us": "lower", "sweep_points_per_s_40": "higher",
                 "sweep_points_per_s_1000": "higher", "sweep_points_per_s_100000": "higher",
-                "crossover_ms": "lower", "crossover_evals": "lower"}
+                "crossover_ms": "lower", "crossover_evals": "lower", "draw_span_ms": "lower",
+                "draw_block_ms": "lower", "gated_session_ms_ideal": "lower",
+                "gated_session_ms_sampled": "lower"}
 # The criterion-8 commands of tests/test_acceptance.py (each also gets `--out FILE`).
 CLI_COMMANDS = (
     ("sweep", "--points", "40"),

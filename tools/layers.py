@@ -1,4 +1,4 @@
-"""Per-layer timings of the closed form, on whichever `hybridkd` is importable: one JSON line.
+"""Per-layer timings, on whichever `hybridkd` is importable: one JSON line.
 
     PYTHONPATH=<tree>/src python3 tools/layers.py
 
@@ -7,7 +7,10 @@ Prints `{"metrics": {...}, "output_digest": ...}`, the shape of one side of a
 (`time.perf_counter`) of a fixed number of calls, at the default parameters:
 `throughputs` µs per call at 2 km, `sweep` points/s at 40, 1e3 and 1e5 log
 points over (0.1, 10) km, `crossover_distance` ms per solve and its number of
-`rates.throughputs` evaluations. A number whose function the package lacks is
+`rates.throughputs` evaluations; the round engine's `draw_span` ms per 65,536
+ideal rounds and `draw_block` ms per 2,000 sampled ones, and a gated session's
+ms, ideal and sampled (P2 at 2 km, 2,000 rounds, seed 1). Draws run on one
+`default_rng(1)` per number, P2 at 2 km. A number whose function the package lacks is
 null, so the harness measures trees from before and after such a change. The
 digest is the sha256 of the values computed, so equal digests mean equal bits.
 """
@@ -20,10 +23,14 @@ import json
 import statistics
 import time
 
+import numpy as np
+
 REPEATS = 5
 SWEEP_POINTS = (40, 1_000, 100_000)
+SPAN_ROUNDS, SESSION_ROUNDS = 65_536, 2_000
 METRICS = ("throughputs_us", *(f"sweep_points_per_s_{n}" for n in SWEEP_POINTS),
-           "crossover_ms", "crossover_evals")
+           "crossover_ms", "crossover_evals", "draw_span_ms", "draw_block_ms",
+           "gated_session_ms_ideal", "gated_session_ms_sampled")
 
 
 def lookup(module: str, name: str):
@@ -61,6 +68,30 @@ def counted_evaluations(rates, solve) -> int:
     return len(calls)
 
 
+def measure_rounds(optical, line, metrics: dict, values: list) -> None:
+    """The round engine's and gated sessions' numbers into `metrics`, their outputs to `values`."""
+    link_budget, channel_model = lookup("physics", "link_budget"), lookup("protocol", "ChannelModel")
+    p2 = getattr(lookup("protocol", "Protocol"), "P2", None)
+    if link_budget is None or channel_model is None or p2 is None:
+        return
+    ideal = channel_model(link_budget(optical, 2.0).q_mu, optical.e_opt)
+    sampled = channel_model(ideal.detection_prob, ideal.flip_prob, line)
+    for name, channel, n, batch in (("draw_span", ideal, SPAN_ROUNDS, 20),
+                                    ("draw_block", sampled, SESSION_ROUNDS, 5)):
+        draw = lookup("protocol", name)
+        if draw is not None:
+            gen = np.random.default_rng(1)
+            metrics[f"{name}_ms"] = 1e3 * per_call(lambda: draw(p2, channel, gen, n), batch)
+            masks = draw(p2, channel, np.random.default_rng(1), n)
+            values.append([None if m is None else np.packbits(m).tobytes() for m in masks])
+    gated = lookup("session", "run_gated_session")
+    if gated is not None:
+        for kind, batch in (("ideal", 100), ("sampled", 5)):
+            session = lambda: gated(p2, optical, line, 2.0, SESSION_ROUNDS, 1, kind == "ideal")
+            metrics[f"gated_session_ms_{kind}"] = 1e3 * per_call(session, batch)
+            values.append(session())
+
+
 def measure() -> dict:
     """The metrics and output digest of the importable package."""
     optical, line = lookup("config", "DEFAULT_OPTICAL"), lookup("config", "DEFAULT_KLJN")
@@ -83,6 +114,7 @@ def measure() -> dict:
         metrics["crossover_evals"] = counted_evaluations(
             importlib.import_module("hybridkd.rates"), solve)
         values.append(solve())
+    measure_rounds(optical, line, metrics, values)
     digest = hashlib.sha256(repr(values).encode()).hexdigest()
     return {"metrics": metrics, "output_digest": digest}
 
