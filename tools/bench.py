@@ -11,10 +11,10 @@ stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
 criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
 process, REPEATS pairs per command; `--layers PAIRS` runs the working tree's
 `tools/layers.py` on each tree's package, PAIRS pairs, for the per-layer
-numbers of the closed form, the round engine and gated sessions. Which tree runs first switches from pair to pair, the
-parent first. `BENCH_<pr>.json` at the repo root holds the machine block,
-both commits and the diff's sha256, and per run, command or harness every
-pair, the output digests and, per metric, each side's median and quartiles
+numbers of the closed form, the round engine and gated sessions. Which tree
+runs first switches from pair to pair, the parent first. `BENCH_<pr>.json`
+at the repo root holds the machine block, both commits and the diff's
+sha256, and per run, command or harness every pair, the output digests and, per metric, each side's median and quartiles
 and the pairs the working tree won, by the metric's `better` in
 BENCHMARK.json (lower `seconds` for a command, `LAYER_BETTER` for the
 harness; ties count for neither side). A harness number that is null on a

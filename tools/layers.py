@@ -7,12 +7,12 @@ Prints `{"metrics": {...}, "output_digest": ...}`, the shape of one side of a
 (`time.perf_counter`) of a fixed number of calls, at the default parameters:
 `throughputs` µs per call at 2 km, `sweep` points/s at 40, 1e3 and 1e5 log
 points over (0.1, 10) km, `crossover_distance` ms per solve and its number of
-`rates.throughputs` evaluations; the round engine's `draw_span` ms per 65,536
-ideal rounds and `draw_block` ms per 2,000 sampled ones, and a gated session's
-ms, ideal and sampled (P2 at 2 km, 2,000 rounds, seed 1). Draws run on one
-`default_rng(1)` per number, P2 at 2 km. A number whose function the package lacks is
-null, so the harness measures trees from before and after such a change. The
-digest is the sha256 of the values computed, so equal digests mean equal bits.
+`rates.throughputs` evaluations; `draw_span` ms per 65,536 ideal rounds and
+`draw_block` ms per 2,000 sampled ones (P2 at 2 km, on one `default_rng(1)`
+per number), and a gated session's ms, ideal and sampled (P2 at 2 km, 2,000
+rounds, seed 1). A number whose function the package lacks is null, so the
+harness measures trees from before and after such a change. The digest is the
+sha256 of the values computed, so equal digests mean equal bits.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ def counted_evaluations(rates, solve) -> int:
 
 def measure_rounds(optical, line, metrics: dict, values: list) -> None:
     """The round engine's and gated sessions' numbers into `metrics`, their outputs to `values`."""
-    link_budget, channel_model = lookup("physics", "link_budget"), lookup("protocol", "ChannelModel")
+    link_budget = lookup("physics", "link_budget")
+    channel_model = lookup("protocol", "ChannelModel")
     p2 = getattr(lookup("protocol", "Protocol"), "P2", None)
     if link_budget is None or channel_model is None or p2 is None:
         return
