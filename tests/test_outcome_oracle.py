@@ -3,9 +3,9 @@
 Each session's counts are first tied to per-round outcomes: the session's
 seed replayed through the draw it uses (`draw_block` for a gated session that
 samples the line, `draw_span` for any other session of one span) and
-decided, must give the same six counts. Those outcomes must then fit the exact distribution by a
-chi-square test on a fixed seed; a p-value below the 3-sigma tail is a
-defect to fix, never a seed to swap.
+decided, must give the same six counts. Those outcomes must then fit the
+exact distribution by a chi-square test on a fixed seed; a p-value below the
+3-sigma tail is a defect to fix, never a seed to swap.
 """
 
 import dataclasses
