@@ -26,11 +26,11 @@ rule). A round's resistors are read from its `ProtocolRound`.
 
 `draw_round` makes a round's random draws and `decide_block`, the only
 place the rules are applied, decides a block of drawn rounds as masks;
-`run_round` is the two on one row; `draw_block` draws rounds exactly as
-`random_inputs` and `draw_round` would, one at a time (a gated session's
-rounds that sample the line), and `draw_span` i.i.d. an array at a time (every
-other session's rounds); both estimate and band the line noise through
-`kljn`, which owns that rule.
+`run_round` is the two on one row. `draw_block` draws P1-P3 rounds on a
+channel with a line as `random_inputs` and `draw_round` would, one at a time,
+and `draw_span` any rounds i.i.d., an array at a time; both band the line
+noise through `kljn`, which owns that rule. `_bob_bit` alone draws a detected
+round's outcome round by round.
 Fair bits are the top bits of 32-bit generator halves (`fair_bits`); with no
 spare half pending, `draw_span` reads them straight from raw 64-bit words.
 Rounds are pure given a generator; golden traces can force the outcomes.
@@ -234,22 +234,25 @@ def measure_photon(
     rng: np.random.Generator | int,
     flip_prob: float = 0.0,
 ) -> int | None:
-    """Bob's measurement outcome for one pulse.
+    """Bob's measurement outcome for one pulse, drawn by `_bob_bit` on a click.
 
-    No click -> None. Matched bases -> Alice's bit, flipped with
-    probability `flip_prob`. Mismatched bases -> uniformly random bit. The
-    inputs are checked as `RoundInputs` checks them.
+    No click -> None. Matched bases -> Alice's bit, flipped with probability
+    `flip_prob` (no draw at 0). Mismatched bases -> a fair bit. The inputs are
+    checked as `RoundInputs` checks them.
     """
     _check_inputs(alice_basis, alice_bit, bob_basis, detected)
     check_real(flip_prob, "flip_prob", ge=0, le=1)
     gen = generator(rng)
-    if not detected:
-        return None
-    if alice_basis is bob_basis:
-        if flip_prob > 0.0 and gen.random() < flip_prob:
-            return 1 - alice_bit
-        return alice_bit
-    return int(fair_bits(gen))
+    return _bob_bit(gen, alice_bit, alice_basis is bob_basis, flip_prob) if detected else None
+
+
+def _bob_bit(gen: np.random.Generator, alice_bit: int, matched: bool, flip_prob: float) -> int:
+    """Bob's outcome of a detected pulse as `measure_photon` draws it, inputs unchecked."""
+    if not matched:
+        return int(fair_bits(gen))
+    if flip_prob > 0.0 and gen.random() < flip_prob:
+        return 1 - alice_bit
+    return alice_bit
 
 
 def fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray | bool:
@@ -314,15 +317,16 @@ def draw_round(
     line sample it.
     """
     check_protocol(protocol)
+    check_type(inputs, RoundInputs, "inputs")
+    check_type(channel, ChannelModel, "channel")
     gen = generator(rng)
     detected = inputs.detected
     if detected is None:
         detected = bool(gen.random() < channel.detection_prob)
     bob_bit = inputs.forced_bob_bit if detected else None
     if detected and bob_bit is None:
-        bob_bit = measure_photon(
-            inputs.alice_bit, inputs.alice_basis, inputs.bob_basis, True, gen, channel.flip_prob
-        )
+        bob_bit = _bob_bit(gen, inputs.alice_bit, inputs.alice_basis is inputs.bob_basis,
+                           channel.flip_prob)
     if protocol is Protocol.BB84 or channel.line is None:
         return detected, bob_bit, None
     resistors = _resistors(protocol, inputs.alice_basis is Basis.DIAGONAL,
@@ -341,59 +345,55 @@ def _pair_variances(protocol: Protocol, line: KljnLineParams) -> list[float]:
 
 
 def draw_block(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
-               n_rounds: int) -> tuple[np.ndarray | None, ...]:
+               n_rounds: int) -> tuple[np.ndarray, ...]:
     """n_rounds rounds drawn as `random_inputs` then `draw_round` would, as masks:
 
     Alice's and Bob's basis is diagonal, detected, Bob's outcome is wrong, and
-    classified low and high (None unless the line is sampled).
+    classified low and high. It draws P1-P3 rounds on a channel with a line only.
 
     Each round makes those calls' draws in their order, on numpy's fast paths:
     its three fair bits fill one reused float32 buffer (`fair_bits`' rule, read
-    as Python floats), the generator's methods are bound once, and its noise
-    fills a row view of the chunk's array (views made once per call); all the
-    call's estimates are banded after the loop. Sessions draw with it only
+    as Python floats), a detected round's outcome is `_bob_bit`'s, and its
+    noise fills a row view of the chunk's array (views made once per call); all
+    the call's estimates are banded after the loop. Sessions draw with it only
     the gated rounds that sample the line, a span at a time.
     """
     check_protocol(protocol)
+    check_type(channel, ChannelModel, "channel")
+    if protocol is Protocol.BB84 or channel.line is None:
+        raise DomainError(f"draw_block draws P1-P3 rounds on a channel with a line, got "
+                          f"protocol {protocol.value} with{'out' * (channel.line is None)} a line")
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
-    p_det, p_flip = channel.detection_prob, channel.flip_prob
-    sampled = protocol is not Protocol.BB84 and channel.line is not None
+    p_det, p_flip, line = channel.detection_prob, channel.flip_prob, channel.line
     uniform, normals, bits = gen.random, gen.standard_normal, np.empty(3, dtype=_F32)
     flags = bytearray(4 * n_rounds)
     drawn = np.frombuffer(flags, dtype=bool).reshape(n_rounds, 4)
-    if sampled:
-        line = channel.line
-        sigma = np.sqrt(_pair_variances(protocol, line))
-        noise = np.empty((_CHUNK, line.n_samples))
-        rows = list(noise)
-        estimates = np.empty(n_rounds)
+    sigma = np.sqrt(_pair_variances(protocol, line))
+    noise = np.empty((_CHUNK, line.n_samples))
+    rows = list(noise)
+    estimates = np.empty(n_rounds)
     for start in range(0, n_rounds, _CHUNK):
         stop = min(start + _CHUNK, n_rounds)
         for i in range(start, stop):
             uniform(None, _F32, bits)  # size, dtype, out
             u0, u1, u2 = bits.tolist()
             a_diag, a_bit, b_diag = u0 >= 0.5, u1 >= 0.5, u2 >= 0.5
-            detected, wrong = uniform() < p_det, False
-            if detected:
-                if a_diag == b_diag:
-                    wrong = p_flip > 0.0 and uniform() < p_flip
-                else:
-                    wrong = fair_bits(gen) != a_bit
+            detected = uniform() < p_det
+            wrong = detected and _bob_bit(gen, a_bit, a_diag == b_diag, p_flip) != a_bit
             j = 4 * i
             flags[j], flags[j + 1], flags[j + 2], flags[j + 3] = a_diag, b_diag, detected, wrong
-            if sampled:
-                normals(out=rows[i - start])
-        if sampled:  # sample_line's normal(0, sigma, N) is sigma times the same normals
-            block = noise[:stop - start]
-            block *= sigma[2 * drawn[start:stop, 0] + drawn[start:stop, 1]][:, None]
-            estimates[start:stop] = _mean_square(block)
-    return (*drawn.T, *(_band_masks(estimates, line) if sampled else (None, None)))
+            normals(out=rows[i - start])
+        # sample_line's normal(0, sigma, N) is sigma times the same normals
+        block = noise[:stop - start]
+        block *= sigma[2 * drawn[start:stop, 0] + drawn[start:stop, 1]][:, None]
+        estimates[start:stop] = _mean_square(block)
+    return (*drawn.T, *_band_masks(estimates, line))
 
 
 def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generator | int,
               n_rounds: int) -> tuple[np.ndarray | None, ...]:
-    """n_rounds i.i.d. rounds as `draw_block`'s masks: its law, not its stream.
+    """n_rounds i.i.d. rounds as masks: `draw_block`'s law, low and high None if none is sampled.
 
     Alice's then Bob's bases are `fair_bits(gen, n_rounds)` twice, read at
     half the cost from n_rounds raw words when the generator flags no spare
@@ -404,6 +404,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
     times chisquare(N) / N, the law of the mean square of N zero-mean normals.
     """
     check_protocol(protocol)
+    check_type(channel, ChannelModel, "channel")
     check_int(n_rounds, "n_rounds")
     gen = generator(rng)
     if sys.byteorder == "little" and gen.bit_generator.state.get("has_uint32") == 0:
@@ -475,12 +476,24 @@ def decide_block(
     """Every protocol's rule over a block of drawn rounds, as masks.
 
     `alice_diag`/`bob_diag` are True for a diagonal basis; `low`/`high` mark
-    rounds classified at an outer level (None: ideal classification).
+    rounds classified at an outer level (None: ideal classification). Each
+    mask given is a bool ndarray of `alice_diag`'s shape, and `low` and `high`
+    are given together or not at all.
     Returns (flagged, keeps_optical, wire_bit, wire_bit_wrong); a detected
     pulse keeps its optical bit on a `keeps_optical` round. A mask the rule
     never sets is None, so that small blocks pay for no empty mask.
     """
     check_protocol(protocol)
+    if (low is None) != (high is None):
+        missing, given = ("low", "high") if low is None else ("high", "low")
+        raise DomainError(f"{missing} must be given with {given}, or neither")
+    for name, mask in (("alice_diag", alice_diag), ("bob_diag", bob_diag), ("low", low),
+                       ("high", high)):
+        if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                                     and mask.shape == alice_diag.shape):
+            got = (f"{mask.dtype} ndarray of shape {mask.shape}"
+                   if isinstance(mask, np.ndarray) else type(mask).__name__)
+            raise DomainError(f"the masks must be bool ndarrays of one shape, got {name}: {got}")
     if protocol is Protocol.BB84:
         return None, alice_diag == bob_diag, None, None
     rule = _RULES[protocol]
@@ -509,6 +522,8 @@ def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
 
     All rounds must come from the same protocol.
     """
+    for i, r in enumerate(rounds):
+        check_type(r, ProtocolRound, f"rounds[{i}]")
     protocols = {r.protocol for r in rounds}
     if len(protocols) > 1:
         raise DomainError(f"rounds mix protocols: {sorted(p.value for p in protocols)}")

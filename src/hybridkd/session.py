@@ -11,8 +11,8 @@ draw. One core, `_session`, builds the channel, counts span by span in
 `_run_spans`, holding one span's draws per thread, and builds the stats: a
 gated session whose P1-P3 rounds sample the line draws with
 `protocol.draw_block` (`random_inputs` then `draw_round`, round for round),
-every other session i.i.d. with `protocol.draw_span`, its spans that sample
-no line on a thread per usable core.
+every other session i.i.d. with `protocol.draw_span`. Spans on a channel
+without a line run on a thread per usable core, the rest on one thread.
 `protocol.decide_block` applies the rules (`protocol._RULES`) to each span
 and gives the yield moments.
 
@@ -183,14 +183,14 @@ def _usable_cores() -> int:
 def _run_spans(draw, protocol: Protocol, channel: ChannelModel, seed, n_rounds: int) -> dict:
     """The summed `_tally` of n_rounds drawn by `draw`, `_SPAN` at a time.
 
-    Spans run in turn on one generator, save ideal `draw_span` ones: n such
+    Spans on a channel with a line run in turn on one generator. Spans on a
+    channel without one are `draw_span`'s (`draw_block` needs a line): n such
     rounds read 2n PCG64 words, no half left pending, so W = min(usable cores,
     spans) threads draw them one at a time each, on generator copies advanced
     (`PCG64.advance`) to word 2 * _SPAN * k for span k: one generator's counts.
     """
     starts = range(0, n_rounds, _SPAN)
-    ideal_spans = draw is draw_span and channel.line is None
-    workers = min(_usable_cores() or 1, len(starts)) if ideal_spans else 1
+    workers = min(_usable_cores() or 1, len(starts)) if channel.line is None else 1
     counts, errors = [], []  # one Counter per thread, summed at the end
 
     def run(w: int) -> None:  # worker w draws spans w, w + W, w + 2W, ...
@@ -317,6 +317,7 @@ def run_buffered_session(
 
 def estimate_per_pulse_yield(stats: SessionStats) -> float:
     """Expected secure bits per optical pulse implied by session counts."""
+    check_type(stats, SessionStats, "stats")
     return _secure_bits(stats.to_dict(), stats.gamma) / stats.rounds_executed
 
 

@@ -14,11 +14,11 @@ from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, klj
                               post_processing_penalty, system_transmittance,
                               wave_limit_bandwidth)
 from hybridkd.protocol import (Basis, ChannelModel, KeyStream, Protocol, RoundInputs,
-                               decide_block, draw_block, draw_round, draw_span, measure_photon,
-                               random_inputs, run_round)
+                               decide_block, draw_block, draw_round, draw_span, extract_key,
+                               measure_photon, random_inputs, run_round)
 from hybridkd.rates import crossover_distance, short_haul_supremacy_bound, sweep, throughputs
-from hybridkd.session import (TimingMode, per_pulse_yield_moments, run_buffered_session,
-                              run_gated_session, spawn_seeds)
+from hybridkd.session import (TimingMode, estimate_per_pulse_yield, per_pulse_yield_moments,
+                              run_buffered_session, run_gated_session, spawn_seeds)
 
 OPTICAL = vars(DEFAULT_OPTICAL)
 LINE = vars(DEFAULT_KLJN)
@@ -49,6 +49,7 @@ IDEAL = ChannelModel(0.5, 0.1)
 ROUND = RoundInputs(Basis.RECTILINEAR, 1, Basis.DIAGONAL)
 RECT = Basis.RECTILINEAR
 L, H = ResistorChoice.LOW, ResistorChoice.HIGH
+MASK = np.array([True, False])
 
 
 # (call, the error it must raise, the argument its message must name)
@@ -202,6 +203,36 @@ BAD_ARGUMENTS = {
         lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN, 2.0, 1.0, 1,
                                      mode="x"),
         DomainError, "mode"),
+    "draw_span_channel_none": (lambda: draw_span(Protocol.P2, None, 1, 5), DomainError, "channel"),
+    "draw_block_channel_none": (
+        lambda: draw_block(Protocol.P2, None, 1, 5), DomainError, "channel"),
+    "draw_round_channel_none": (
+        lambda: draw_round(Protocol.P2, ROUND, None, 1), DomainError, "channel"),
+    "run_round_channel_none": (
+        lambda: run_round(Protocol.P2, ROUND, None, 1), DomainError, "channel"),
+    "draw_round_inputs_none": (
+        lambda: draw_round(Protocol.P2, None, SAMPLED, 1), DomainError, "inputs"),
+    "run_round_inputs_none": (
+        lambda: run_round(Protocol.P2, None, SAMPLED, 1), DomainError, "inputs"),
+    "yield_estimate_stats_none": (lambda: estimate_per_pulse_yield(None), DomainError, "stats"),
+    "extract_key_round_none": (lambda: extract_key([None]), DomainError, "rounds"),
+    # draw_block draws only P1-P3 rounds on a channel with a line
+    "draw_block_bb84": (lambda: draw_block(Protocol.BB84, SAMPLED, 1, 5), DomainError, "protocol"),
+    "draw_block_without_line": (lambda: draw_block(Protocol.P2, IDEAL, 1, 5), DomainError, "line"),
+    # lists compare whole, not round by round, and int masks decide int masks
+    "decide_block_lists": (
+        lambda: decide_block(Protocol.P2, [True, False], [True, False]), DomainError,
+        "alice_diag"),
+    "decide_block_int_masks": (
+        lambda: decide_block(Protocol.P1, MASK, np.array([1, 0])), DomainError, "bob_diag"),
+    "decide_block_shapes_differ": (
+        lambda: decide_block(Protocol.P3, MASK, MASK[:1]), DomainError, "bob_diag"),
+    "decide_block_low_shape": (
+        lambda: decide_block(Protocol.P3, MASK, MASK, MASK[:1], MASK[:1]), DomainError, "low"),
+    "decide_block_low_alone": (
+        lambda: decide_block(Protocol.P2, MASK, MASK, MASK), DomainError, "high"),
+    "decide_block_high_alone": (
+        lambda: decide_block(Protocol.P2, MASK, MASK, high=MASK), DomainError, "low"),
 }
 
 

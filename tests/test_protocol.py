@@ -121,6 +121,13 @@ class TestMeasurePhoton:
     def test_lost_pulse(self):
         assert measure_photon(1, RECT, DIAG, False, 0) is None
 
+    def test_no_flip_draw_at_flip_prob_zero(self):
+        # a matched outcome at flip_prob 0 is Alice's bit, with no uniform drawn
+        gen = np.random.default_rng(3)
+        before = gen.bit_generator.state
+        assert measure_photon(1, DIAG, DIAG, True, gen) == 1
+        assert gen.bit_generator.state == before
+
     def test_mismatched_is_fair_coin(self):
         rng = np.random.default_rng(8)
         n = 10_000
@@ -367,32 +374,21 @@ class TestFairBits:
 
 
 class TestDrawBlock:
-    """`draw_block` makes the draws of `random_inputs` then `draw_round`."""
+    """`draw_block` makes the draws of `random_inputs` then `draw_round`, for
+    P1-P3 rounds on a channel with a line."""
 
     CHUNK = protocol_module._CHUNK
 
-    @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
-    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
+    @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P2, Protocol.P3],
+                             ids=lambda p: p.value)
     @pytest.mark.parametrize("flip_prob", [0.0, 0.1])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3000])
-    def test_rows_match_round_by_round_draws(self, protocol, ideal, flip_prob, n):
+    def test_rows_match_round_by_round_draws(self, protocol, flip_prob, n):
         noisy = KljnLineParams(v=2e5, n_pairs=1000, n_samples=3, r_low=1e4, r_high=1e5)
-        channel = ChannelModel(0.7, flip_prob, None if ideal else noisy)
+        channel = ChannelModel(0.7, flip_prob, noisy)
         fast, slow = np.random.default_rng(5), np.random.default_rng(5)
-        *drawn, low, high = draw_block(protocol, channel, fast, n)
-        rows = []
-        for _ in range(n):
-            inputs = random_inputs(slow)
-            detected, bob_bit, obs = draw_round(protocol, inputs, channel, slow)
-            level = obs.classified_level if obs else None
-            rows.append([inputs.alice_basis is DIAG, inputs.bob_basis is DIAG, detected,
-                         detected and bob_bit != inputs.alice_bit,
-                         level is NoiseLevel.LOW, level is NoiseLevel.HIGH])
-        sampled = protocol is not Protocol.BB84 and not ideal
-        assert (low is not None) == sampled and (high is not None) == sampled
-        if not sampled:
-            low = high = np.zeros(n, dtype=bool)
-        assert np.column_stack([*drawn, low, high]).tolist() == rows
+        masks = draw_block(protocol, channel, fast, n)
+        assert np.column_stack(masks).tolist() == self.round_by_round(protocol, channel, slow, n)
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @pytest.mark.parametrize("protocol", [Protocol.P1, Protocol.P3], ids=lambda p: p.value)
@@ -422,7 +418,7 @@ class TestDrawBlock:
         for _ in range(n):
             inputs = random_inputs(gen)
             detected, bob_bit, obs = draw_round(protocol, inputs, channel, gen)
-            level = obs.classified_level if obs else None
+            level = obs.classified_level
             rows.append([inputs.alice_basis is DIAG, inputs.bob_basis is DIAG, detected,
                          detected and bob_bit != inputs.alice_bit,
                          level is NoiseLevel.LOW, level is NoiseLevel.HIGH])
@@ -433,61 +429,29 @@ class TestDrawBlock:
         np.random.MT19937], ids=lambda b: b.__name__)
     @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
     @pytest.mark.parametrize("n", [1, CHUNK + 1])
-    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
-    def test_rows_match_round_by_round_on_every_bit_generator(self, bit_generator, spare, n,
-                                                              ideal):
+    def test_rows_match_round_by_round_on_every_bit_generator(self, bit_generator, spare, n):
         # A round's three bits, its scalar bit and its uniforms share 32-bit
         # halves with the rounds around it, and with a half pending on entry.
-        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
+        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY)
         fast, slow = (np.random.Generator(bit_generator(13)) for _ in range(2))
         if spare:
             fair_bits(fast)
             fair_bits(slow)
-        *drawn, low, high = draw_block(Protocol.P2, channel, fast, n)
-        if ideal:
-            low = high = np.zeros(n, dtype=bool)
+        masks = draw_block(Protocol.P2, channel, fast, n)
         rows = self.round_by_round(Protocol.P2, channel, slow, n)
-        assert np.column_stack([*drawn, low, high]).tolist() == rows
+        assert np.column_stack(masks).tolist() == rows
         assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state)
         assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3))
-
-    @pytest.mark.parametrize("bit_generator", [
-        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
-        ids=lambda b: b.__name__)
-    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
-    @pytest.mark.parametrize("protocol, ideal", [(Protocol.BB84, False), (Protocol.P2, True)],
-                             ids=["bb84_sampled", "p2_ideal"])
-    @pytest.mark.parametrize("detection_prob", [0.0, 0.009, 0.7, 1.0])
-    @pytest.mark.parametrize("flip_prob", [0.0, 0.015, 1.0])
-    def test_unsampled_rows_match_round_by_round(self, bit_generator, spare, protocol, ideal,
-                                                 detection_prob, flip_prob):
-        # Rounds that sample no line, at click and flip rates from none to all.
-        channel = ChannelModel(detection_prob, flip_prob, None if ideal else TestDrawSpan.NOISY)
-        for n in (1, 2, 5, 64, 65):
-            fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
-            if spare:
-                fair_bits(fast)
-                fair_bits(slow)
-            *drawn, low, high = draw_block(protocol, channel, fast, n)
-            assert low is None and high is None
-            rows = [row[:4] for row in self.round_by_round(protocol, channel, slow, n)]
-            assert np.column_stack(drawn).tolist() == rows, n
-            # the pending flag and `uinteger`, stale or not, as the loop leaves them
-            assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state), n
-            assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3)), n
-            assert np.array_equal(fast.bit_generator.random_raw(2),
-                                  slow.bit_generator.random_raw(2)), n
 
     @pytest.mark.parametrize("bit_generator", [
         np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
         np.random.MT19937], ids=lambda b: b.__name__)
     @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
-    @pytest.mark.parametrize("ideal", [True, False], ids=["ideal", "sampled"])
-    def test_two_calls_draw_what_one_call_of_their_sum_draws(self, bit_generator, spare, ideal):
+    def test_two_calls_draw_what_one_call_of_their_sum_draws(self, bit_generator, spare):
         # A session draws its spans one call after another on one generator,
         # so a call must leave it, pending half included, where the next
         # call's rounds begin, also when a half is left pending between them.
-        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
+        channel = ChannelModel(0.7, 0.1, TestDrawSpan.NOISY)
         pending = []
         for first in (1, 2, 5, 64, 65):
             split, whole = (np.random.Generator(bit_generator(40 + first)) for _ in range(2))
@@ -498,10 +462,8 @@ class TestDrawBlock:
             pending.append(split.bit_generator.state.get("has_uint32"))
             tail = draw_block(Protocol.P2, channel, split, 64)
             joined = draw_block(Protocol.P2, channel, whole, first + 64)
-            nones = [[m is None for m in masks] for masks in (head, tail, joined)]
-            assert nones == [[False] * 4 + [ideal] * 2] * 3
             for a, b, both in zip(head, tail, joined):
-                assert both is None or np.array_equal(np.concatenate((a, b)), both), first
+                assert np.array_equal(np.concatenate((a, b)), both), first
             assert TestDrawSpan.same_state(split.bit_generator.state,
                                            whole.bit_generator.state), first
             assert np.array_equal(fair_bits(split, 3), fair_bits(whole, 3)), first
@@ -623,13 +585,20 @@ class TestDrawSpan:
 @pytest.mark.parametrize("draw", [draw_block, draw_span], ids=lambda draw: draw.__name__)
 @pytest.mark.parametrize("protocol", list(Protocol), ids=lambda p: p.value)
 def test_low_and_high_exactly_when_the_channel_has_a_line(draw, protocol):
-    # BB84 has no wire to sample, whatever the channel carries
-    *_, low, high = draw(protocol, ChannelModel(0.7, 0.1, TestDrawSpan.NOISY), 3, 40)
-    if protocol is Protocol.BB84:
-        assert low is None and high is None
-    else:
-        assert low.dtype == high.dtype == bool and low.shape == high.shape == (40,)
-    assert draw(protocol, ChannelModel(0.7, 0.1), 3, 40)[4:] == (None, None)
+    # BB84 has no wire to sample, whatever the channel carries. `draw_block`
+    # draws only rounds that sample the line and refuses the others.
+    for line in (TestDrawSpan.NOISY, None):
+        channel = ChannelModel(0.7, 0.1, line)
+        if protocol is not Protocol.BB84 and line is not None:
+            *_, low, high = draw(protocol, channel, 3, 40)
+            assert low.dtype == high.dtype == bool and low.shape == high.shape == (40,)
+        elif draw is draw_span:
+            assert draw(protocol, channel, 3, 40)[4:] == (None, None)
+        else:
+            shown = f"protocol {protocol.value} with{'out' * (line is None)} a line"
+            with pytest.raises(DomainError, match=f"P1-P3 rounds on a channel with a line, "
+                                                  f"got {shown}"):
+                draw(protocol, channel, 3, 40)
 
 
 class TestRoundCounts:
@@ -648,13 +617,12 @@ class TestRoundCounts:
         masks = draw(Protocol.P2, self.CHANNEL, 0, 0)
         assert all(mask.dtype == bool and mask.shape == (0,) for mask in masks)
 
-    def test_zero_unsampled_rounds_draw_nothing(self):
+    def test_zero_block_rounds_draw_nothing(self):
         # Zero rounds give empty masks and leave a pending half pending.
         gen = np.random.default_rng(6)
         fair_bits(gen)
         before = gen.bit_generator.state
-        *drawn, low, high = draw_block(Protocol.P2, IDEAL, gen, 0)
-        assert all(mask.shape == (0,) for mask in drawn) and low is high is None
+        assert all(mask.shape == (0,) for mask in draw_block(Protocol.P2, self.CHANNEL, gen, 0))
         assert gen.bit_generator.state == before
 
 

@@ -16,8 +16,8 @@ runs first switches from pair to pair, the parent first. `BENCH_<pr>.json`
 at the repo root holds the machine block, both commits and the diff's
 sha256, and per run, command or harness every pair, the output digests and, per metric, each side's median and quartiles
 and the pairs the working tree won, by the metric's `better` in
-BENCHMARK.json (lower `seconds` for a command, `LAYER_BETTER` for the
-harness; ties count for neither side). A harness number that is null on a
+BENCHMARK.json (lower `seconds` for a command, `METRICS` in tools/layers.py
+for the harness; ties count for neither side). A harness number that is null on a
 side, its function missing from that tree, gives that side null quartiles
 and wins neither side a pair.
 Exits 1 after writing the file if any run failed the benchmark's own checks,
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
 import os
 import shutil
@@ -41,12 +42,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 LAYERS = ROOT / "tools" / "layers.py"
-# The numbers tools/layers.py prints, and which way is better.
-LAYER_BETTER = {"throughputs_us": "lower", "sweep_points_per_s_40": "higher",
-                "sweep_points_per_s_1000": "higher", "sweep_points_per_s_100000": "higher",
-                "crossover_ms": "lower", "crossover_evals": "lower", "draw_span_ms": "lower",
-                "draw_block_ms": "lower", "gated_session_ms_ideal": "lower",
-                "gated_session_ms_sampled": "lower"}
 # The criterion-8 commands of tests/test_acceptance.py (each also gets `--out FILE`).
 CLI_COMMANDS = (
     ("sweep", "--points", "40"),
@@ -119,6 +114,14 @@ def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> dict:
     seconds = time.perf_counter() - start
     return {"metrics": {"seconds": seconds},
             "output_digest": hashlib.sha256(out.read_bytes()).hexdigest()}
+
+
+def layer_better() -> dict[str, str]:
+    """The numbers tools/layers.py prints, and which way is better: its `METRICS`."""
+    spec = importlib.util.spec_from_file_location("layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.METRICS
 
 
 def time_layers(tree: Path) -> dict:
@@ -223,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
                                  "seconds", lambda side: time_cli(trees[side], command,
                                                                   scratch / f"{side}.out")))
         if args.layers:
-            layers.append(alternate({"harness": "tools/layers.py"}, args.layers, LAYER_BETTER,
+            layers.append(alternate({"harness": "tools/layers.py"}, args.layers, layer_better(),
                                     "throughputs_us", lambda side: time_layers(trees[side])))
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

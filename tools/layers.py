@@ -3,8 +3,9 @@
     PYTHONPATH=<tree>/src python3 tools/layers.py
 
 Prints `{"metrics": {...}, "output_digest": ...}`, the shape of one side of a
-`tools/bench.py` pair. Each number is the median over REPEATS timed batches
-(`time.perf_counter`) of a fixed number of calls, at the default parameters:
+`tools/bench.py` pair; `METRICS` names each number and which way is better.
+Each number is the median over REPEATS timed batches (`time.perf_counter`)
+of a fixed number of calls, at the default parameters:
 `throughputs` µs per call at 2 km, `sweep` points/s at 40, 1e3 and 1e5 log
 points over (0.1, 10) km, `crossover_distance` ms per solve and its number of
 `rates.throughputs` evaluations; `draw_span` ms per 65,536 ideal rounds and
@@ -28,9 +29,11 @@ import numpy as np
 REPEATS = 5
 SWEEP_POINTS = (40, 1_000, 100_000)
 SPAN_ROUNDS, SESSION_ROUNDS = 65_536, 2_000
-METRICS = ("throughputs_us", *(f"sweep_points_per_s_{n}" for n in SWEEP_POINTS),
-           "crossover_ms", "crossover_evals", "draw_span_ms", "draw_block_ms",
-           "gated_session_ms_ideal", "gated_session_ms_sampled")
+METRICS = {"throughputs_us": "lower",
+           **{f"sweep_points_per_s_{n}": "higher" for n in SWEEP_POINTS},
+           "crossover_ms": "lower", "crossover_evals": "lower", "draw_span_ms": "lower",
+           "draw_block_ms": "lower", "gated_session_ms_ideal": "lower",
+           "gated_session_ms_sampled": "lower"}
 
 
 def lookup(module: str, name: str):
