@@ -487,10 +487,12 @@ def decide_block(
     if (low is None) != (high is None):
         missing, given = ("low", "high") if low is None else ("high", "low")
         raise DomainError(f"{missing} must be given with {given}, or neither")
-    for name, mask in (("alice_diag", alice_diag), ("bob_diag", bob_diag), ("low", low),
-                       ("high", high)):
-        if mask is not None and not (isinstance(mask, np.ndarray) and mask.dtype == bool
-                                     and mask.shape == alice_diag.shape):
+    named = [("alice_diag", alice_diag), ("bob_diag", bob_diag)]
+    if low is not None:
+        named += [("low", low), ("high", high)]
+    for name, mask in named:  # alice_diag is checked before its shape is read
+        if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+                and mask.shape == alice_diag.shape):
             got = (f"{mask.dtype} ndarray of shape {mask.shape}"
                    if isinstance(mask, np.ndarray) else type(mask).__name__)
             raise DomainError(f"the masks must be bool ndarrays of one shape, got {name}: {got}")

@@ -23,6 +23,7 @@ from hybridkd.protocol import (
     Polarization,
     Protocol,
     RoundInputs,
+    decide_block,
     draw_block,
     draw_round,
     draw_span,
@@ -373,6 +374,69 @@ class TestFairBits:
         assert fast.bit_generator.state == slow.bit_generator.state, why
 
 
+class TestDrawRound:
+    """`draw_round` on rounds that sample no line draws a click, then Bob's
+    outcome as `measure_photon` draws it, and nothing else."""
+
+    @staticmethod
+    def reference(inputs, channel, gen):
+        """(detected, Bob's outcome) of `draw_round` from the public draws, the reference."""
+        detected = inputs.detected
+        if detected is None:
+            detected = bool(gen.random() < channel.detection_prob)
+        bob_bit = inputs.forced_bob_bit if detected else None
+        if detected and bob_bit is None:
+            bob_bit = measure_photon(inputs.alice_bit, inputs.alice_basis, inputs.bob_basis,
+                                     True, gen, channel.flip_prob)
+        return detected, bob_bit
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+        ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("protocol, ideal", [(Protocol.BB84, False), (Protocol.P2, True)],
+                             ids=["bb84_sampled", "p2_ideal"])
+    @pytest.mark.parametrize("detection_prob", [0.0, 0.009, 0.7, 1.0])
+    @pytest.mark.parametrize("flip_prob", [0.0, 0.015, 1.0])
+    def test_unsampled_rows_match_round_by_round(self, bit_generator, spare, protocol, ideal,
+                                                 detection_prob, flip_prob):
+        # Rounds that sample no line, at click and flip rates from none to all.
+        channel = ChannelModel(detection_prob, flip_prob, None if ideal else TestDrawSpan.NOISY)
+        for n in (1, 2, 5, 64, 65):
+            fast, slow = (np.random.Generator(bit_generator(20 + n)) for _ in range(2))
+            if spare:
+                fair_bits(fast)
+                fair_bits(slow)
+            for _ in range(n):
+                detected, bob_bit, obs = draw_round(protocol, random_inputs(fast), channel, fast)
+                assert obs is None
+                assert (detected, bob_bit) == self.reference(random_inputs(slow), channel, slow)
+            # the pending flag and `uinteger`, stale or not, as the rounds leave them
+            assert TestDrawSpan.same_state(fast.bit_generator.state, slow.bit_generator.state), n
+            assert np.array_equal(fair_bits(fast, 3), fair_bits(slow, 3)), n
+            assert np.array_equal(fast.bit_generator.random_raw(2),
+                                  slow.bit_generator.random_raw(2)), n
+
+    @pytest.mark.parametrize("protocol, ideal", [(Protocol.BB84, False), (Protocol.P2, True)],
+                             ids=["bb84_sampled", "p2_ideal"])
+    @pytest.mark.parametrize("bob_basis", [RECT, DIAG], ids=["matched", "mismatched"])
+    @pytest.mark.parametrize("detected", [None, False, True])
+    @pytest.mark.parametrize("forced", [None, 0, 1])
+    def test_forced_inputs_skip_their_draws(self, protocol, ideal, bob_basis, detected, forced):
+        # Golden traces fix a click and Bob's outcome; a fixed one draws nothing.
+        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
+        fast, slow = np.random.default_rng(17), np.random.default_rng(17)
+        for alice_bit in (0, 1) * 10:
+            inputs = RoundInputs(RECT, alice_bit, bob_basis, detected, forced)
+            drawn = draw_round(protocol, inputs, channel, fast)
+            assert drawn == (*self.reference(inputs, channel, slow), None)
+            if detected is False:
+                assert drawn[1] is None
+            elif detected and forced is not None:
+                assert drawn[1] == forced
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
 class TestDrawBlock:
     """`draw_block` makes the draws of `random_inputs` then `draw_round`, for
     P1-P3 rounds on a channel with a line."""
@@ -469,6 +533,30 @@ class TestDrawBlock:
             assert np.array_equal(fair_bits(split, 3), fair_bits(whole, 3)), first
         # MT19937's words are 32-bit: it never holds a half
         assert (1 in pending) == (bit_generator is not np.random.MT19937), pending
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+        np.random.MT19937], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_half"])
+    @pytest.mark.parametrize("protocol, ideal", [
+        (Protocol.BB84, False), (Protocol.BB84, True), (Protocol.P1, True), (Protocol.P2, True),
+        (Protocol.P3, True)], ids=["bb84_sampled", "bb84_ideal", "p1_ideal", "p2_ideal",
+                                   "p3_ideal"])
+    def test_refused_rounds_leave_the_generator_to_draw_span(self, bit_generator, spare,
+                                                             protocol, ideal):
+        # Rounds that sample no line are `draw_span`'s, whose path depends on
+        # a pending half: a refused call must draw nothing, that half included.
+        channel = ChannelModel(0.7, 0.1, None if ideal else TestDrawSpan.NOISY)
+        gen, twin = (np.random.Generator(bit_generator(31)) for _ in range(2))
+        if spare:
+            fair_bits(gen)
+            fair_bits(twin)
+        with pytest.raises(DomainError, match="P1-P3 rounds on a channel with a line"):
+            draw_block(protocol, channel, gen, 5)
+        assert TestDrawSpan.same_state(gen.bit_generator.state, twin.bit_generator.state)
+        masks, expected = (draw_span(protocol, channel, g, 5) for g in (gen, twin))
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(masks, expected))
+        assert TestDrawSpan.same_state(gen.bit_generator.state, twin.bit_generator.state)
 
 
 class TestDrawSpan:
@@ -624,6 +712,28 @@ class TestRoundCounts:
         before = gen.bit_generator.state
         assert all(mask.shape == (0,) for mask in draw_block(Protocol.P2, self.CHANNEL, gen, 0))
         assert gen.bit_generator.state == before
+
+
+class TestDecideBlockMasks:
+    """`decide_block` takes bool ndarrays of `alice_diag`'s shape, and names
+    the first mask that is not one."""
+
+    MASK = np.array([True, False, True])
+    BAD = {"list": [True, False, True], "int": np.array([1, 0, 1]), "short": MASK[:1],
+           "none": None}
+
+    # low or high alone as None is the pairing error, in test_errors.py's table
+    @pytest.mark.parametrize("name, kind", [
+        (name, kind) for name in ("alice_diag", "bob_diag", "low", "high")
+        for kind in ("list", "int", "short", "none")
+        if kind != "none" or name in ("alice_diag", "bob_diag")])
+    def test_bad_mask_is_named(self, name, kind):
+        masks = dict.fromkeys(("alice_diag", "bob_diag", "low", "high"), self.MASK)
+        masks[name] = self.BAD[kind]
+        # a short alice_diag sets the shape, so bob_diag is the first to differ
+        named = "bob_diag" if (name, kind) == ("alice_diag", "short") else name
+        with pytest.raises(DomainError, match=f"bool ndarrays of one shape, got {named}: "):
+            decide_block(Protocol.P3, *masks.values())
 
 
 class TestExtractKey:
