@@ -10,13 +10,16 @@ bit rates in Hz/bps, attenuation in dB/km, signal velocity in km/s.
 Conversions belong at the configuration boundary, not here.
 
 The distance-dependent functions take a float or a float64 array of
-distances and return the same kind. One formula serves both, and an array
-evaluates bit for bit like its elements one at a time: transcendentals, log2
-too, map the C library's function over the elements (`_libm`), and each
-domain check names the first offending element. A public function is its
-checks plus, where another needs the formula, a private core (`_entropy`,
-`_gamma`), so `link_budget` checks `p` once. `LinkBudget` is a slots
-dataclass like `rates.RatePoint`: mutable and unhashable.
+distances (a 0-d array counts as its float) and return the same kind. One
+formula serves both, and an array evaluates bit for bit like its elements
+one at a time: transcendentals, log2 too, map the C library's function over
+the elements (`_libm`), and each domain check names the first offending
+element. A public function is its checks plus a private core that skips them
+(`_transmittance`, `_budget`, `_entropy`, `_gamma`, `_bandwidth`,
+`_bit_rate`), so each formula is written once and is checked once: at the
+public function, or at the boundary of a caller such as `rates`, which
+composes the cores. `LinkBudget` is a slots dataclass like `rates.RatePoint`:
+mutable and unhashable.
 """
 
 from __future__ import annotations
@@ -44,14 +47,15 @@ __all__ = [
 
 
 def _libm(fn, x):
-    """fn(x) for a float; for an array, fn of each element.
+    """fn(x) for a float; for an array of any shape, 0-d too, fn of each element.
 
     numpy's SIMD power, expm1 and log2 differ from the C library's in the
     last ulp on some inputs, so arrays take the same per-element libm call
-    as floats. Here and below a float is told apart first, as isinstance is slow to say no.
+    as floats. Here and below a float is told apart first, as isinstance is slow to say no;
+    the cores on the solver's path tell it apart themselves and call fn directly.
     """
     if x.__class__ is not float and isinstance(x, np.ndarray):
-        return np.fromiter(map(fn, x.tolist()), np.float64, x.size)
+        return np.fromiter(map(fn, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
     return fn(x)
 
 
@@ -182,7 +186,12 @@ def system_transmittance(p: OpticalParams, distance_km: float) -> float:
     _check_type(distance_km, "distance")
     _require((0.0 <= distance_km) & (distance_km < math.inf), distance_km,
              "distance must be finite and >= 0 km, got {}")
-    return p.eta_d * _libm(_exp10, -p.alpha * distance_km / 10.0)
+    return _transmittance(p, distance_km)
+
+
+def _transmittance(p: OpticalParams, distance_km: float) -> float:
+    x = -p.alpha * distance_km / 10.0
+    return p.eta_d * (_exp10(x) if x.__class__ is float else _libm(_exp10, x))
 
 
 def gain_and_qber(p: OpticalParams, distance_km: float) -> tuple[float, float]:
@@ -198,16 +207,26 @@ def gain_and_qber(p: OpticalParams, distance_km: float) -> tuple[float, float]:
 
 
 def _gain_and_qber(p: OpticalParams, eta_sys: float) -> tuple[float, float]:
-    optical_click = -_libm(math.expm1, -p.mu * eta_sys)  # 1 - exp(-mu*eta_sys)
-    q_mu = optical_click + p.p_d
+    x = -p.mu * eta_sys
+    optical_click = -(math.expm1(x) if x.__class__ is float else _libm(math.expm1, x))
+    q_mu = optical_click + p.p_d  # optical_click is 1 - exp(-mu*eta_sys)
     _require(q_mu != 0.0, q_mu,
              "q_mu is zero (p_d = 0 and mu*eta_sys = 0); QBER is undefined")
     e_mu = (p.e_opt * optical_click + 0.5 * p.p_d) / q_mu
     return q_mu, e_mu
 
 
+def _budget(p: OpticalParams, eta_sys: float) -> tuple[float, float, float]:
+    """(q_mu, e_mu, gamma) at a system transmittance: the budget past `_transmittance`."""
+    q_mu, e_mu = _gain_and_qber(p, eta_sys)
+    return q_mu, e_mu, _gamma(p, _entropy(e_mu))
+
+
 def binary_entropy(x: float) -> float:
-    """Binary entropy h(x) = -x*log2(x) - (1-x)*log2(1-x), h(0) = h(1) = 0."""
+    """Binary entropy h(x) = -x*log2(x) - (1-x)*log2(1-x), h(0) = h(1) = 0.
+
+    Takes a float or a float64 array; a 0-d array gives its float's value.
+    """
     _check_type(x, "entropy argument")
     _require((0.0 <= x) & (x <= 1.0), x, "entropy argument must be in [0, 1], got {}")
     return _entropy(x)
@@ -222,6 +241,7 @@ def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
     """Key fraction sacrificed to error correction and privacy amplification.
 
     gamma = min(1, (f_ec + 1) * h(E_mu)), clamped at unity (100% overhead).
+    E_mu is a float or a float64 array, as for `binary_entropy`.
     """
     check_type(p, OpticalParams, "p")
     return _gamma(p, binary_entropy(e_mu))
@@ -229,7 +249,8 @@ def post_processing_penalty(p: OpticalParams, e_mu: float) -> float:
 
 def _gamma(p: OpticalParams, h: float) -> float:
     """gamma from the binary entropy h of E_mu."""
-    return _minimum(1.0, (p.f_ec + 1.0) * h)
+    gamma = (p.f_ec + 1.0) * h
+    return (gamma if gamma < 1.0 else 1.0) if gamma.__class__ is float else _minimum(1.0, gamma)
 
 
 def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
@@ -245,12 +266,16 @@ def wave_limit_bandwidth(line: KljnLineParams, distance_km: float) -> float:
     message = "distance {} km gives no finite, positive bandwidth v / (20 L)"
     _require(distance_km > 0.0, distance_km, message)
     if distance_km.__class__ is float:
-        b_w = line.v / (20.0 * distance_km)
+        b_w = _bandwidth(line, distance_km)
     else:  # numpy warns where a float overflows to inf quietly; the check below names it
         with np.errstate(over="ignore"):
-            b_w = line.v / (20.0 * distance_km)
+            b_w = _bandwidth(line, distance_km)
     _require((0.0 < b_w) & (b_w < math.inf), distance_km, message)
     return b_w
+
+
+def _bandwidth(line: KljnLineParams, distance_km: float) -> float:
+    return line.v / (20.0 * distance_km)
 
 
 def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
@@ -261,16 +286,20 @@ def kljn_bit_rate(line: KljnLineParams, distance_km: float) -> float:
     """
     b_w = wave_limit_bandwidth(line, distance_km)
     if b_w.__class__ is float:
-        rate = line.n_pairs * (2.0 * b_w) / line.n_samples
+        rate = _bit_rate(line, b_w)
     else:  # numpy warns where a float overflows to inf quietly; the check below names it
         with np.errstate(over="ignore"):
-            rate = line.n_pairs * (2.0 * b_w) / line.n_samples
+            rate = _bit_rate(line, b_w)
     _require(rate < math.inf, distance_km, "distance {} km gives a wire bit rate that overflows")
     return rate
+
+
+def _bit_rate(line: KljnLineParams, b_w: float) -> float:
+    """The wire bit rate at a noise bandwidth b_w."""
+    return line.n_pairs * (2.0 * b_w) / line.n_samples
 
 
 def link_budget(p: OpticalParams, distance_km: float) -> LinkBudget:
     """Evaluate the full optical budget at one distance, or over an array of them."""
     eta_sys = system_transmittance(p, distance_km)  # checks p and the distance
-    q_mu, e_mu = _gain_and_qber(p, eta_sys)
-    return LinkBudget(distance_km, eta_sys, q_mu, e_mu, _gamma(p, _entropy(e_mu)))
+    return LinkBudget(distance_km, eta_sys, *_budget(p, eta_sys))

@@ -11,10 +11,16 @@ apply the hardware clocks: baseline BB84 runs unthrottled at f_qkd, the
 gated hybrid protocols at f_sys = min(f_qkd, R_kljn), and burst (buffered)
 operation transiently escapes the throttle at f_qkd.
 
-`throughputs` evaluates one distance; `_sweep_columns` evaluates a whole grid
-in one pass of the same formulas (`physics` takes arrays too) for `sweep`,
-the crossover scan and the CLI, matching `throughputs` bit for bit. The
-crossover and supremacy bound distances are roots found by Brent's method.
+`_rate_columns` is the one composition of the formulas, from `physics`'
+private cores, at a distance or over a grid (`physics` takes arrays too). It
+checks nothing but that Q_mu is not zero, which guards a division: its
+callers check their inputs once, at the boundary. `throughputs` checks one
+distance through `physics`' public functions; `_sweep_columns` checks a
+grid's ends for `sweep`, the crossover scan and the CLI, matching
+`throughputs` bit for bit. Every check is monotone in distance, so ends that
+pass cover every distance between them. The crossover and supremacy bound
+distances are roots found by Brent's method, which checks its bracket's ends
+through `throughputs` and evaluates the points between them unchecked.
 """
 
 from __future__ import annotations
@@ -27,16 +33,20 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, SolverError, check_int, check_real
+from .errors import DomainError, SolverError, _shown, check_int, check_real, check_type
 from .physics import (
     KljnLineParams,
     LinkBudget,
     OpticalParams,
+    _bandwidth,
+    _bit_rate,
+    _budget,
     _minimum,
+    _transmittance,
     kljn_bit_rate,
-    link_budget,
-    wave_limit_bandwidth,
+    system_transmittance,
 )
+from .physics import link_budget  # noqa: F401  perfbench's tracer still wraps this name here
 
 __all__ = [
     "RatePoint",
@@ -70,6 +80,7 @@ class RatePoint:
 
 
 RATE_POINT_FIELDS = tuple(f.name for f in fields(RatePoint))
+_T_BB84, _T_P23 = RATE_POINT_FIELDS.index("t_bb84"), RATE_POINT_FIELDS.index("t_p23")
 
 _EPS = math.ulp(1.0)
 _BRENT_SLACK = 4  # evaluations interpolation may spend beyond bisection's count
@@ -102,21 +113,32 @@ def normalized_rates(budget: LinkBudget) -> tuple[float, float]:
     itself: the subtraction is exact (Sterbenz, since 0.5 + r < 1), so the
     0.5 offset between the two returned values is bit-exact while the
     optical term keeps its value to within one rounding unit (< 2^-54).
+    The budget's fields may be float64 arrays; anything but a `LinkBudget`
+    is a DomainError naming `budget`.
     """
-    r_optical = 0.5 * budget.q_mu * (1.0 - budget.gamma)
-    r_p23 = 0.5 + r_optical
+    check_type(budget, LinkBudget, "budget")
+    return _normalized_rates(budget.q_mu, budget.gamma)
+
+
+def _normalized_rates(q_mu: float, gamma: float) -> tuple[float, float]:
+    r_p23 = 0.5 + 0.5 * q_mu * (1.0 - gamma)
     return r_p23 - 0.5, r_p23
 
 
 def _rate_columns(optical: OpticalParams, line: KljnLineParams, distance_km):
-    """The RatePoint fields in order, at a distance (float) or over a grid (float64 array)."""
-    budget = link_budget(optical, distance_km)
-    r_bb84, r_p23 = normalized_rates(budget)
-    r_kljn = kljn_bit_rate(line, distance_km)
+    """The RatePoint fields in order, at a distance (float) or over a grid (float64 array).
+
+    Unchecked but for Q_mu != 0, which guards a division: the caller has
+    checked the records and that every distance passes `physics`' checks.
+    Over a grid the caller also silences numpy's overflow warnings.
+    """
+    q_mu, e_mu, gamma = _budget(optical, _transmittance(optical, distance_km))
+    r_bb84, r_p23 = _normalized_rates(q_mu, gamma)
+    r_kljn = _bit_rate(line, _bandwidth(line, distance_km))
     f_sys = _minimum(optical.f_qkd, r_kljn)
     t_bb84 = r_bb84 * optical.f_qkd
     return (
-        distance_km, budget.q_mu, budget.e_mu, budget.gamma,
+        distance_km, q_mu, e_mu, gamma,
         r_bb84, r_bb84, r_p23, r_kljn, f_sys,
         t_bb84, r_bb84 * f_sys, r_p23 * f_sys, t_bb84, r_p23 * optical.f_qkd,
     )
@@ -125,7 +147,9 @@ def _rate_columns(optical: OpticalParams, line: KljnLineParams, distance_km):
 def throughputs(
     optical: OpticalParams, line: KljnLineParams, distance_km: float
 ) -> RatePoint:
-    """Evaluate every RatePoint field at one distance (> 0)."""
+    """Evaluate every RatePoint field at one distance (> 0), after `physics`' checks of it."""
+    system_transmittance(optical, distance_km)  # checks optical and the distance
+    kljn_bit_rate(line, distance_km)  # checks line, and a finite bandwidth and wire rate there
     return RatePoint(*_rate_columns(optical, line, distance_km))
 
 
@@ -141,9 +165,16 @@ def _sweep_columns(optical: OpticalParams, line: KljnLineParams, l_min: float, l
     if spacing not in ("linear", "log"):
         raise DomainError(f"spacing must be 'linear' or 'log', got {spacing!r}")
     for end in (l_max, l_min):  # an end is named, not an inf geomspace rounds inner points to
-        wave_limit_bandwidth(line, end)
-    grid = (np.linspace if spacing == "linear" else np.geomspace)(l_min, l_max, n_points)
-    with np.errstate(over="ignore"):  # an overflow to inf fails a domain check, which names it
+        kljn_bit_rate(line, end)
+    check_type(optical, OpticalParams, "p")
+    # Float ends, as an int past int64 would make numpy's grid an object array.
+    grid = (np.linspace if spacing == "linear" else np.geomspace)(
+        float(l_min), float(l_max), n_points)
+    # Each check is monotone in distance, so it passes on the whole grid if it passes at the
+    # grid's least and greatest points: its ends, except where geomspace rounds a point past one.
+    for end in (grid.max().item(), grid.min().item()):
+        kljn_bit_rate(line, end)
+    with np.errstate(over="ignore"):  # -alpha * L / 10 may overflow to -inf: a transmittance of 0
         return _rate_columns(optical, line, grid)
 
 
@@ -158,13 +189,7 @@ def sweep(optical: OpticalParams, line: KljnLineParams, l_min: float, l_max: flo
     return [RatePoint(*row) for row in zip(*columns)]
 
 
-def _brent(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    xtol: float,
-    what: str,
-) -> float:
+def _brent(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> float:
     """A root of f in [lo, hi], within xtol (or the float resolution there).
 
     Brent's method (Brent, Algorithms for Minimization without Derivatives,
@@ -184,9 +209,7 @@ def _brent(
         return b
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise SolverError(
-            f"{what}: no sign change over bracket ({lo:g}, {hi:g}) km "
-            f"(f={fa:.6g} and {fb:.6g})"
-        )
+            f"no sign change over bracket ({lo:g}, {hi:g}) km (f={fa:.6g} and {fb:.6g})")
     # Evaluations left: bisection's halvings from the bracket down to xtol, plus the slack.
     log2_xtol = math.log2(xtol)
     budget = max(0, math.ceil(math.log2(hi - lo) - log2_xtol)) + _BRENT_SLACK
@@ -267,20 +290,32 @@ def short_haul_supremacy_bound(
     the first, short-haul one; with none on the grid the solve fails with
     "no sign change". Brent's method finds the root to within `xtol` km
     (finite and > 0). With factor=1 this is exactly the crossover distance.
+
+    The bracket is a pair of distances (a DomainError naming `bracket`
+    otherwise), solved as floats. Its ends are checked once, through
+    `throughputs`; the points between them skip the checks, which every
+    distance between ends that pass also passes (see `_rate_columns`).
     """
     check_real(factor, "factor", gt=0)
     check_real(xtol, "xtol", gt=0)
-    lo, hi = bracket
+    try:
+        lo, hi = bracket
+    except (TypeError, ValueError):
+        raise DomainError(f"bracket must be a pair of distances (lo, hi), "
+                          f"got {_shown(bracket)}") from None
     check_real(lo, "bracket distance lo", gt=0)
     check_real(hi, "bracket distance hi", gt=lo)
+    lo, hi = float(lo), float(hi)
 
     def gap(distance: float) -> float:
+        if lo < distance < hi:  # the ends passed every check, so a point between them does
+            columns = _rate_columns(optical, line, distance)
+            return columns[_T_P23] - factor * columns[_T_BB84]
         point = throughputs(optical, line, distance)
         return point.t_p23 - factor * point.t_bb84
 
-    what = "crossover" if factor == 1.0 else f"supremacy bound (factor {factor:g})"
     try:
-        return _brent(gap, lo, hi, xtol, what)
+        return _brent(gap, lo, hi, xtol)
     except SolverError as exc:  # the ends share a sign, but a pair of crossings may lie between
         points = max(_SCAN_POINTS, math.ceil((math.log(hi) - math.log(lo)) / _SCAN_CELL) + 1)
         columns = dict(zip(RATE_POINT_FIELDS, _sweep_columns(optical, line, lo, hi, points, "log")))
@@ -288,6 +323,7 @@ def short_haul_supremacy_bound(
             signs = np.signbit(columns["t_p23"] - factor * columns["t_bb84"])
         cells = np.flatnonzero(signs[1:] != signs[:-1])
         if not len(cells):
-            raise SolverError(f"{exc}, nor over a {points}-point log grid") from None
+            what = "crossover" if factor == 1.0 else f"supremacy bound (factor {factor:g})"
+            raise SolverError(f"{what}: {exc}, nor over a {points}-point log grid") from None
         first_lo, first_hi = columns["distance_km"][cells[0]:cells[0] + 2].tolist()
-        return _brent(gap, first_lo, first_hi, xtol, what)
+        return _brent(gap, first_lo, first_hi, xtol)

@@ -16,7 +16,8 @@ from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, klj
 from hybridkd.protocol import (Basis, ChannelModel, KeyStream, Protocol, RoundInputs,
                                decide_block, draw_block, draw_round, draw_span, extract_key,
                                measure_photon, random_inputs, run_round)
-from hybridkd.rates import crossover_distance, short_haul_supremacy_bound, sweep, throughputs
+from hybridkd.rates import (crossover_distance, normalized_rates, short_haul_supremacy_bound,
+                            sweep, throughputs)
 from hybridkd.session import (TimingMode, estimate_per_pulse_yield, per_pulse_yield_moments,
                               run_buffered_session, run_gated_session, spawn_seeds)
 
@@ -100,6 +101,14 @@ BAD_ARGUMENTS = {
     "bound_factor_str": (lambda: _bound(factor="2"), DomainError, "factor"),
     "bound_xtol_str": (lambda: _bound(xtol="1"), DomainError, "xtol"),
     "bound_bracket_str": (lambda: _bound(bracket=("1", 5.0)), DomainError, "bracket"),
+    # a bracket that is no pair, not the TypeError or ValueError of unpacking it
+    "bound_bracket_none": (lambda: _bound(bracket=None), DomainError, "bracket"),
+    "bound_bracket_int": (lambda: _bound(bracket=5), DomainError, "bracket"),
+    "bound_bracket_triple": (lambda: _bound(bracket=(1.0, 2.0, 3.0)), DomainError, "bracket"),
+    "crossover_bracket_single": (
+        lambda: crossover_distance(DEFAULT_OPTICAL, DEFAULT_KLJN, bracket=(1.0,)),
+        DomainError, "bracket"),
+    "normalized_rates_int": (lambda: normalized_rates(1), DomainError, "budget"),
     "spawn_count_fraction": (lambda: spawn_seeds(1, 2.5), DomainError, "n"),
     "timing_mode_bools": (lambda: TimingMode.buffered(True, True), ConfigError, "burst_block"),
     "line_samples_fraction": (
@@ -253,6 +262,13 @@ def test_bad_argument_is_named(call, error, name):
 def test_int_past_the_float_range_is_shown_by_its_bit_length(call, shown):
     with pytest.raises(DomainError, match=re.escape(f"float range, got {shown}")):
         call()
+
+
+def test_int_ends_past_int64_are_solved_and_swept_as_floats():
+    # check_real accepts an int within the float range, so numpy must not see it as an object
+    assert _bound(bracket=(1, 10**30)) == _bound(bracket=(1.0, 1e30))
+    assert (sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1.0, 10**30, 3)
+            == sweep(DEFAULT_OPTICAL, DEFAULT_KLJN, 1.0, 1e30, 3))
 
 
 @pytest.mark.parametrize("value", [0, 7, 2**63 - 1, np.int64(3), np.uint8(3)])

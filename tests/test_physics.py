@@ -131,6 +131,15 @@ class TestBinaryEntropy:
         with pytest.raises(DomainError):
             binary_entropy(bad)
 
+    def test_arrays_of_any_shape_are_elementwise(self, optical):
+        # a 0-d array counts as its float; the penalty takes the same arrays
+        assert binary_entropy(np.array(0.1)) == binary_entropy(0.1)
+        assert post_processing_penalty(optical, np.array(0.01)) == post_processing_penalty(
+            optical, 0.01)
+        grid = np.array([[0.0, 0.1], [0.5, 1.0]])
+        assert binary_entropy(grid).tolist() == [[binary_entropy(x) for x in row]
+                                                 for row in grid.tolist()]
+
     @pytest.mark.parametrize("bad", ["0.5", True, False, np.True_, None, [0.5]],
                              ids=["str", "True", "False", "np_True", "None", "list"])
     def test_non_number_rejected(self, bad):

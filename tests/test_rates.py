@@ -8,11 +8,15 @@ import re
 import sys
 import tracemalloc
 from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkd import cli, rates
+from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL
 from hybridkd.errors import DomainError, SolverError
 from hybridkd.physics import KljnLineParams, LinkBudget, link_budget
 from hybridkd.rates import (
@@ -329,17 +333,21 @@ class TestSolver:
 
     @pytest.mark.parametrize("factor", FACTORS)
     def test_at_most_16_evaluations(self, optical, line, monkeypatch, factor):
+        # every call of the function _brent is given, whether it checks its distance or not
         calls = []
+        brent = rates._brent
 
-        def counting(*args):
-            calls.append(args)
-            return throughputs(*args)
+        def counting_brent(f, *args):
+            def counted(x):
+                calls.append(x)
+                return f(x)
+            return brent(counted, *args)
 
-        monkeypatch.setattr(rates, "throughputs", counting)
+        monkeypatch.setattr(rates, "_brent", counting_brent)
         for lo, hi in _brackets():
             calls.clear()
             short_haul_supremacy_bound(optical, line, factor, (lo, hi))
-            assert 0 < len(calls) <= 16
+            assert 2 < len(calls) <= 16
 
     @pytest.mark.parametrize(
         "f",
@@ -357,7 +365,7 @@ class TestSolver:
             evals.append(x)
             return f(x)
 
-        root = rates._brent(counted, 0.0, 10.0, 1e-9, "test")
+        root = rates._brent(counted, 0.0, 10.0, 1e-9)
         assert abs(root - 3.3) <= 1e-9
         assert len(evals) <= _bisection_evals(0.0, 10.0, 1e-9) + 4
 
@@ -369,5 +377,38 @@ class TestSolver:
             evals.append(x)
             return x - 2.0
 
-        assert rates._brent(f, lo, hi, 1e-9, "test") == expected
+        assert rates._brent(f, lo, hi, 1e-9) == expected
         assert len(evals) == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(factor=st.floats(1.0, 4.0), lo=st.floats(0.2, 1.0),
+       hi=st.floats(8.0, 20.0) | st.floats(100.0, 1000.0))
+def test_unchecked_points_equal_throughputs(factor, lo, hi):
+    # Brackets as the benchmark draws them, and brackets past every factor's second crossing
+    # (82.6 km at factor 4), whose ends share a sign and so take the scan. Every distance the
+    # solver evaluates, checked at the bracket's ends or unchecked between them, gives the
+    # gap throughputs gives, bit for bit, and the root is a Brent over throughputs alone. The
+    # pytest configuration turns a RuntimeWarning into an error.
+    brent, solves = rates._brent, []
+
+    def reference(distance):
+        point = throughputs(DEFAULT_OPTICAL, DEFAULT_KLJN, distance)
+        return point.t_p23 - factor * point.t_bb84
+
+    def checking(f, *args):
+        def both(x):
+            got = f(x)
+            assert got.hex() == reference(x).hex(), x
+            return got
+        solves.append(args)
+        return brent(both, *args)
+
+    def solve():
+        return short_haul_supremacy_bound(DEFAULT_OPTICAL, DEFAULT_KLJN, factor, (lo, hi))
+
+    with mock.patch.object(rates, "_brent", checking):
+        root = solve()
+    assert len(solves) == (1 if hi < 100.0 else 2)  # the wide brackets do take the scan
+    with mock.patch.object(rates, "_brent", lambda f, *args: brent(reference, *args)):
+        assert root.hex() == solve().hex()

@@ -8,10 +8,10 @@ Each number is the median over REPEATS timed batches (`time.perf_counter`)
 of a fixed number of calls, at the default parameters:
 `throughputs` µs per call at 2 km, `sweep` points/s at 40, 1e3 and 1e5 log
 points over (0.1, 10) km, `crossover_distance` ms per solve and its number of
-`rates.throughputs` evaluations; `draw_span` ms per 65,536 ideal rounds and
-`draw_block` ms per 2,000 sampled ones (P2 at 2 km, on one `default_rng(1)`
-per number), and a gated session's ms, ideal and sampled (P2 at 2 km, 2,000
-rounds, seed 1). A number whose function the package lacks is null, so the
+evaluations (calls of the function `rates._brent` is given); `draw_span` ms
+per 65,536 ideal rounds and `draw_block` ms per 2,000 sampled ones (P2 at 2
+km, on one `default_rng(1)` per number), and a gated session's ms, ideal and
+sampled (P2 at 2 km, 2,000 rounds, seed 1). A number whose function the package lacks is null, so the
 harness measures trees from before and after such a change. The digest is the
 sha256 of the values computed, so equal digests mean equal bits.
 """
@@ -55,19 +55,27 @@ def per_call(fn, batch: int) -> float:
     return statistics.median(times)
 
 
-def counted_evaluations(rates, solve) -> int:
-    """The `rates.throughputs` calls of one solve(), counted by wrapping the module's name."""
-    throughputs, calls = rates.throughputs, []
+def counted_evaluations(rates, solve) -> int | None:
+    """The evaluations of one solve(): calls of each function `rates._brent` is given.
 
-    def counting(*args):
-        calls.append(args)
-        return throughputs(*args)
+    Counted by wrapping `rates._brent`, so an evaluation counts whatever path it
+    takes; None where the package has no `_brent`.
+    """
+    brent, calls = getattr(rates, "_brent", None), []
+    if brent is None:
+        return None
 
-    rates.throughputs = counting
+    def counting_brent(f, *args):
+        def counted(x):
+            calls.append(x)
+            return f(x)
+        return brent(counted, *args)
+
+    rates._brent = counting_brent
     try:
         solve()
     finally:
-        rates.throughputs = throughputs
+        rates._brent = brent
     return len(calls)
 
 
