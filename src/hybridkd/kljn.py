@@ -151,4 +151,5 @@ def eve_observe(obs: LineObservation) -> NoiseLevel:
     nothing else: mixed resistor pairs are symmetric in distribution, so
     the ordering (and hence any basis value encoded in it) stays hidden.
     """
+    check_type(obs, LineObservation, "obs")
     return obs.classified_level

@@ -219,6 +219,8 @@ class KeyStream:
     origins: tuple[KeyOrigin, ...]
 
     def __post_init__(self) -> None:
+        check_type(self.bits, tuple, "bits")
+        check_type(self.origins, tuple, "origins")
         if len(self.bits) != len(self.origins):
             raise DomainError("bits and origins must have equal length")
 
@@ -249,7 +251,7 @@ def measure_photon(
 def _bob_bit(gen: np.random.Generator, alice_bit: int, matched: bool, flip_prob: float) -> int:
     """Bob's outcome of a detected pulse as `measure_photon` draws it, inputs unchecked."""
     if not matched:
-        return int(fair_bits(gen))
+        return int(_fair_bits(gen))
     if flip_prob > 0.0 and gen.random() < flip_prob:
         return 1 - alice_bit
     return alice_bit
@@ -265,6 +267,14 @@ def fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray |
     The dtype is the instance `_F32`: given the `np.float32` class, numpy
     resolves a dtype on every call, a large share of the cost of a few bits.
     """
+    check_type(gen, np.random.Generator, "gen")
+    if size is not None:
+        check_int(size, "size")
+    return _fair_bits(gen, size)
+
+
+def _fair_bits(gen: np.random.Generator, size: int | None = None) -> np.ndarray | bool:
+    """`fair_bits` unchecked, for the per-round and per-span draws."""
     return gen.random(size, dtype=_F32) >= 0.5
 
 
@@ -411,7 +421,7 @@ def draw_span(protocol: Protocol, channel: ChannelModel, rng: np.random.Generato
         halves = gen.bit_generator.random_raw(n_rounds).view(np.uint32) >= 1 << 31
         alice_diag, bob_diag = halves[:n_rounds], halves[n_rounds:]
     else:
-        alice_diag, bob_diag = fair_bits(gen, n_rounds), fair_bits(gen, n_rounds)
+        alice_diag, bob_diag = _fair_bits(gen, n_rounds), _fair_bits(gen, n_rounds)
     u, q = gen.random(n_rounds), channel.detection_prob
     matched = alice_diag == bob_diag
     wrong = (matched & (u < q * channel.flip_prob)) | (~matched & (u < 0.5 * q))
@@ -524,8 +534,7 @@ def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
 
     All rounds must come from the same protocol.
     """
-    for i, r in enumerate(rounds):
-        check_type(r, ProtocolRound, f"rounds[{i}]")
+    _check_rounds(rounds)
     protocols = {r.protocol for r in rounds}
     if len(protocols) > 1:
         raise DomainError(f"rounds mix protocols: {sorted(p.value for p in protocols)}")
@@ -543,7 +552,7 @@ def extract_key(rounds: list[ProtocolRound]) -> KeyStream:
 
 def random_inputs(rng: np.random.Generator | int) -> RoundInputs:
     """Uniform independent basis and bit choices for one round."""
-    draws = fair_bits(generator(rng), 3)
+    draws = _fair_bits(generator(rng), 3)
     return RoundInputs(
         alice_basis=Basis.DIAGONAL if draws[0] else Basis.RECTILINEAR,
         alice_bit=int(draws[1]),
@@ -610,8 +619,15 @@ def _trace_lines(rounds: Iterable[ProtocolRound]) -> Iterator[str]:
         yield _trace_row(cells) + "\n"
 
 
+def _check_rounds(rounds: list[ProtocolRound]) -> None:
+    check_type(rounds, list, "rounds")
+    for i, r in enumerate(rounds):
+        check_type(r, ProtocolRound, f"rounds[{i}]")
+
+
 def render_trace(rounds: list[ProtocolRound]) -> str:
     """Render rounds in the line-oriented trace format (trailing newline)."""
+    _check_rounds(rounds)
     return "".join(_trace_lines(rounds))
 
 
@@ -627,6 +643,7 @@ def parse_trace_fixture(text: str) -> list[RoundInputs]:
     Fixture rounds force detection and Bob's recorded outcome so reference
     tables replay without relying on generator luck.
     """
+    check_type(text, str, "text")
     rounds: list[RoundInputs] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]

@@ -147,7 +147,10 @@ def _rate_columns(optical: OpticalParams, line: KljnLineParams, distance_km):
 def throughputs(
     optical: OpticalParams, line: KljnLineParams, distance_km: float
 ) -> RatePoint:
-    """Evaluate every RatePoint field at one distance (> 0), after `physics`' checks of it."""
+    """Every RatePoint field at a distance (> 0), after `physics`' checks of it.
+
+    A float64 array of distances gives a RatePoint of arrays; sessions take one number.
+    """
     system_transmittance(optical, distance_km)  # checks optical and the distance
     kljn_bit_rate(line, distance_km)  # checks line, and a finite bandwidth and wire rate there
     return RatePoint(*_rate_columns(optical, line, distance_km))

@@ -248,6 +248,14 @@ def _session(timing: Timing, protocol: Protocol, optical: OpticalParams, line: K
         effective_throughput_bps=secure_bits / wall_time, **burst)
 
 
+def _point(optical: OpticalParams, line: KljnLineParams, distance_km: float) -> rates.RatePoint:
+    """`rates.throughputs` at a session's one distance (the closed form takes arrays)."""
+    if isinstance(distance_km, np.ndarray):
+        raise DomainError(f"a session's distance must be one number, not an array, "
+                          f"got {distance_km!r}")
+    return rates.throughputs(optical, line, distance_km)
+
+
 def run_gated_session(
     protocol: Protocol,
     optical: OpticalParams,
@@ -264,11 +272,11 @@ def run_gated_session(
     `protocol.draw_span`, as buffered rounds are. Either draws a span at a time
     and `protocol.decide_block` decides each span. Simulated wall time is
     n_rounds / f_sys (plain BB84 runs unthrottled at f_qkd; its distance must
-    still give a wire rate).
+    still give a wire rate). The distance is one number, not an array.
     """
     check_int(n_rounds, "n_rounds", ge=1)
     check_seed(seed)
-    point = rates.throughputs(optical, line, distance_km)
+    point = _point(optical, line, distance_km)
     wall_time = n_rounds / (optical.f_qkd if protocol is Protocol.BB84 else point.f_sys)
     return _session(Timing.GATED, protocol, optical, line, point, seed, n_rounds, wall_time,
                     ideal_classification)
@@ -292,6 +300,7 @@ def run_buffered_session(
     consumption can never outrun production. Rounds are i.i.d., so cycle
     edges do not matter: they are drawn in fixed spans, and the measured
     burst rate, the mean of the per-cycle ones, is secure bits per drain second.
+    The distance is one number, not an array.
     """
     mode = TimingMode.buffered() if mode is None else mode
     check_type(mode, TimingMode, "mode")
@@ -299,7 +308,7 @@ def run_buffered_session(
     check_real(duration_s, "duration_s", gt=0)
     check_seed(seed)
 
-    point = rates.throughputs(optical, line, distance_km)
+    point = _point(optical, line, distance_km)
     block = mode.burst_block
     fill_time = block / point.r_kljn
     drain_time = block / optical.f_qkd

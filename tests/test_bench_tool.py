@@ -89,7 +89,9 @@ def test_cli_entries_have_the_shape_of_runs(monkeypatch, tmp_path):
 
     def time_cli(tree, argv, out):
         times = series.setdefault((argv, tree.name), iter(seconds[tree.name]))
-        return {"metrics": {"seconds": next(times)}, "output_digest": argv[0]}
+        second = next(times)  # a peak of 20 MB per second
+        return {"metrics": {"seconds": second, "peak_rss_mb": 20 * second},
+                "output_digest": argv[0]}
 
     monkeypatch.setattr(bench, "run_once", lambda tree, workload, seed, seconds, size: {
         "metrics": {m["name"]: 1.0 for m in declared}, "attempted": 10, "failed": 0,
@@ -110,7 +112,46 @@ def test_cli_entries_have_the_shape_of_runs(monkeypatch, tmp_path):
         assert summary["parent"] == {"q1": 1.25, "median": 1.5, "q3": 1.75}
         assert (summary["parent_iqr"], summary["ratio"]) == (0.5, 0.5)
         assert [pair["change"]["metrics"]["seconds"] for pair in entry["pairs"]] == [0.75, 1.0, 0.5]
+        peak = entry["summary"]["peak_rss_mb"]
+        assert (peak["change_wins"], peak["parent"]["median"], peak["ratio"]) == (2, 30.0, 0.5)
         assert entry["digests_equal"]
+
+
+# a package whose CLI holds the MB its first argument names, writes --out and exits with
+# its second argument
+_HOG = """import sys
+held = b"x" * (int(sys.argv[1]) << 20)
+open(sys.argv[sys.argv.index("--out") + 1], "w").write(sys.argv[1])
+sys.exit(int(sys.argv[2]))
+"""
+
+
+def _hog_tree(root):
+    (root / "src" / "hybridkd").mkdir(parents=True)
+    (root / "src" / "hybridkd" / "__init__.py").write_text("")
+    (root / "src" / "hybridkd" / "__main__.py").write_text(_HOG)
+    return root
+
+
+def test_cli_peak_is_the_child_own(tmp_path):
+    # RUSAGE_CHILDREN, the largest child reaped so far, would read 200 MB for both, and a
+    # child spawned by this process would start at this process's peak, which stays over
+    # 100 MB once this is freed
+    peak = b"x" * (100 << 20)
+    del peak
+    tree, out = _hog_tree(tmp_path), tmp_path / "hog.out"
+    big = bench.time_cli(tree, ("200", "0"), out)
+    assert out.read_text() == "200"
+    small = bench.time_cli(tree, ("1", "0"), out)
+    assert big["metrics"]["peak_rss_mb"] >= 200
+    assert small["metrics"]["peak_rss_mb"] < 100 and small["metrics"]["seconds"] > 0
+    assert small["output_digest"] == hashlib.sha256(b"1").hexdigest()
+
+
+def test_cli_failure_raises(tmp_path):
+    with pytest.raises(subprocess.CalledProcessError) as failed:
+        bench.time_cli(_hog_tree(tmp_path), ("1", "3"), tmp_path / "hog.out")
+    assert failed.value.returncode == 3 and failed.value.cmd[1:4] == ["-m", "hybridkd", "1"]
 
 
 def _git(repo, *args):

@@ -9,13 +9,15 @@ import pytest
 
 from hybridkd.config import DEFAULT_KLJN, DEFAULT_OPTICAL
 from hybridkd.errors import ConfigError, DomainError, check_int, check_real, generator
-from hybridkd.kljn import ResistorChoice, line_variance, sample_line, variance_thresholds
+from hybridkd.kljn import (ResistorChoice, eve_observe, line_variance, sample_line,
+                          variance_thresholds)
 from hybridkd.physics import (KljnLineParams, OpticalParams, binary_entropy, kljn_bit_rate,
                               post_processing_penalty, system_transmittance,
                               wave_limit_bandwidth)
 from hybridkd.protocol import (Basis, ChannelModel, KeyStream, Protocol, RoundInputs,
                                decide_block, draw_block, draw_round, draw_span, extract_key,
-                               measure_photon, random_inputs, run_round)
+                               fair_bits, measure_photon, parse_trace_fixture, random_inputs,
+                               render_trace, run_round)
 from hybridkd.rates import (crossover_distance, normalized_rates, short_haul_supremacy_bound,
                             sweep, throughputs)
 from hybridkd.session import (TimingMode, estimate_per_pulse_yield, per_pulse_yield_moments,
@@ -58,6 +60,14 @@ BAD_ARGUMENTS = {
     "gated_distance_str": (lambda: _gated(distance_km="2"), DomainError, "distance"),
     "gated_distance_bool": (lambda: _gated(distance_km=True), DomainError, "distance"),
     "gated_rounds_bool": (lambda: _gated(n_rounds=True), DomainError, "n_rounds"),
+    # a session runs at one distance: the closed form takes arrays, sessions do not
+    "gated_distance_0d_array": (lambda: _gated(distance_km=np.array(2.0)), DomainError, "distance"),
+    "gated_distance_1d_array": (
+        lambda: _gated(distance_km=np.array([2.0, 3.0])), DomainError, "distance"),
+    "buffered_distance_1d_array": (
+        lambda: run_buffered_session(Protocol.P1, DEFAULT_OPTICAL, DEFAULT_KLJN,
+                                     np.array([2.0, 3.0]), 1.0, 1),
+        DomainError, "distance"),
     "gated_bb84_distance_zero": (
         lambda: run_gated_session(Protocol.BB84, DEFAULT_OPTICAL, DEFAULT_KLJN, 0.0, 100, 1),
         DomainError, "distance"),
@@ -225,6 +235,15 @@ BAD_ARGUMENTS = {
         lambda: run_round(Protocol.P2, None, SAMPLED, 1), DomainError, "inputs"),
     "yield_estimate_stats_none": (lambda: estimate_per_pulse_yield(None), DomainError, "stats"),
     "extract_key_round_none": (lambda: extract_key([None]), DomainError, "rounds"),
+    "extract_key_int": (lambda: extract_key(5), DomainError, "rounds"),
+    "render_trace_int": (lambda: render_trace(5), DomainError, "rounds"),
+    "render_trace_round_int": (lambda: render_trace([5]), DomainError, "rounds"),
+    "key_stream_ints": (lambda: KeyStream(0, 0), DomainError, "bits"),
+    "eve_observe_int": (lambda: eve_observe(1), DomainError, "obs"),
+    "fair_bits_generator_int": (lambda: fair_bits(1), DomainError, "gen"),
+    "fair_bits_size_negative": (
+        lambda: fair_bits(np.random.default_rng(1), -1), DomainError, "size"),
+    "fixture_text_int": (lambda: parse_trace_fixture(5), DomainError, "text"),
     # draw_block draws only P1-P3 rounds on a channel with a line
     "draw_block_bb84": (lambda: draw_block(Protocol.BB84, SAMPLED, 1, 5), DomainError, "protocol"),
     "draw_block_without_line": (lambda: draw_block(Protocol.P2, IDEAL, 1, 5), DomainError, "line"),

@@ -9,14 +9,15 @@ user diff setting alters. An untracked file there would run unrecorded, so it
 stops the run. Each `--run WORKLOAD:SEEDS:PAIRS` runs
 `perfbench/run.py` once in each tree per pair; `--cli REPEATS` times each
 criterion-8 command of the acceptance suite as a whole `python3 -m hybridkd`
-process, REPEATS pairs per command; `--layers PAIRS` runs the working tree's
+process, REPEATS pairs per command, reading its wall time and peak RSS;
+`--layers PAIRS` runs the working tree's
 `tools/layers.py` on each tree's package, PAIRS pairs, for the per-layer
 numbers of the closed form, the round engine and gated sessions. Which tree
 runs first switches from pair to pair, the parent first. `BENCH_<pr>.json`
 at the repo root holds the machine block, both commits and the diff's
 sha256, and per run, command or harness every pair, the output digests and, per metric, each side's median and quartiles
 and the pairs the working tree won, by the metric's `better` in
-BENCHMARK.json (lower `seconds` for a command, `METRICS` in tools/layers.py
+BENCHMARK.json (`CLI_METRICS` for a command, `METRICS` in tools/layers.py
 for the harness; ties count for neither side). A harness number that is null on a
 side, its function missing from that tree, gives that side null quartiles
 and wins neither side a pair.
@@ -36,7 +37,6 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,13 +106,30 @@ def cli_command(tree: Path, argv: tuple[str, ...], out: Path) -> tuple[list[str]
     return [sys.executable, "-m", "hybridkd", *argv, "--out", str(out)], env
 
 
+# Runs argv[1:], stdout to /dev/null; prints its wall seconds, exit code and ru_maxrss (KiB).
+_REAP = """import os, subprocess, sys, time
+start = time.perf_counter()
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
+print(time.perf_counter() - start, os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+CLI_METRICS = {"seconds": "lower", "peak_rss_mb": "lower"}
+
+
 def time_cli(tree: Path, argv: tuple[str, ...], out: Path) -> dict:
-    """One CLI process's wall time, and the sha256 of the file it wrote."""
+    """One CLI process's wall time and peak RSS, and the sha256 of the file it wrote.
+
+    `_REAP`, a small process, spawns and reaps the command: Linux starts a child's
+    ru_maxrss at its spawner's peak, so the floor is about 14 MB, whatever this
+    process holds. A nonzero exit raises CalledProcessError.
+    """
     cmd, env = cli_command(tree, argv, out)
-    start = time.perf_counter()
-    subprocess.run(cmd, cwd=tree, env=env, check=True, stdout=subprocess.DEVNULL)
-    seconds = time.perf_counter() - start
-    return {"metrics": {"seconds": seconds},
+    reaped = subprocess.run([sys.executable, "-c", _REAP, *cmd], cwd=tree, env=env, check=True,
+                            stdout=subprocess.PIPE, text=True).stdout
+    seconds, code, max_rss_kib = reaped.split()
+    if int(code):
+        raise subprocess.CalledProcessError(int(code), cmd)
+    return {"metrics": {"seconds": float(seconds), "peak_rss_mb": int(max_rss_kib) / 1024},
             "output_digest": hashlib.sha256(out.read_bytes()).hexdigest()}
 
 
@@ -222,9 +239,9 @@ def main(argv: list[str] | None = None) -> int:
                     {"workload": workload, "seed": seed}, n_pairs, better, "items_per_s",
                     lambda side: run_once(trees[side], workload, seed, args.seconds, args.size)))
         for command in CLI_COMMANDS if args.cli else ():
-            cli.append(alternate({"argv": " ".join(command)}, args.cli, {"seconds": "lower"},
-                                 "seconds", lambda side: time_cli(trees[side], command,
-                                                                  scratch / f"{side}.out")))
+            cli.append(alternate({"argv": " ".join(command)}, args.cli, CLI_METRICS, "seconds",
+                                 lambda side: time_cli(trees[side], command,
+                                                       scratch / f"{side}.out")))
         if args.layers:
             layers.append(alternate({"harness": "tools/layers.py"}, args.layers, layer_better(),
                                     "throughputs_us", lambda side: time_layers(trees[side])))
